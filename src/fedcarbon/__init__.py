@@ -64,9 +64,11 @@ from .profiles import (
 from .sim import (
     AccuracyTrace,
     AdamState,
+    Federation,
     ModelSpec,
     SimConfig,
     SimDataset,
+    build_federation,
     centralized_sgd,
     derived_rng,
     fedadam_aggregate,

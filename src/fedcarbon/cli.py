@@ -38,16 +38,8 @@ from .optimize import (
     make_table_runner,
     pareto_front,
 )
-from .partition import assign_samples, lda_partition
 from .profiles import ConfigError, ExperimentConfig, config_digest, load_config
-from .sim import (
-    _STREAM_ASSIGN,
-    _STREAM_PARTITION,
-    _resolve_prior,
-    make_task,
-    rounds_to_target,
-    run_experiment,
-)
+from .sim import build_federation, rounds_to_target, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -76,10 +68,7 @@ def _json_text(obj: Any) -> str:
 
 
 def _load_json(path: str) -> Any:
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -144,16 +133,9 @@ def cmd_partition(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if cfg.fl is None or cfg.sim is None:
         raise ConfigError("partition needs a config with 'fl' and 'sim' objects")
-    sim = cfg.sim
-    alpha = args.alpha if args.alpha is not None else sim.alpha
-    dataset = make_task(sim.classes, sim.features, sim.n_samples,
-                        seed=cfg.seed, separation=sim.separation)
-    prior = _resolve_prior(sim.prior, dataset)
-    spc = sim.samples_per_client or len(dataset.train_idx) // cfg.fl.pool_size
-    part = lda_partition(prior, alpha, cfg.fl.pool_size, spc,
-                         np.random.SeedSequence([cfg.seed, _STREAM_PARTITION]))
-    assignment = assign_samples(dataset.train_labels(), part,
-                                np.random.SeedSequence([cfg.seed, _STREAM_ASSIGN]))
+    alpha = args.alpha if args.alpha is not None else cfg.sim.alpha
+    fed = build_federation(replace(cfg, sim=replace(cfg.sim, alpha=alpha)))
+    prior, part, assignment = fed.prior, fed.partition, fed.assignment
     deviation = float(np.abs(part.per_client - np.asarray(prior.proportions)).max())
     if alpha >= 100.0 and deviation > 0.05:
         sys.stderr.write(

@@ -206,12 +206,28 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
     The run always uses the full round budget (no early stop), then reads
     the fixed-target crossing and the best-accuracy round off the trace.
     Emissions come from pricing the schedule prefix up to each round.
+
+    A cell's task depends only on the seed and the 'sim' block, and its
+    partition and sample shards only on alpha besides, so the runner
+    builds the task once and the partition and shards once per alpha.
+    They live in the runner and go with it; two runners share nothing.
     """
-    from .sim import rounds_to_target, run_experiment
+    from .sim import (Federation, SimConfig, SimDataset, build_federation,
+                      rounds_to_target, simulate)
 
     if base.mode != "fl" or base.fl is None or base.sim is None:
         raise ValueError("simulation runner needs a federated config with 'sim'")
     rule_target = base.sim.target_accuracy
+    task: SimDataset | None = None
+    federations: dict[float, Federation] = {}
+
+    def federation(alpha: float) -> Federation:
+        nonlocal task
+        if alpha not in federations:
+            cfg = replace(base, sim=replace(base.sim, alpha=alpha))
+            federations[alpha] = build_federation(cfg, task)
+            task = federations[alpha].dataset
+        return federations[alpha]
 
     def run(n: int, local_epochs: int, alpha: float) -> CellOutcome:
         cfg = replace(
@@ -219,7 +235,9 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
             fl=replace(base.fl, clients_per_round=n, local_epochs=local_epochs),
             sim=replace(base.sim, alpha=alpha, target_accuracy=1.0),
         )
-        trace, schedule, _ = run_experiment(cfg)
+        fed = federation(alpha)
+        trace, schedule, _ = simulate(SimConfig.from_experiment(cfg), fed.dataset,
+                                      fed.partition, cfg.hardware, shards=fed.shards)
         if trace.rounds == 0:
             raise ValueError("cell produced an empty run; increase fl.rounds")
 

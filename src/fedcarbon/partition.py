@@ -111,7 +111,9 @@ def lda_partition(prior: ClassPrior, alpha: float, num_clients: int,
     concentration = alpha * np.asarray(prior.proportions, dtype=float)
     if np.any(concentration <= 0):
         raise ValueError("every Dirichlet concentration must be finite and > 0")
-    rows = np.stack([sample_dirichlet(concentration, rng) for _ in range(num_clients)])
+    # One (num_clients, m) draw consumes the generator row by row, exactly
+    # as num_clients single draws would.
+    rows = rng.dirichlet(concentration, size=num_clients)
     rows.setflags(write=False)
     return Partition(alpha=float(alpha), per_client=rows,
                      samples_per_client=samples_per_client)
@@ -151,20 +153,24 @@ def assign_samples(labels: Sequence[int] | np.ndarray, partition: Partition,
             f"label pool exhausted: {needed} samples requested, {y.size} available")
 
     rng = np.random.default_rng(seed)
-    # Shuffled per-class stacks; popping from the end is draw order.
-    pools: list[list[int]] = []
+    # Shuffled per-class stacks handed out from the end: the samples class
+    # c still has are pools[c][:avail[c]], so avail doubles as the cursor.
+    pools: list[np.ndarray] = []
     for c in range(m):
         idx = np.flatnonzero(y == c)
         rng.shuffle(idx)
-        pools.append(list(idx))
+        pools.append(idx)
     avail = np.array([len(p) for p in pools])
 
-    shards: list[np.ndarray] = []
+    # Every shard is a row of one (clients, spc) block: one allocation
+    # instead of one per client keeps the heap of a 10 000-client run compact.
+    spc = partition.samples_per_client
+    block = np.empty((partition.num_clients, spc), dtype=int)
     warnings = 0
     for k in range(partition.num_clients):
         q = np.array(partition.per_client[k], dtype=float)
         alloc = np.zeros(m, dtype=int)
-        need = partition.samples_per_client
+        need = spc
         while need > 0:
             open_mask = avail > 0
             if not open_mask.any():
@@ -188,8 +194,8 @@ def assign_samples(labels: Sequence[int] | np.ndarray, partition: Partition,
                 # Some requested class ran dry; the remainder is redrawn
                 # over the classes that still have stock.
                 warnings += 1
-        taken = [pools[c].pop() for c in range(m) for _ in range(alloc[c])]
-        shard = np.sort(np.array(taken, dtype=int))
-        shard.setflags(write=False)
-        shards.append(shard)
-    return Assignment(per_client=tuple(shards), exhaustion_warnings=warnings)
+        taken = [pools[c][avail[c]:avail[c] + alloc[c]] for c in np.flatnonzero(alloc)]
+        np.concatenate(taken, out=block[k])
+        block[k].sort()
+    block.setflags(write=False)
+    return Assignment(per_client=tuple(block), exhaustion_warnings=warnings)

@@ -54,6 +54,11 @@ def _check(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _integer(x: Any) -> bool:
+    """A Python int that is not a bool (JSON true would otherwise pass)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _finite(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
@@ -153,15 +158,15 @@ class FlSetup:
     wan_model: str = "router"
 
     def __post_init__(self) -> None:
-        _check(isinstance(self.pool_size, int) and self.pool_size >= 1,
+        _check(_integer(self.pool_size) and self.pool_size >= 1,
                "fl.pool_size must be an integer >= 1")
-        _check(isinstance(self.clients_per_round, int) and self.clients_per_round >= 1,
+        _check(_integer(self.clients_per_round) and self.clients_per_round >= 1,
                "fl.clients_per_round must be an integer >= 1")
         _check(self.clients_per_round <= self.pool_size,
                "fl.clients_per_round must be <= fl.pool_size")
-        _check(isinstance(self.rounds, int) and self.rounds >= 0,
+        _check(_integer(self.rounds) and self.rounds >= 0,
                "fl.rounds must be an integer >= 0")
-        _check(isinstance(self.local_epochs, int) and self.local_epochs >= 1,
+        _check(_integer(self.local_epochs) and self.local_epochs >= 1,
                "fl.local_epochs must be an integer >= 1")
         _check(_finite(self.model_size_mb) and self.model_size_mb >= 0,
                "fl.model_size_mb must be finite and >= 0")
@@ -197,18 +202,18 @@ class SimSetup:
     alpha: float = 1000.0
 
     def __post_init__(self) -> None:
-        _check(isinstance(self.classes, int) and self.classes >= 2,
+        _check(_integer(self.classes) and self.classes >= 2,
                "sim.classes must be an integer >= 2")
-        _check(isinstance(self.features, int) and self.features >= 1,
+        _check(_integer(self.features) and self.features >= 1,
                "sim.features must be an integer >= 1")
-        _check(isinstance(self.n_samples, int) and self.n_samples >= 10,
+        _check(_integer(self.n_samples) and self.n_samples >= 10,
                "sim.n_samples must be an integer >= 10")
         _check(_finite(self.separation) and self.separation > 0,
                "sim.separation must be finite and > 0")
         if self.samples_per_client is not None:
-            _check(isinstance(self.samples_per_client, int) and self.samples_per_client >= 1,
+            _check(_integer(self.samples_per_client) and self.samples_per_client >= 1,
                    "sim.samples_per_client must be an integer >= 1")
-        _check(isinstance(self.batch_size, int) and self.batch_size >= 1,
+        _check(_integer(self.batch_size) and self.batch_size >= 1,
                "sim.batch_size must be an integer >= 1")
         _check(_finite(self.target_accuracy) and 0.0 <= self.target_accuracy <= 1.0,
                "sim.target_accuracy must lie in [0, 1]")
@@ -222,7 +227,7 @@ class SimSetup:
                "sim.beta2 must lie in [0, 1)")
         _check(_finite(self.tau) and self.tau > 0,
                "sim.tau must be finite and > 0")
-        _check(isinstance(self.hidden_units, int) and self.hidden_units >= 0,
+        _check(_integer(self.hidden_units) and self.hidden_units >= 0,
                "sim.hidden_units must be an integer >= 0")
         if isinstance(self.prior, str):
             _check(self.prior in ("uniform", "empirical"),
@@ -254,7 +259,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         _check(self.mode in MODES, f"mode must be one of {MODES}")
         _check(len(self.grids) >= 1, "at least one grid region is required")
-        _check(isinstance(self.seed, int), "seed must be an integer")
+        _check(_integer(self.seed), "seed must be an integer")
         if self.mode == "fl":
             _check(self.fl is not None, "fl mode requires an 'fl' object")
             assert self.fl is not None
@@ -266,7 +271,7 @@ class ExperimentConfig:
             assert self.pue is not None
             _check(_finite(self.pue) and self.pue >= 1.0,
                    f"pue must be >= 1.0, got {self.pue!r}")
-            _check(self.epochs is not None and isinstance(self.epochs, int)
+            _check(self.epochs is not None and _integer(self.epochs)
                    and self.epochs >= 0,
                    "centralized mode requires integer 'epochs' >= 0")
 
@@ -480,25 +485,18 @@ def config_from_dict(raw: Any, registry: Mapping[str, Any] | None = None) -> Exp
     fl = _fl_from_dict(raw["fl"]) if "fl" in raw else None
     sim = _sim_from_dict(raw["sim"]) if "sim" in raw else None
 
-    seed = raw.get("seed", 0)
-    _check(isinstance(seed, int) and not isinstance(seed, bool), "seed must be an integer")
-
     epochs = raw.get("epochs")
     if epochs is not None:
-        _check(isinstance(epochs, int) and not isinstance(epochs, bool),
-               "'epochs' must be an integer")
+        _check(_integer(epochs), "'epochs' must be an integer")
 
-    return ExperimentConfig(mode=mode, hardware=hardware, grids=grids, seed=seed,
+    return ExperimentConfig(mode=mode, hardware=hardware, grids=grids, seed=raw.get("seed", 0),
                             network=network, pue=pue, epochs=epochs, fl=fl, sim=sim)
 
 
 def load_config(path: str | Path, registry: Mapping[str, Any] | None = None) -> ExperimentConfig:
     """Read a JSON experiment config from disk, resolve names, validate."""
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError:
-        raise
+    text = p.read_text()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -34,7 +34,9 @@ from .partition import (
 from .profiles import (
     DEFAULT_CLIENT_LR,
     ExperimentConfig,
+    FlSetup,
     HardwareProfile,
+    SimSetup,
 )
 
 __all__ = [
@@ -54,6 +56,8 @@ __all__ = [
     "simulate",
     "centralized_sgd",
     "rounds_to_target",
+    "Federation",
+    "build_federation",
     "run_experiment",
 ]
 
@@ -136,6 +140,11 @@ def make_task(num_classes: int, num_features: int, n_samples: int, seed: int,
                       num_classes=num_classes, train_idx=train_idx, test_idx=test_idx)
 
 
+def _with_bias(x: np.ndarray) -> np.ndarray:
+    """x with a trailing column of ones."""
+    return np.hstack([x, np.ones((x.shape[0], 1))])
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Shape of the classifier: softmax head, optional hidden tanh layer."""
@@ -179,14 +188,40 @@ class ModelSpec:
         w2 = w[h * (f + 1):].reshape(m, h + 1)
         return w1, w2
 
-    def _logits(self, w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def _logits(self, w: np.ndarray,
+                xb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Logits for bias-augmented inputs, plus the bias-augmented hidden
+        activations (None without a hidden layer)."""
         first, second = self._unpack(w)
-        xb = np.hstack([x, np.ones((x.shape[0], 1))])
         if second is None:
             return xb @ first.T, None
-        hidden = np.tanh(xb @ first.T)
-        hb = np.hstack([hidden, np.ones((hidden.shape[0], 1))])
-        return hb @ second.T, hidden
+        hb = _with_bias(np.tanh(xb @ first.T))
+        return hb @ second.T, hb
+
+    def _softmax(self, w: np.ndarray,
+                 xb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Class probabilities for bias-augmented inputs (built in place on
+        the logits), plus the augmented hidden activations."""
+        probs, hb = self._logits(w, xb)
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        return probs, hb
+
+    def _grad(self, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Gradient in w of the mean cross-entropy on a bias-augmented batch."""
+        b = xb.shape[0]
+        dz, hb = self._softmax(w, xb)
+        dz[np.arange(b), y] -= 1.0
+        dz /= b
+        if hb is None:
+            return (dz.T @ xb).ravel()
+        _, second = self._unpack(w)
+        assert second is not None
+        g2 = dz.T @ hb
+        dh = (dz @ second[:, :-1]) * (1.0 - hb[:, :-1] ** 2)
+        g1 = dh.T @ xb
+        return np.concatenate([g1.ravel(), g2.ravel()])
 
     def loss_and_grad(self, w: np.ndarray, x: np.ndarray,
                       y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -194,29 +229,13 @@ class ModelSpec:
         b = x.shape[0]
         if b == 0:
             raise ValueError("batch must be non-empty")
-        logits, hidden = self._logits(w, x)
-        logits = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        probs = exp / exp.sum(axis=1, keepdims=True)
+        xb = _with_bias(x)
+        probs, _ = self._softmax(w, xb)
         loss = float(-np.mean(np.log(probs[np.arange(b), y] + 1e-300)))
-
-        dz = probs.copy()
-        dz[np.arange(b), y] -= 1.0
-        dz /= b
-        xb = np.hstack([x, np.ones((b, 1))])
-        if hidden is None:
-            grad = (dz.T @ xb).ravel()
-            return loss, grad
-        _, second = self._unpack(w)
-        assert second is not None
-        hb = np.hstack([hidden, np.ones((b, 1))])
-        g2 = dz.T @ hb
-        dh = (dz @ second[:, :-1]) * (1.0 - hidden ** 2)
-        g1 = dh.T @ xb
-        return loss, np.concatenate([g1.ravel(), g2.ravel()])
+        return loss, self._grad(w, xb, y)
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        logits, _ = self._logits(w, x)
+        logits, _ = self._logits(w, _with_bias(x))
         return logits.argmax(axis=1)
 
     def accuracy(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -236,13 +255,13 @@ def sgd_epochs(w: np.ndarray, x: np.ndarray, y: np.ndarray, spec: ModelSpec,
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty shard")
+    xb = _with_bias(x)
     out = w.copy()
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
-            _, grad = spec.loss_and_grad(out, x[batch], y[batch])
-            out -= lr * grad
+            out -= lr * spec._grad(out, xb[batch], y[batch])
     return out
 
 
@@ -366,6 +385,27 @@ class SimConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
+    @classmethod
+    def from_experiment(cls, cfg: ExperimentConfig) -> "SimConfig":
+        """The run described by a federated config's 'fl' and 'sim' blocks."""
+        fl, sim = _fl_and_sim(cfg)
+        return cls(
+            pool_size=fl.pool_size,
+            clients_per_round=fl.clients_per_round,
+            max_rounds=fl.rounds,
+            local_epochs=fl.local_epochs,
+            strategy=fl.strategy,
+            client_lr=sim.client_lr,
+            server_lr=sim.server_lr,
+            beta1=sim.beta1,
+            beta2=sim.beta2,
+            tau=sim.tau,
+            batch_size=sim.batch_size,
+            target_accuracy=sim.target_accuracy,
+            seed=cfg.seed,
+            hidden_units=sim.hidden_units,
+        )
+
 
 @dataclass(frozen=True)
 class AccuracyTrace:
@@ -379,14 +419,26 @@ class AccuracyTrace:
         return len(self.accuracies)
 
 
+def _assign(dataset: SimDataset, partition: Partition,
+            seed: int) -> tuple[Assignment, tuple[np.ndarray, ...]]:
+    """The seed's sample assignment and each client's rows of the dataset."""
+    assignment = assign_samples(dataset.train_labels(), partition,
+                                np.random.SeedSequence([seed, _STREAM_ASSIGN]))
+    return assignment, tuple(dataset.train_idx[np.stack(assignment.per_client)])
+
+
 def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
-             hardware: HardwareProfile) -> tuple[AccuracyTrace, RoundSchedule, np.ndarray]:
+             hardware: HardwareProfile, *,
+             shards: Sequence[np.ndarray] | None = None,
+             ) -> tuple[AccuracyTrace, RoundSchedule, np.ndarray]:
     """Run federated rounds until the accuracy target or the round cap.
 
     Wall time per round is local_epochs times the profiled epoch time.
     The returned schedule lists exactly the clients that trained, so it
     can be priced directly; the third element is the final parameter
     vector, so degenerate runs can be compared against plain SGD.
+    `shards` (each client's rows of the dataset) skips the sample
+    assignment; pass the ones build_federation drew for the same seed.
     """
     if partition.num_clients != config.pool_size:
         raise ValueError(
@@ -394,10 +446,11 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
             f"config declares {config.pool_size}")
     if partition.num_classes != dataset.num_classes:
         raise ValueError("partition and dataset disagree on the class count")
-
-    assignment = assign_samples(dataset.train_labels(), partition,
-                                np.random.SeedSequence([config.seed, _STREAM_ASSIGN]))
-    shards = [dataset.train_idx[pos] for pos in assignment.per_client]
+    if shards is None:
+        _, shards = _assign(dataset, partition, config.seed)
+    elif len(shards) != config.pool_size:
+        raise ValueError(
+            f"{len(shards)} shards given, config declares {config.pool_size} clients")
 
     spec = ModelSpec(dataset.num_classes, dataset.num_features, config.hidden_units)
     w = spec.init_params(derived_rng(config.seed, _STREAM_INIT))
@@ -479,40 +532,56 @@ def _resolve_prior(setting: str | tuple[float, ...], dataset: SimDataset) -> Cla
     return ClassPrior(tuple(setting))
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[AccuracyTrace, RoundSchedule, SimDataset]:
-    """Wire a federated config end to end: task, partition, simulation."""
-    if cfg.mode != "fl":
-        raise ValueError("run_experiment requires a federated config")
+def _fl_and_sim(cfg: ExperimentConfig) -> tuple[FlSetup, SimSetup]:
     if cfg.fl is None or cfg.sim is None:
         raise ValueError("simulation needs both 'fl' and 'sim' objects")
-    fl, sim = cfg.fl, cfg.sim
+    return cfg.fl, cfg.sim
 
-    dataset = make_task(sim.classes, sim.features, sim.n_samples,
-                        seed=cfg.seed, separation=sim.separation)
+
+@dataclass(frozen=True)
+class Federation:
+    """A config's task, class prior, per-client class mixes and samples.
+
+    shards[k] holds client k's rows of dataset.features; assignment holds
+    the same samples as positions into the train split.
+    """
+
+    dataset: SimDataset
+    prior: ClassPrior
+    partition: Partition
+    assignment: Assignment
+    shards: tuple[np.ndarray, ...]
+
+
+def build_federation(cfg: ExperimentConfig,
+                     dataset: SimDataset | None = None) -> Federation:
+    """Draw the task, the partition and the sample assignment of a config.
+
+    Pass `dataset` to reuse a task already built from the same seed and
+    'sim' block (the task does not depend on alpha, the round structure
+    or the target); only the partition and the assignment are drawn then.
+    """
+    fl, sim = _fl_and_sim(cfg)
+    if dataset is None:
+        dataset = make_task(sim.classes, sim.features, sim.n_samples,
+                            seed=cfg.seed, separation=sim.separation)
     prior = _resolve_prior(sim.prior, dataset)
-    n_train = len(dataset.train_idx)
     spc = sim.samples_per_client
     if spc is None:
-        spc = n_train // fl.pool_size
+        spc = len(dataset.train_idx) // fl.pool_size
         if spc < 1:
             raise ValueError("pool is larger than the training split")
     partition = lda_partition(prior, sim.alpha, fl.pool_size, spc,
                               np.random.SeedSequence([cfg.seed, _STREAM_PARTITION]))
-    sim_config = SimConfig(
-        pool_size=fl.pool_size,
-        clients_per_round=fl.clients_per_round,
-        max_rounds=fl.rounds,
-        local_epochs=fl.local_epochs,
-        strategy=fl.strategy,
-        client_lr=sim.client_lr,
-        server_lr=sim.server_lr,
-        beta1=sim.beta1,
-        beta2=sim.beta2,
-        tau=sim.tau,
-        batch_size=sim.batch_size,
-        target_accuracy=sim.target_accuracy,
-        seed=cfg.seed,
-        hidden_units=sim.hidden_units,
-    )
-    trace, schedule, _ = simulate(sim_config, dataset, partition, cfg.hardware)
-    return trace, schedule, dataset
+    assignment, shards = _assign(dataset, partition, cfg.seed)
+    return Federation(dataset, prior, partition, assignment, shards)
+
+
+def run_experiment(cfg: ExperimentConfig) -> tuple[AccuracyTrace, RoundSchedule, SimDataset]:
+    """Wire a federated config end to end: task, partition, simulation."""
+    if cfg.mode != "fl":
+        raise ValueError("run_experiment requires a federated config")
+    fed = build_federation(cfg)
+    trace, schedule, _ = simulate(SimConfig.from_experiment(cfg), fed.dataset,
+                                  fed.partition, cfg.hardware, shards=fed.shards)
+    return trace, schedule, fed.dataset

@@ -332,6 +332,21 @@ class TestExitCodes:
         assert code == 1
         assert "pue must be >= 1.0" in err
 
+    @pytest.mark.parametrize("block, key", [
+        ("fl", "pool_size"), ("fl", "rounds"), ("sim", "classes"),
+        ("sim", "samples_per_client"), ("sim", "hidden_units"),
+    ])
+    def test_boolean_for_an_integer_is_validation_error(self, capsys, tmp_path,
+                                                        block, key):
+        raw = json.loads((CONFIGS / "fl_sim_small_france.json").read_text())
+        raw[block][key] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(bad),
+                               "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert f"{block}.{key} must be an integer" in err
+
     def test_malformed_json_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -303,6 +303,35 @@ class TestSimulationRunner:
             costs = [c.at_target.carbon_cost for c in reached]
             assert costs == sorted(costs)
 
+    def test_task_once_partition_once_per_alpha_and_no_shared_state(self, monkeypatch):
+        import fedcarbon.sim as sim
+
+        calls = {"make_task": 0, "lda_partition": 0, "assign_samples": 0}
+
+        def counting(name):
+            original = getattr(sim, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(sim, name, counted)
+
+        for name in calls:
+            counting(name)
+        cfg = config_from_dict(self.BASE)
+        cells = default_grid(max_clients=3, alphas=(1000.0, 0.1))
+        ranked = grid_search(cells, make_simulation_runner(cfg), target_accuracy=0.6)
+        assert len(ranked) == len(cells) == 12
+        assert calls == {"make_task": 1, "lda_partition": 2, "assign_samples": 2}
+
+        # A second runner draws its own federation instead of reusing the
+        # first one's, and sharing changes no cell's outcome.
+        shared = make_simulation_runner(cfg)
+        first = [shared(n, e, a) for n, e, a in cells]
+        assert calls == {"make_task": 2, "lda_partition": 4, "assign_samples": 4}
+        fresh = [make_simulation_runner(cfg)(n, e, a) for n, e, a in cells]
+        assert first == fresh
+
     def test_requires_a_federated_config(self):
         cen = config_from_dict({
             "mode": "centralized", "hardware": "v100-cifar10", "grid": "france",

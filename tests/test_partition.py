@@ -139,6 +139,72 @@ class TestLdaPartition:
             lda_partition(prior, 10.0, 2, 5, seed=0)
 
 
+class TestVectorizedDraws:
+    """The one-call Dirichlet draw and the cursor-based assignment give the
+    same bits as the per-client loops they replaced."""
+
+    @pytest.mark.parametrize("alpha", [1000.0, 0.1, 0.01])
+    def test_partition_rows_equal_one_draw_per_client(self, alpha):
+        prior = uniform_prior(10)
+        part = lda_partition(prior, alpha, 300, 16, np.random.SeedSequence([7, 11]))
+        rng = np.random.default_rng(np.random.SeedSequence([7, 11]))
+        concentration = alpha * np.asarray(prior.proportions)
+        rows = np.stack([rng.dirichlet(concentration) for _ in range(300)])
+        assert np.array_equal(part.per_client, rows)
+
+    @pytest.mark.parametrize("alpha", [1000.0, 0.1, 0.01])
+    def test_assignment_equals_pop_reference(self, alpha):
+        # 40 clients x 25 samples take the whole 1000-sample pool, so the
+        # skewed mixes run classes dry and force redraws.
+        labels = balanced_labels(10, 100, seed=19)
+        part = lda_partition(uniform_prior(10), alpha, 40, 25, seed=20)
+        out = assign_samples(labels, part, seed=21)
+        ref_shards, ref_warnings = pop_reference_assignment(labels, part, seed=21)
+        if alpha == 0.01:
+            assert ref_warnings > 0
+        assert out.exhaustion_warnings == ref_warnings
+        assert len(out.per_client) == len(ref_shards)
+        for got, want in zip(out.per_client, ref_shards):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def pop_reference_assignment(labels: np.ndarray, partition: Partition,
+                             seed: int) -> tuple[list[np.ndarray], int]:
+    """assign_samples as first written: per-class Python lists, one pop()
+    per sample."""
+    m = partition.num_classes
+    rng = np.random.default_rng(seed)
+    pools = []
+    for c in range(m):
+        idx = np.flatnonzero(labels == c)
+        rng.shuffle(idx)
+        pools.append(list(idx))
+    avail = np.array([len(p) for p in pools])
+    shards, warnings = [], 0
+    for k in range(partition.num_clients):
+        q = np.array(partition.per_client[k], dtype=float)
+        alloc = np.zeros(m, dtype=int)
+        need = partition.samples_per_client
+        while need > 0:
+            open_mask = avail > 0
+            weights = np.where(open_mask, q, 0.0)
+            total = weights.sum()
+            if total <= 0:
+                weights = open_mask.astype(float)
+                total = weights.sum()
+                warnings += 1
+            grant = np.minimum(rng.multinomial(need, weights / total), avail)
+            alloc += grant
+            avail -= grant
+            need -= int(grant.sum())
+            if need > 0:
+                warnings += 1
+        taken = [pools[c].pop() for c in range(m) for _ in range(alloc[c])]
+        shards.append(np.sort(np.array(taken, dtype=int)))
+    return shards, warnings
+
+
 def balanced_labels(num_classes: int, per_class: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(num_classes), per_class)

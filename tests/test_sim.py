@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from fedcarbon import (
     AdamState,
     ModelSpec,
     SimConfig,
+    build_federation,
     builtin_registry,
     centralized_sgd,
     config_from_dict,
@@ -390,6 +392,47 @@ class TestSimulateLoop:
             simulate(cfg, ds, wrong, HW)
 
 
+# sha256 of the final weights and the accuracy trace of small_setup runs
+# (6 rounds, batch 16), recorded before the local step was rewritten; the
+# step and the assignment must keep reproducing them bit for bit.
+PINNED_RUNS = {
+    ("fedavg", 0, 1000.0): ("33a7c7100c7c6fe70d94f77379492c504968e1a71f9ddfce5cdc4b721d08ea8a",
+        (0.9333333333333333, 0.9333333333333333, 0.9333333333333333, 0.9416666666666667, 0.95, 0.95)),
+    ("fedavg", 0, 0.1): ("c44743cc889666d5318c9aa7b9ccdaedadd65e3c5fb76afba5a8718d91e5b9ea",
+        (0.9166666666666666, 0.8916666666666667, 0.9, 0.9083333333333333, 0.9166666666666666, 0.9166666666666666)),
+    ("fedavg", 0, 0.01): ("b4338a78c5a54fcc6f89fb8a39ffb443eefe57d58dd0cbcc58c5e094c2617e27",
+        (0.9333333333333333, 0.8333333333333334, 0.9083333333333333, 0.9166666666666666, 0.925, 0.9166666666666666)),
+    ("fedavg", 32, 1000.0): ("e734537bcda745f10b6bf364c39f78d299f2578edccf1511e796d1669585712b",
+        (0.5083333333333333, 0.7, 0.775, 0.8583333333333333, 0.9, 0.9)),
+    ("fedavg", 32, 0.1): ("afa2328b056d1a2adfe03666a5bdabfa15a4510e8c593c8bc5538a73e59cfd09",
+        (0.44166666666666665, 0.6583333333333333, 0.7083333333333334, 0.8333333333333334, 0.8916666666666667, 0.9)),
+    ("fedavg", 32, 0.01): ("8762943841f13b1b53270ec7b948c5d655b5382fc45b9278c0ffcb11c146dcbd",
+        (0.4583333333333333, 0.6083333333333333, 0.6916666666666667, 0.8333333333333334, 0.875, 0.9)),
+    ("fedadam", 0, 1000.0): ("9b6d1198da2fe4711292df0109b070a03ff5d6073b6ff961bc1a34dbb38d6572",
+        (0.9083333333333333, 0.9166666666666666, 0.9333333333333333, 0.95, 0.9583333333333334, 0.9583333333333334)),
+    ("fedadam", 0, 0.1): ("7c4217d32cee449882500078b57ea6f73bf9d6a3568a9fe555715bf5d546f4d0",
+        (0.9416666666666667, 0.9416666666666667, 0.9166666666666666, 0.9166666666666666, 0.9166666666666666, 0.925)),
+    ("fedadam", 0, 0.01): ("d4d036bab040bf0c0b42a63cad96fe435f40a7aa6149e155fd0779b8545dd730",
+        (0.925, 0.9, 0.9083333333333333, 0.9083333333333333, 0.925, 0.925)),
+    ("fedadam", 32, 1000.0): ("96a02b28ce44cd9eb24eec4dce522b879eaa9f1d1e40b36a325ca12817c26faf",
+        (0.85, 0.9, 0.9166666666666666, 0.95, 0.9416666666666667, 0.9166666666666666)),
+    ("fedadam", 32, 0.1): ("76fbbec8351f8581f837e0ac0d8c8e17042f3dc54171b2fbac4eec1cb8cdbb30",
+        (0.8416666666666667, 0.9166666666666666, 0.9083333333333333, 0.8916666666666667, 0.9333333333333333, 0.9333333333333333)),
+    ("fedadam", 32, 0.01): ("29bfda45925fa5683eb902af1fa72e129554e5e7248188f7fc3d37eae89a008f",
+        (0.85, 0.8916666666666667, 0.9, 0.9083333333333333, 0.9166666666666666, 0.9083333333333333)),
+}
+
+
+@pytest.mark.parametrize("strategy, hidden_units, alpha", sorted(PINNED_RUNS))
+def test_simulate_reproduces_pinned_bits(strategy, hidden_units, alpha):
+    cfg, ds, part = small_setup(alpha, max_rounds=6, batch_size=16,
+                                strategy=strategy, hidden_units=hidden_units)
+    trace, _, w = simulate(cfg, ds, part, HW)
+    digest, accuracies = PINNED_RUNS[(strategy, hidden_units, alpha)]
+    assert hashlib.sha256(w.tobytes()).hexdigest() == digest
+    assert trace.accuracies == accuracies
+
+
 class TestRoundsToTarget:
     def test_first_crossing_is_one_based(self):
         trace = AccuracyTrace(accuracies=(0.2, 0.5, 0.7, 0.71), round_time_s=1.0)
@@ -451,3 +494,30 @@ class TestRunExperiment:
         })
         with pytest.raises(ValueError, match="federated"):
             run_experiment(cfg)
+
+    def test_given_shards_match_the_seeds_own_assignment(self):
+        cfg = config_from_dict({**self.BASE, "sim": {**self.BASE["sim"], "alpha": 0.1}})
+        fed = build_federation(cfg)
+        sim_cfg = SimConfig.from_experiment(cfg)
+        assert [len(s) for s in fed.shards] == [32] * 10
+        assert all(np.array_equal(s, fed.dataset.train_idx[pos])
+                   for s, pos in zip(fed.shards, fed.assignment.per_client))
+        t1, s1, w1 = simulate(sim_cfg, fed.dataset, fed.partition, HW)
+        t2, s2, w2 = simulate(sim_cfg, fed.dataset, fed.partition, HW,
+                              shards=fed.shards)
+        assert (t1, s1) == (t2, s2) and np.array_equal(w1, w2)
+        with pytest.raises(ValueError, match="9 shards given"):
+            simulate(sim_cfg, fed.dataset, fed.partition, HW, shards=fed.shards[:9])
+
+    def test_reused_task_gives_the_same_federation(self):
+        cfg = config_from_dict(self.BASE)
+        fed = build_federation(cfg)
+        again = build_federation(cfg, fed.dataset)
+        assert again.dataset is fed.dataset
+        assert np.array_equal(again.partition.per_client, fed.partition.per_client)
+        assert all(np.array_equal(a, b) for a, b in zip(again.shards, fed.shards))
+
+    def test_federation_needs_fl_and_sim(self):
+        cfg = config_from_dict({k: v for k, v in self.BASE.items() if k != "sim"})
+        with pytest.raises(ValueError, match="'fl' and 'sim'"):
+            build_federation(cfg)
