@@ -13,6 +13,7 @@ from .carbon import (
     RoundSchedule,
     ScheduleEntry,
     communication_energy,
+    cumulative_training_energy,
     estimate_centralized,
     estimate_fl,
     legacy_transfer_energy,
@@ -32,7 +33,6 @@ from .optimize import (
     grid_search,
     make_simulation_runner,
     make_table_runner,
-    objective_F,
     pareto_front,
 )
 from .partition import (

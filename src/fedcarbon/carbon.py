@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from .profiles import (
     ConfigError,
@@ -29,8 +29,12 @@ from .profiles import (
     GridIntensity,
     HardwareProfile,
     NetworkProfile,
+    active_registry,
     config_digest,
+    _finite,
     _hardware_from_value,
+    _hardware_to_dict,
+    _integer,
 )
 
 __all__ = [
@@ -38,6 +42,7 @@ __all__ = [
     "RoundSchedule",
     "EnergyBreakdown",
     "EmissionReport",
+    "cumulative_training_energy",
     "training_energy_fl",
     "training_energy_centralized",
     "communication_energy",
@@ -68,11 +73,11 @@ class ScheduleEntry:
     hardware: HardwareProfile
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.round_index, int) and self.round_index >= 0):
+        if not (_integer(self.round_index) and self.round_index >= 0):
             raise ValueError("round_index must be an integer >= 0")
-        if not (isinstance(self.client_id, int) and self.client_id >= 0):
+        if not (_integer(self.client_id) and self.client_id >= 0):
             raise ValueError("client_id must be an integer >= 0")
-        if not (math.isfinite(self.wall_time_s) and self.wall_time_s > 0):
+        if not (_finite(self.wall_time_s) and self.wall_time_s > 0):
             raise ValueError("wall_time_s must be finite and > 0")
 
 
@@ -88,7 +93,7 @@ class RoundSchedule:
     participation: tuple[ScheduleEntry, ...]
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.rounds, int) and self.rounds >= 0):
+        if not (_integer(self.rounds) and self.rounds >= 0):
             raise ValueError("rounds must be an integer >= 0")
         seen: set[tuple[int, int]] = set()
         for e in self.participation:
@@ -104,6 +109,8 @@ class RoundSchedule:
     def uniform(cls, rounds: int, clients_per_round: int, wall_time_s: float,
                 hardware: HardwareProfile) -> "RoundSchedule":
         """Same clients, same wall time, every round (a uniform fleet)."""
+        if not (_integer(rounds) and _integer(clients_per_round)):
+            raise ValueError("rounds and clients_per_round must be integers")
         entries = tuple(
             ScheduleEntry(r, c, wall_time_s, hardware)
             for r in range(rounds) for c in range(clients_per_round)
@@ -153,10 +160,27 @@ class EmissionReport:
         }
 
 
+def cumulative_training_energy(schedule: RoundSchedule) -> tuple[float, ...]:
+    """Training Wh of rounds 0..r for each executed round r; the last is the total.
+
+    Joules are summed entry by entry, round by round, in schedule order.
+    """
+    per_round: list[list[float]] = [[] for _ in range(schedule.rounds)]
+    for e in schedule.participation:
+        per_round[e.round_index].append(e.wall_time_s * e.hardware.active_power_w)
+    cumulative = []
+    joules = 0.0
+    for round_joules in per_round:
+        for j in round_joules:
+            joules += j
+        cumulative.append(joules / SECONDS_PER_HOUR)
+    return tuple(cumulative)
+
+
 def training_energy_fl(schedule: RoundSchedule) -> float:
-    """Sum of wall_time_s * active_power_w over all entries, in Wh."""
-    joules = sum(e.wall_time_s * e.hardware.active_power_w for e in schedule.participation)
-    return joules / SECONDS_PER_HOUR
+    """Training energy of every entry of the schedule, in Wh."""
+    cumulative = cumulative_training_energy(schedule)
+    return cumulative[-1] if cumulative else 0.0
 
 
 def training_energy_centralized(power_w: float, duration_s: float, pue: float) -> float:
@@ -228,6 +252,13 @@ def _check_schedule_matches(cfg: ExperimentConfig, schedule: RoundSchedule) -> N
                 f"{cfg.fl.clients_per_round} per round")
 
 
+def _report(cfg: ExperimentConfig, training_wh: float,
+            communication_wh: float) -> EmissionReport:
+    energy = EnergyBreakdown.from_parts(training_wh, communication_wh)
+    return EmissionReport(energy, to_co2e(energy.total_wh, cfg.grid), cfg.grid,
+                          cfg.mode, config_digest(cfg))
+
+
 def estimate_fl(cfg: ExperimentConfig, schedule: RoundSchedule) -> EmissionReport:
     """Price a federated schedule under the config's WAN model and grid."""
     if cfg.mode != "fl":
@@ -245,14 +276,7 @@ def estimate_fl(cfg: ExperimentConfig, schedule: RoundSchedule) -> EmissionRepor
     else:
         kwh = legacy_transfer_energy(size_mb / MEGABITS_PER_GB, len(schedule.participation))
         comm = kwh * 1000.0
-    energy = EnergyBreakdown.from_parts(training, comm)
-    return EmissionReport(
-        energy=energy,
-        co2e_g=to_co2e(energy.total_wh, cfg.grid),
-        grid=cfg.grid,
-        mode="fl",
-        config_digest=config_digest(cfg),
-    )
+    return _report(cfg, training, comm)
 
 
 def estimate_centralized(cfg: ExperimentConfig) -> EmissionReport:
@@ -263,14 +287,7 @@ def estimate_centralized(cfg: ExperimentConfig) -> EmissionReport:
     assert cfg.epochs is not None
     duration_s = cfg.epochs * dc.hardware.time_per_local_epoch_s
     training = training_energy_centralized(dc.hardware.active_power_w, duration_s, dc.pue)
-    energy = EnergyBreakdown.from_parts(training, 0.0)
-    return EmissionReport(
-        energy=energy,
-        co2e_g=to_co2e(energy.total_wh, cfg.grid),
-        grid=cfg.grid,
-        mode="centralized",
-        config_digest=config_digest(cfg),
-    )
+    return _report(cfg, training, 0.0)
 
 
 def schedule_prefix(schedule: RoundSchedule, rounds: int) -> RoundSchedule:
@@ -283,16 +300,6 @@ def schedule_prefix(schedule: RoundSchedule, rounds: int) -> RoundSchedule:
 
 # --- JSON round-trip ----------------------------------------------------
 
-def _hw_dict(hw: HardwareProfile) -> dict[str, Any]:
-    return {
-        "name": hw.name,
-        "active_power_w": hw.active_power_w,
-        "idle_power_w": hw.idle_power_w,
-        "time_per_local_epoch_s": hw.time_per_local_epoch_s,
-        "kind": hw.kind,
-    }
-
-
 def schedule_to_dict(schedule: RoundSchedule) -> dict[str, Any]:
     return {
         "rounds": schedule.rounds,
@@ -301,11 +308,22 @@ def schedule_to_dict(schedule: RoundSchedule) -> dict[str, Any]:
                 "round": e.round_index,
                 "client": e.client_id,
                 "wall_time_s": e.wall_time_s,
-                "hardware": _hw_dict(e.hardware),
+                "hardware": _hardware_to_dict(e.hardware),
             }
             for e in schedule.participation
         ],
     }
+
+
+_ENTRY_KEYS = frozenset({"round", "client", "wall_time_s", "hardware"})
+
+
+def _require(obj: Any, keys: frozenset[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    missing = sorted(keys - obj.keys())
+    if missing:
+        raise ConfigError(f"{where} is missing {missing[0]!r}")
 
 
 def schedule_from_dict(raw: Any) -> RoundSchedule:
@@ -318,15 +336,23 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
     if not isinstance(raw, dict) or "rounds" not in raw:
         raise ConfigError("schedule must be an object with a 'rounds' key")
     rounds = raw["rounds"]
+    registry = active_registry()
     if "uniform" in raw:
         u = raw["uniform"]
-        hw = _hardware_from_value(u["hardware"])
+        _require(u, frozenset({"clients_per_round", "wall_time_s", "hardware"}),
+                 "schedule 'uniform'")
+        hw = _hardware_from_value(u["hardware"], registry=registry)
         return RoundSchedule.uniform(rounds, u["clients_per_round"], u["wall_time_s"], hw)
     if "participation" not in raw:
         raise ConfigError("schedule needs either 'participation' or 'uniform'")
+    if not isinstance(raw["participation"], list):
+        raise ConfigError("schedule 'participation' must be a list")
     entries = []
-    for item in raw["participation"]:
-        hw = _hardware_from_value(item["hardware"])
+    for i, item in enumerate(raw["participation"]):
+        # Inline test first: this runs once per entry, the message only on failure.
+        if not (isinstance(item, dict) and _ENTRY_KEYS <= item.keys()):
+            _require(item, _ENTRY_KEYS, f"participation entry {i}")
+        hw = _hardware_from_value(item["hardware"], registry=registry)
         entries.append(ScheduleEntry(
             round_index=item["round"],
             client_id=item["client"],

@@ -22,13 +22,14 @@ from typing import Any
 import numpy as np
 
 from .carbon import (
+    EmissionReport,
+    RoundSchedule,
+    cumulative_training_energy,
     estimate_centralized,
     estimate_fl,
     schedule_from_dict,
     schedule_to_dict,
     to_co2e,
-    training_energy_fl,
-    schedule_prefix,
 )
 from .optimize import (
     CellResult,
@@ -75,45 +76,50 @@ def _load_json(path: str) -> Any:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _load(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+def _load(path: str, seed: int | None) -> ExperimentConfig:
+    cfg = load_config(path)
+    return cfg if seed is None else replace(cfg, seed=seed)
+
+
+def _price(cfg: ExperimentConfig,
+           fixture_path: str | None) -> tuple[ExperimentConfig, EmissionReport]:
+    """Price a config: centralized directly; federated from the schedule
+    fixture, else by simulating its 'sim' block (the returned config then
+    declares the executed rounds), else from its declared round structure."""
+    if cfg.mode == "centralized":
+        return cfg, estimate_centralized(cfg)
+    fl = cfg.fl
+    assert fl is not None
+    if fixture_path:
+        schedule = schedule_from_dict(_load_json(fixture_path))
+    elif cfg.sim is not None:
+        _, schedule, _ = run_experiment(cfg)
+        cfg = replace(cfg, fl=replace(fl, rounds=schedule.rounds))
+    else:
+        round_time_s = fl.local_epochs * cfg.hardware.time_per_local_epoch_s
+        schedule = RoundSchedule.uniform(fl.rounds, fl.clients_per_round,
+                                         round_time_s, cfg.hardware)
+    return cfg, estimate_fl(cfg, schedule)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    if cfg.mode == "centralized":
-        report = estimate_centralized(cfg)
-    else:
-        if args.fixtures:
-            schedule = schedule_from_dict(_load_json(args.fixtures))
-        else:
-            _, schedule, _ = run_experiment(cfg)
-            assert cfg.fl is not None
-            cfg = replace(cfg, fl=replace(cfg.fl, rounds=schedule.rounds))
-        report = estimate_fl(cfg, schedule)
+    _, report = _price(_load(args.config, args.seed), args.fixtures)
     _emit(_json_text(report.to_json_dict()), args.out)
     return EXIT_OK
 
 
 def _trace_csv(cfg: ExperimentConfig, trace, schedule) -> str:
-    per_round = np.zeros(schedule.rounds)
-    for e in schedule.participation:
-        per_round[e.round_index] += e.wall_time_s * e.hardware.active_power_w / 3600.0
     buf = io.StringIO()
     buf.write(f"# config_digest={config_digest(cfg)} seed={cfg.seed}\n")
     buf.write("round,accuracy,cumulative_wh\n")
-    running = 0.0
-    for i, acc in enumerate(trace.accuracies):
-        running += float(per_round[i])
-        buf.write(f"{i + 1},{acc!r},{running!r}\n")
+    cumulative = cumulative_training_energy(schedule)
+    for i, (acc, wh) in enumerate(zip(trace.accuracies, cumulative), start=1):
+        buf.write(f"{i},{acc!r},{wh!r}\n")
     return buf.getvalue()
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = _load(args.config, args.seed)
     trace, schedule, _ = run_experiment(cfg)
     base = args.out or "fl_run"
     if base.endswith(".csv"):
@@ -130,7 +136,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = _load(args.config, args.seed)
     if cfg.fl is None or cfg.sim is None:
         raise ConfigError("partition needs a config with 'fl' and 'sim' objects")
     alpha = args.alpha if args.alpha is not None else cfg.sim.alpha
@@ -197,7 +203,7 @@ def _optimize_csv(cells: list[CellResult]) -> str:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = _load(args.config, args.seed)
     if args.fixtures:
         table = _load_json(args.fixtures)
         runner = make_table_runner(table)
@@ -243,41 +249,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     regions: list[str] | None = None
     for i, path in enumerate(paths):
-        cfg = load_config(path)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+        cfg = _load(path, args.seed)
         names = [g.region for g in cfg.grids]
         if regions is None:
             regions = names
         elif names != regions:
             raise ConfigError(
                 f"{path}: grid regions {names} differ from {regions}")
-        if cfg.mode == "centralized":
-            report = estimate_centralized(cfg)
-        else:
-            if fixtures:
-                schedule = schedule_from_dict(_load_json(fixtures[i]))
-            else:
-                _, schedule, _ = run_experiment(cfg)
-                assert cfg.fl is not None
-                cfg = replace(cfg, fl=replace(cfg.fl, rounds=schedule.rounds))
-            report = estimate_fl(cfg, schedule)
-        row: dict[str, Any] = {
-            "label": Path(path).stem,
-            "mode": cfg.mode,
-            "total_wh": report.energy.total_wh,
-        }
-        for g in cfg.grids:
-            row[f"co2e_g:{g.region}"] = to_co2e(report.energy.total_wh, g)
-        rows.append(row)
+        cfg, report = _price(cfg, fixtures[i] if fixtures else None)
+        total_wh = report.energy.total_wh
+        rows.append([Path(path).stem, cfg.mode, repr(total_wh)]
+                    + [repr(to_co2e(total_wh, g)) for g in cfg.grids])
     assert regions is not None
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = ["label", "mode", "total_wh"] + [f"co2e_g:{r}" for r in regions]
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([row["label"], row["mode"], repr(row["total_wh"])]
-                        + [repr(row[f"co2e_g:{r}"]) for r in regions])
+    writer.writerow(["label", "mode", "total_wh"] + [f"co2e_g:{r}" for r in regions])
+    writer.writerows(rows)
     _emit(buf.getvalue(), args.out)
     return EXIT_OK
 

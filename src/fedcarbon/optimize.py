@@ -1,13 +1,15 @@
 """Carbon-aware ranking of federated design points.
 
-The objective prices one run of r rounds with n clients per round at
+The objective F, grams of CO2e for r rounds with n clients per round, is
+estimate_fl of the uniform schedule RoundSchedule.uniform(r, n, t, hw)
+under the flat-rate "legacy-5kwh-per-gb" WAN model:
 
-    F = r * c * n * (t * e / 3600 + 5000 * s)   [grams CO2e]
+    F = r * c * n * (t * e + 5000 * s)   [grams CO2e]
 
 where c is the grid intensity (kg per kWh, numerically g per Wh), t the
-per-round wall time in seconds, e the client draw in watts and s the model
-size in GB under the flat 5 kWh per GB transfer rate.  Design points are
-compared by carbon cost F / G, grams per unit of reached accuracy G.
+per-round wall time in hours, e the client draw in watts and s the model
+size in GB.  Design points are compared by carbon cost F / G, grams per
+unit of reached accuracy G.
 
 grid_search treats the evaluation of one cell as a black box, so measured
 result tables can stand in for live simulation.
@@ -20,13 +22,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .carbon import estimate_fl, schedule_prefix
-from .profiles import ExperimentConfig, GridIntensity
+from .profiles import ExperimentConfig
 
 __all__ = [
     "CostPoint",
     "CellOutcome",
     "CellResult",
-    "objective_F",
     "carbon_cost",
     "pareto_front",
     "grid_search",
@@ -35,28 +36,7 @@ __all__ = [
     "make_table_runner",
 ]
 
-# Wh moved onto the grid per GB per transfer under the flat-rate model.
-FLAT_RATE_WH_PER_GB = 5000.0
-
 _REL_TOL = 1e-9
-
-
-def objective_F(rounds: int, clients_per_round: int, round_time_s: float,
-                grid: GridIntensity, client_power_w: float,
-                model_size_gb: float = 0.0) -> float:
-    """Grams of CO2e for a run of `rounds` federated rounds."""
-    if not (isinstance(rounds, int) and rounds >= 0):
-        raise ValueError("rounds must be an integer >= 0")
-    if not (isinstance(clients_per_round, int) and clients_per_round >= 1):
-        raise ValueError("clients_per_round must be an integer >= 1")
-    if not (math.isfinite(round_time_s) and round_time_s >= 0):
-        raise ValueError("round_time_s must be finite and >= 0")
-    if not (math.isfinite(client_power_w) and client_power_w > 0):
-        raise ValueError("client_power_w must be finite and > 0")
-    if not (math.isfinite(model_size_gb) and model_size_gb >= 0):
-        raise ValueError("model_size_gb must be finite and >= 0")
-    per_client_wh = round_time_s * client_power_w / 3600.0 + FLAT_RATE_WH_PER_GB * model_size_gb
-    return rounds * grid.c_rate_kg_per_kwh * clients_per_round * per_client_wh
 
 
 def carbon_cost(co2e_g: float, accuracy: float) -> float:

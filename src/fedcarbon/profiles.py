@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -59,8 +59,12 @@ def _integer(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _finite(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A non-bool int or float within the float range (not inf, not NaN)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
 
 
 @dataclass(frozen=True)
@@ -229,12 +233,12 @@ class SimSetup:
                "sim.tau must be finite and > 0")
         _check(_integer(self.hidden_units) and self.hidden_units >= 0,
                "sim.hidden_units must be an integer >= 0")
-        if isinstance(self.prior, str):
-            _check(self.prior in ("uniform", "empirical"),
-                   "sim.prior must be 'uniform', 'empirical' or a list of proportions")
-        else:
+        if isinstance(self.prior, (tuple, list)):
             _check(len(self.prior) == self.classes,
                    "sim.prior list must have one entry per class")
+        else:
+            _check(self.prior in ("uniform", "empirical"),
+                   "sim.prior must be 'uniform', 'empirical' or a list of proportions")
         _check(_finite(self.alpha) and self.alpha > 0,
                "sim.alpha must be finite and > 0")
 
@@ -456,6 +460,8 @@ def _sim_from_dict(value: Any) -> SimSetup:
     _check(not extra, f"sim object has unknown keys: {sorted(extra)}")
     fields = dict(value)
     if isinstance(fields.get("prior"), list):
+        _check(all(_finite(p) for p in fields["prior"]),
+               "sim.prior list entries must be finite numbers")
         fields["prior"] = tuple(float(p) for p in fields["prior"])
     return SimSetup(**fields)
 

@@ -20,6 +20,7 @@ from fedcarbon import (
     builtin_registry,
     communication_energy,
     config_from_dict,
+    cumulative_training_energy,
     estimate_centralized,
     estimate_fl,
     legacy_transfer_energy,
@@ -78,6 +79,22 @@ class TestTrainingEnergy:
 
     def test_empty_schedule_is_zero(self):
         assert training_energy_fl(RoundSchedule(rounds=0, participation=())) == 0.0
+
+    def test_cumulative_per_round_oracle(self):
+        cumulative = cumulative_training_energy(uniform_16x5())
+        assert len(cumulative) == 16
+        # 4 rounds x 5 clients x 514 Ws
+        assert cumulative[3] == pytest.approx(2.8555555555555556, rel=REL)
+        assert cumulative[-1] == training_energy_fl(uniform_16x5())
+
+    def test_cumulative_carries_rounds_without_entries(self):
+        schedule = RoundSchedule(rounds=3, participation=(
+            ScheduleEntry(2, 0, 36.0, TX2_NOMINAL),
+            ScheduleEntry(0, 1, 36.0, TX2_NOMINAL),
+        ))
+        # 36 s x 10 W = 0.1 Wh per entry, listed out of round order
+        assert cumulative_training_energy(schedule) == pytest.approx(
+            (0.1, 0.1, 0.2), rel=REL)
 
     def test_centralized_oracle(self):
         # 1.67 x 202 W x 48 s = 16192.32 Ws

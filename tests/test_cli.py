@@ -25,7 +25,9 @@ FL_DEMO = str(CONFIGS / "fl_sim_small_france.json")
 CEN_CIFAR = str(CONFIGS / "centralized_cifar10_world_france.json")
 CEN_SPEECH_WORLD = str(CONFIGS / "centralized_speech_world_france.json")
 CEN_SPEECH_GOOGLE = str(CONFIGS / "centralized_speech_google_france.json")
+FL_ADAPTIVE = str(CONFIGS / "fl_tx2_cifar10_adaptive_france.json")
 SCHED_16X5 = str(SCHEDULES / "tx2_nominal_16x5.json")
+SCHED_349X10 = str(SCHEDULES / "tx2_cifar10_adaptive_349x10.json")
 GRID_TABLE = str(FIXTURES_DIR / "cifar10_grid_results.json")
 
 
@@ -84,6 +86,51 @@ class TestEstimate:
         d2 = json.loads(out2)
         assert d1["config_digest"] != d2["config_digest"]
         assert d1["co2e_g"] == d2["co2e_g"]  # the energy itself is seed-free
+
+
+class TestOnePricingPath:
+    """estimate and compare price every source the same way."""
+
+    @pytest.mark.parametrize("config, schedule", [
+        (FL_NOMINAL, SCHED_16X5), (FL_ADAPTIVE, SCHED_349X10)],
+        ids=["nominal", "adaptive"])
+    def test_declared_round_structure_equals_its_fixture_schedule(
+            self, capsys, config, schedule):
+        code, out, _ = run_cli(capsys, "estimate", "--config", config)
+        assert code == 0
+        declared = json.loads(out)
+        _, out, _ = run_cli(capsys, "estimate", "--config", config,
+                            "--fixtures", schedule)
+        fixture = json.loads(out)
+        assert declared.keys() == fixture.keys()
+        for key, value in fixture.items():
+            if isinstance(value, float):
+                assert declared[key] == pytest.approx(value, rel=1e-12), key
+            else:
+                assert declared[key] == value, key
+
+    @pytest.mark.parametrize("config, schedule", [
+        (CEN_CIFAR, None), (FL_NOMINAL, SCHED_16X5), (FL_DEMO, None),
+        (FL_NOMINAL, None)], ids=["centralized", "fixture", "sim", "declared"])
+    def test_compare_and_estimate_agree(self, capsys, config, schedule):
+        fixtures = ["--fixtures", schedule] if schedule else []
+        _, out, _ = run_cli(capsys, "estimate", "--config", config, *fixtures)
+        total_wh = json.loads(out)["total_wh"]
+        code, out, _ = run_cli(capsys, "compare", "--config", config,
+                               "--config", config, *fixtures, *fixtures)
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [float(r["total_wh"]) for r in rows] == [total_wh, total_wh]
+
+    def test_trace_ends_at_the_estimated_training_energy(self, capsys, tmp_path):
+        base = tmp_path / "run"
+        assert run_cli(capsys, "simulate", "--config", FL_DEMO,
+                       "--out", str(base))[0] == 0
+        rows = list(csv.DictReader(
+            ln for ln in (tmp_path / "run.csv").read_text().splitlines()
+            if not ln.startswith("#")))
+        _, out, _ = run_cli(capsys, "estimate", "--config", FL_DEMO)
+        assert float(rows[-1]["cumulative_wh"]) == json.loads(out)["training_wh"]
 
 
 class TestSimulate:
@@ -346,6 +393,37 @@ class TestExitCodes:
                                "--out", str(tmp_path / "run"))
         assert code == 1
         assert f"{block}.{key} must be an integer" in err
+
+    @pytest.mark.parametrize("schedule, message", [
+        ({"rounds": 16, "participation": None}, "must be a list"),
+        ({"rounds": 16, "participation": [5]}, "entry 0 must be an object"),
+        ({"rounds": 16, "uniform": 3}, "'uniform' must be an object"),
+        ({"rounds": 16, "uniform": {"clients_per_round": 5, "wall_time_s": "51.4",
+                                    "hardware": "tx2-nominal"}}, "wall_time_s"),
+        ({"rounds": 1, "participation": [{"round": 0, "client": 0, "wall_time_s": "1",
+                                          "hardware": "tx2-nominal"}]}, "wall_time_s"),
+        ({"rounds": "16", "uniform": {"clients_per_round": 5, "wall_time_s": 51.4,
+                                      "hardware": "tx2-nominal"}}, "rounds"),
+        ({"rounds": 1, "participation": [{"round": 0, "client": 0, "wall_time_s": 1.0}]},
+         "entry 0 is missing 'hardware'"),
+        ({"rounds": 16, "uniform": {"clients_per_round": 5, "wall_time_s": 51.4}},
+         "missing 'hardware'"),
+        ({"rounds": 1, "participation": [{"round": False, "client": 0, "wall_time_s": 1.0,
+                                          "hardware": "tx2-nominal"}]}, "round_index"),
+        ({"rounds": 1, "participation": [{"round": 0, "client": True, "wall_time_s": 1.0,
+                                          "hardware": "tx2-nominal"}]}, "client_id"),
+    ], ids=["participation-null", "item-not-object", "uniform-not-object",
+            "uniform-string-wall-time", "entry-string-wall-time",
+            "uniform-string-rounds", "entry-missing-hardware",
+            "uniform-missing-hardware", "boolean-round", "boolean-client"])
+    def test_malformed_schedule_is_validation_error(self, capsys, tmp_path,
+                                                    schedule, message):
+        bad = tmp_path / "schedule.json"
+        bad.write_text(json.dumps(schedule))
+        code, _, err = run_cli(capsys, "estimate", "--config", FL_NOMINAL,
+                               "--fixtures", str(bad))
+        assert code == 1
+        assert err.startswith("error:") and message in err
 
     def test_malformed_json_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -9,14 +9,18 @@ import pytest
 from fedcarbon import (
     CellOutcome,
     CostPoint,
+    ExperimentConfig,
+    FlSetup,
     GridIntensity,
+    HardwareProfile,
+    RoundSchedule,
     carbon_cost,
     config_from_dict,
     default_grid,
+    estimate_fl,
     grid_search,
     make_simulation_runner,
     make_table_runner,
-    objective_F,
     pareto_front,
 )
 
@@ -32,32 +36,46 @@ def point(co2: float, acc: float, n: int = 1, le: int = 1,
                      carbon_cost=co2 / acc)
 
 
+def objective(rounds: int, clients_per_round: int, round_time_s: float,
+              grid: GridIntensity, client_power_w: float,
+              model_size_mb: float = 0.0) -> float:
+    """The objective F: estimate_fl of a uniform flat-rate schedule, in g."""
+    hw = HardwareProfile("client", client_power_w, 0.0, round_time_s)
+    cfg = ExperimentConfig(
+        mode="fl", hardware=hw, grids=(grid,),
+        fl=FlSetup(pool_size=100, clients_per_round=clients_per_round,
+                   rounds=rounds, local_epochs=1, model_size_mb=model_size_mb,
+                   wan_model="legacy-5kwh-per-gb"))
+    schedule = RoundSchedule.uniform(rounds, clients_per_round, round_time_s, hw)
+    return estimate_fl(cfg, schedule).co2e_g
+
+
 class TestObjective:
     def test_hand_oracle_without_transfers(self):
         # 10 rounds x 0.5 g/Wh x 4 clients x (36 s x 100 W / 3600) = 20 g
-        f = objective_F(10, 4, 36.0, GRID_HALF, 100.0)
+        f = objective(10, 4, 36.0, GRID_HALF, 100.0)
         assert f == pytest.approx(20.0, rel=1e-12)
 
     def test_hand_oracle_with_flat_rate_transfers(self):
-        # per client-round: 1 Wh compute + 5000 Wh/GB x 0.002 GB = 11 Wh
-        f = objective_F(10, 4, 36.0, GRID_HALF, 100.0, model_size_gb=0.002)
+        # per client-round: 1 Wh compute + 5000 Wh/GB x 0.002 GB (16 Mb) = 11 Wh
+        f = objective(10, 4, 36.0, GRID_HALF, 100.0, model_size_mb=16.0)
         assert f == pytest.approx(220.0, rel=1e-12)
 
     def test_linear_in_rounds(self):
-        f1 = objective_F(7, 3, 12.0, GRID_HALF, 55.0, model_size_gb=0.001)
-        f2 = objective_F(14, 3, 12.0, GRID_HALF, 55.0, model_size_gb=0.001)
+        f1 = objective(7, 3, 12.0, GRID_HALF, 55.0, model_size_mb=8.0)
+        f2 = objective(14, 3, 12.0, GRID_HALF, 55.0, model_size_mb=8.0)
         assert f2 == pytest.approx(2 * f1, rel=1e-12)
 
     def test_zero_rounds_is_zero(self):
-        assert objective_F(0, 5, 10.0, GRID_HALF, 10.0) == 0.0
+        assert objective(0, 5, 10.0, GRID_HALF, 10.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="rounds"):
-            objective_F(-1, 1, 1.0, GRID_HALF, 1.0)
+            objective(-1, 1, 1.0, GRID_HALF, 1.0)
         with pytest.raises(ValueError, match="clients_per_round"):
-            objective_F(1, 0, 1.0, GRID_HALF, 1.0)
-        with pytest.raises(ValueError, match="client_power_w"):
-            objective_F(1, 1, 1.0, GRID_HALF, 0.0)
+            objective(1, 0, 1.0, GRID_HALF, 1.0)
+        with pytest.raises(ValueError, match="active_power_w"):
+            objective(1, 1, 1.0, GRID_HALF, 0.0)
 
 
 class TestCarbonCost:

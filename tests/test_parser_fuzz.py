@@ -1,0 +1,108 @@
+"""Fuzzing of the two JSON parsers: bad input may only raise ValueError.
+
+config_from_dict and schedule_from_dict read user files, so whatever JSON
+they are given they either return a value or raise ValueError (of which
+ConfigError is a subclass); the CLI turns that into exit code 1.  Random
+trees rarely get past the first key check, so most cases start from a
+valid document and replace, drop or add one node at a random path.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedcarbon import builtin_registry, config_from_dict, schedule_from_dict
+
+from conftest import FIXTURES_DIR
+
+REGISTRY = builtin_registry()
+
+CONFIGS = [json.loads(p.read_text())
+           for p in sorted((FIXTURES_DIR / "configs").glob("*.json"))]
+
+SCHEDULES = [
+    json.loads((FIXTURES_DIR / "schedules" / "tx2_nominal_16x5.json").read_text()),
+    {"rounds": 2, "participation": [
+        {"round": 0, "client": 3, "wall_time_s": 2.5, "hardware": "tx2-cifar10"},
+        {"round": 1, "client": 0, "wall_time_s": 4.0,
+         "hardware": {"name": "board", "active_power_w": 5.0, "idle_power_w": 1.0,
+                      "time_per_local_epoch_s": 0.8, "kind": "edge"}},
+    ]},
+]
+
+# Small integers only: a uniform schedule expands to rounds x clients entries.
+_LEAVES = (st.none() | st.booleans() | st.integers(-3, 40)
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8)
+           | st.sampled_from(["uniform", "fl", "centralized", "tx2-nominal", "france"]))
+_HUGE_INTS = st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 63])
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4)
+        | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+        max_leaves=10)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+def _document(data, bases, leaves):
+    """An arbitrary tree, or a base with one node replaced, dropped or added."""
+    base = data.draw(st.sampled_from([None, *bases]))
+    value = data.draw(_trees(leaves))
+    if base is None:
+        return value
+    doc = copy.deepcopy(base)
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "replace":
+        parent[path[-1]] = value
+    elif action == "drop":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[data.draw(st.text(max_size=6))] = value
+    else:
+        parent.append(value)
+    return doc
+
+
+# Generating a case takes several ms; 150 keep each test under 2 s.
+_FUZZ = settings(max_examples=150, deadline=None)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_config_parser_raises_only_value_errors(data):
+    raw = _document(data, CONFIGS, _LEAVES | _HUGE_INTS)
+    try:
+        config_from_dict(raw, registry=REGISTRY)
+    except ValueError:
+        pass
+
+
+@_FUZZ
+@given(data=st.data())
+def test_schedule_parser_raises_only_value_errors(data):
+    raw = _document(data, SCHEDULES, _LEAVES)
+    try:
+        schedule_from_dict(raw)
+    except ValueError:
+        pass

@@ -161,6 +161,16 @@ class TestProfileValidation:
             HardwareProfile(name="bad", active_power_w=float("nan"),
                             idle_power_w=0.0, time_per_local_epoch_s=1.0)
 
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="active_power_w"):
+            HardwareProfile(name="bad", active_power_w=10 ** 400,
+                            idle_power_w=0.0, time_per_local_epoch_s=1.0)
+
+    @pytest.mark.parametrize("prior", [None, 3, 0.5, {"a": 1}, [None] * 10])
+    def test_sim_prior_must_be_a_name_or_a_list_of_numbers(self, prior):
+        with pytest.raises(ConfigError, match="sim.prior"):
+            fl_config(sim={"prior": prior})
+
 
 class TestConfigParsing:
     def test_fl_config_resolves_registry_names(self):
