@@ -23,6 +23,7 @@ from fedcarbon import (
     load_config,
     make_simulation_runner,
     make_table_runner,
+    table_cells,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -82,8 +83,7 @@ def main() -> None:
     else:
         table = json.loads(args.table.read_text())
         target = table["target_accuracy"]
-        cells = [(row["clients"], block["local_epochs"], block["alpha"])
-                 for block in table["blocks"] for row in block["rows"]]
+        cells = table_cells(table)
         ranked = grid_search(cells, make_table_runner(table), target)
         print(f"Replayed {len(cells)} published cells from {args.table.name} "
               f"(target accuracy {target}):\n")

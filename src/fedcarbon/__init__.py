@@ -34,6 +34,7 @@ from .optimize import (
     make_simulation_runner,
     make_table_runner,
     pareto_front,
+    table_cells,
 )
 from .partition import (
     Assignment,

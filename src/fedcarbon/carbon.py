@@ -111,10 +111,14 @@ class RoundSchedule:
         """Same clients, same wall time, every round (a uniform fleet)."""
         if not (_integer(rounds) and _integer(clients_per_round)):
             raise ValueError("rounds and clients_per_round must be integers")
+        if clients_per_round < 0:
+            raise ValueError("clients_per_round must be >= 0")
+        if not (_finite(wall_time_s) and wall_time_s > 0):
+            raise ValueError("wall_time_s must be finite and > 0")
         entries = tuple(
             ScheduleEntry(r, c, wall_time_s, hardware)
             for r in range(rounds) for c in range(clients_per_round)
-        )
+        ) if clients_per_round else ()
         return cls(rounds=rounds, participation=entries)
 
 

@@ -38,8 +38,9 @@ from .optimize import (
     make_simulation_runner,
     make_table_runner,
     pareto_front,
+    table_cells,
 )
-from .profiles import ConfigError, ExperimentConfig, config_digest, load_config
+from .profiles import ConfigError, ExperimentConfig, _finite, config_digest, load_config
 from .sim import build_federation, rounds_to_target, run_experiment
 
 EXIT_OK = 0
@@ -207,10 +208,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.fixtures:
         table = _load_json(args.fixtures)
         runner = make_table_runner(table)
-        cells = [(int(row["clients"]), int(block["local_epochs"]), float(block["alpha"]))
-                 for block in table["blocks"] for row in block["rows"]]
-        target = float(table.get("target_accuracy", 0.0)) or \
-            (cfg.sim.target_accuracy if cfg.sim else 0.5)
+        cells = table_cells(table)
+        declared = table.get("target_accuracy", 0.0)
+        if not _finite(declared):
+            raise ConfigError("results table 'target_accuracy' must be a number")
+        target = float(declared) or (cfg.sim.target_accuracy if cfg.sim else 0.5)
     else:
         if cfg.fl is None or cfg.sim is None:
             raise ConfigError("optimize needs 'fl' and 'sim' objects, or --fixtures")
@@ -290,9 +292,15 @@ def _plot_from_trace(path: str, cfg: ExperimentConfig | None) -> str:
 
 def _plot_from_json(raw: Any) -> str:
     if isinstance(raw, dict) and "cells" in raw:
+        if not isinstance(raw["cells"], list):
+            raise ConfigError("grid output 'cells' must be a list")
         out = ["# co2e_g accuracy"]
-        for cell in raw["cells"]:
-            stable = cell["stable"]
+        for i, cell in enumerate(raw["cells"]):
+            stable = cell.get("stable") if isinstance(cell, dict) else None
+            if not (isinstance(stable, dict) and {"co2e_g", "accuracy"} <= stable.keys()):
+                raise ConfigError(
+                    f"grid output cell {i} needs a 'stable' object with "
+                    "'co2e_g' and 'accuracy'")
             out.append(f"{stable['co2e_g']!r} {stable['accuracy']!r}")
         if len(out) == 1:
             raise ConfigError("grid output holds no cells")

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .carbon import estimate_fl, schedule_prefix
-from .profiles import ExperimentConfig
+from .profiles import ConfigError, ExperimentConfig
 
 __all__ = [
     "CostPoint",
@@ -34,6 +34,7 @@ __all__ = [
     "default_grid",
     "make_simulation_runner",
     "make_table_runner",
+    "table_cells",
 ]
 
 _REL_TOL = 1e-9
@@ -241,27 +242,61 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
     return run
 
 
-def make_table_runner(table: dict) -> Runner:
+def _table_value(obj: Any, key: str, kind: type, where: str) -> Any:
+    if not isinstance(obj, dict) or key not in obj:
+        raise ConfigError(f"{where} must be an object with {key!r}")
+    try:
+        return kind(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where} {key!r}: {exc}") from exc
+
+
+def _table_rows(table: Any) -> list[tuple[tuple[int, int, float], CellOutcome]]:
+    """Each row of a results table in file order, as ((clients,
+    local_epochs, alpha), outcome); ConfigError when a block, row or
+    point is missing or not a number."""
+    blocks = table.get("blocks") if isinstance(table, dict) else None
+    if not isinstance(blocks, list):
+        raise ConfigError("results table must be an object with a 'blocks' list")
+    rows = []
+    for i, block in enumerate(blocks):
+        where = f"results table block {i}"
+        alpha = _table_value(block, "alpha", float, where)
+        local_epochs = _table_value(block, "local_epochs", int, where)
+        if not isinstance(block.get("rows"), list):
+            raise ConfigError(f"{where} must hold a 'rows' list")
+        for j, row in enumerate(block["rows"]):
+            where = f"results table block {i} row {j}"
+            n = _table_value(row, "clients", int, where)
+            target, stable = row.get("target"), row.get("stable")
+            if not isinstance(stable, dict):
+                raise ConfigError(f"{where} must hold a 'stable' object")
+            rows.append(((n, local_epochs, alpha), CellOutcome(
+                target_rounds=None if target is None
+                else _table_value(target, "rounds", int, f"{where} target"),
+                target_co2e_g=None if target is None
+                else _table_value(target, "co2_g", float, f"{where} target"),
+                stable_rounds=_table_value(stable, "rounds", int, f"{where} stable"),
+                stable_accuracy=_table_value(stable, "accuracy", float, f"{where} stable"),
+                stable_co2e_g=_table_value(stable, "co2_g", float, f"{where} stable"),
+            )))
+    return rows
+
+
+def table_cells(table: Any) -> list[tuple[int, int, float]]:
+    """The (clients, local_epochs, alpha) cells of a results table, in file order."""
+    return [cell for cell, _ in _table_rows(table)]
+
+
+def make_table_runner(table: Any) -> Runner:
     """Runner backed by a measured results table (see fixtures/).
 
     The table maps (alpha, local_epochs, clients) to the recorded rounds,
     emissions and accuracies; cells absent from the table raise KeyError.
+    A table that is not shaped like one raises ConfigError.
     """
-    index: dict[tuple[float, int, int], CellOutcome] = {}
-    for block in table["blocks"]:
-        alpha = float(block["alpha"])
-        local_epochs = int(block["local_epochs"])
-        for row in block["rows"]:
-            n = int(row["clients"])
-            target = row.get("target")
-            stable = row["stable"]
-            index[(alpha, local_epochs, n)] = CellOutcome(
-                target_rounds=None if target is None else int(target["rounds"]),
-                target_co2e_g=None if target is None else float(target["co2_g"]),
-                stable_rounds=int(stable["rounds"]),
-                stable_accuracy=float(stable["accuracy"]),
-                stable_co2e_g=float(stable["co2_g"]),
-            )
+    index = {(alpha, local_epochs, n): outcome
+             for (n, local_epochs, alpha), outcome in _table_rows(table)}
 
     def run(n: int, local_epochs: int, alpha: float) -> CellOutcome:
         return index[(float(alpha), int(local_epochs), int(n))]

@@ -141,13 +141,21 @@ def make_task(num_classes: int, num_features: int, n_samples: int, seed: int,
 
 
 def _with_bias(x: np.ndarray) -> np.ndarray:
-    """x with a trailing column of ones."""
-    return np.hstack([x, np.ones((x.shape[0], 1))])
+    """x with a trailing feature column of ones (any leading axes)."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., :-1] = x
+    out[..., -1] = 1.0
+    return out
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Shape of the classifier: softmax head, optional hidden tanh layer."""
+    """Shape of the classifier: softmax head, optional hidden tanh layer.
+
+    The private methods work on a stack of K parameter vectors, shape
+    (K, dim), and K batches of bias-augmented inputs, shape (K, b, f+1):
+    one batched matmul serves every client of a round.
+    """
 
     num_classes: int
     num_features: int
@@ -178,15 +186,21 @@ class ModelSpec:
         w2 = rng.standard_normal(m * (h + 1)) / math.sqrt(h + 1)
         return np.concatenate([w1, w2])
 
-    def _unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        f, m, h = self.num_features, self.num_classes, self.hidden_units
+    def _stack(self, w: np.ndarray) -> np.ndarray:
+        """One parameter vector as a stack of one."""
         if w.shape != (self.dim,):
             raise ValueError(f"parameter vector must have shape ({self.dim},)")
+        return w[np.newaxis]
+
+    def _unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Views of a (K, dim) stack as (K, h, f+1) and (K, m, h+1) weight
+        matrices, or as (K, m, f+1) and None without a hidden layer."""
+        f, m, h = self.num_features, self.num_classes, self.hidden_units
+        k = w.shape[0]
         if h == 0:
-            return w.reshape(m, f + 1), None
-        w1 = w[: h * (f + 1)].reshape(h, f + 1)
-        w2 = w[h * (f + 1):].reshape(m, h + 1)
-        return w1, w2
+            return w.reshape(k, m, f + 1), None
+        split = h * (f + 1)
+        return w[:, :split].reshape(k, h, f + 1), w[:, split:].reshape(k, m, h + 1)
 
     def _logits(self, w: np.ndarray,
                 xb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -194,34 +208,41 @@ class ModelSpec:
         activations (None without a hidden layer)."""
         first, second = self._unpack(w)
         if second is None:
-            return xb @ first.T, None
-        hb = _with_bias(np.tanh(xb @ first.T))
-        return hb @ second.T, hb
+            return xb @ first.transpose(0, 2, 1), None
+        hb = _with_bias(np.tanh(xb @ first.transpose(0, 2, 1)))
+        return hb @ second.transpose(0, 2, 1), hb
 
     def _softmax(self, w: np.ndarray,
                  xb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Class probabilities for bias-augmented inputs (built in place on
         the logits), plus the augmented hidden activations."""
         probs, hb = self._logits(w, xb)
-        probs -= probs.max(axis=1, keepdims=True)
+        probs -= probs.max(axis=2, keepdims=True)
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs /= probs.sum(axis=2, keepdims=True)
         return probs, hb
 
-    def _grad(self, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient in w of the mean cross-entropy on a bias-augmented batch."""
-        b = xb.shape[0]
+    def _grad(self, w: np.ndarray, xb: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+        """Gradient of each client's mean cross-entropy on its batch.
+
+        w is the (K, dim) stack, xb the (K, b, f+1) augmented batches and
+        onehot their (K, b, m) one-hot labels; returns (K, dim).
+        """
+        k, b = xb.shape[:2]
         dz, hb = self._softmax(w, xb)
-        dz[np.arange(b), y] -= 1.0
+        dz -= onehot
         dz /= b
         if hb is None:
-            return (dz.T @ xb).ravel()
+            return (dz.transpose(0, 2, 1) @ xb).reshape(k, -1)
         _, second = self._unpack(w)
         assert second is not None
-        g2 = dz.T @ hb
-        dh = (dz @ second[:, :-1]) * (1.0 - hb[:, :-1] ** 2)
-        g1 = dh.T @ xb
-        return np.concatenate([g1.ravel(), g2.ravel()])
+        g2 = dz.transpose(0, 2, 1) @ hb
+        dh = (dz @ second[:, :, :-1]) * (1.0 - hb[:, :, :-1] ** 2)
+        g1 = dh.transpose(0, 2, 1) @ xb
+        return np.concatenate([g1.reshape(k, -1), g2.reshape(k, -1)], axis=1)
+
+    def _onehot(self, y: np.ndarray) -> np.ndarray:
+        return np.eye(self.num_classes)[y]
 
     def loss_and_grad(self, w: np.ndarray, x: np.ndarray,
                       y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -229,40 +250,65 @@ class ModelSpec:
         b = x.shape[0]
         if b == 0:
             raise ValueError("batch must be non-empty")
-        xb = _with_bias(x)
-        probs, _ = self._softmax(w, xb)
-        loss = float(-np.mean(np.log(probs[np.arange(b), y] + 1e-300)))
-        return loss, self._grad(w, xb, y)
+        ws = self._stack(w)
+        xb = _with_bias(x)[np.newaxis]
+        probs, _ = self._softmax(ws, xb)
+        loss = float(-np.mean(np.log(probs[0, np.arange(b), y] + 1e-300)))
+        return loss, self._grad(ws, xb, self._onehot(y)[np.newaxis])[0]
+
+    def _predict(self, w: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        logits, _ = self._logits(self._stack(w), xb[np.newaxis])
+        return logits[0].argmax(axis=1)
+
+    def _accuracy(self, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> float:
+        """Accuracy on bias-augmented inputs."""
+        return float(np.mean(self._predict(w, xb) == y))
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        logits, _ = self._logits(w, _with_bias(x))
-        return logits.argmax(axis=1)
+        return self._predict(w, _with_bias(x))
 
     def accuracy(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(w, x) == y))
+        return self._accuracy(w, _with_bias(x), y)
 
 
-def sgd_epochs(w: np.ndarray, x: np.ndarray, y: np.ndarray, spec: ModelSpec,
-               epochs: int, lr: float, batch_size: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """Mini-batch SGD: full shuffled passes, last short batch included."""
+def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
+         epochs: int, lr: float, batch_size: int,
+         rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Mini-batch SGD of K clients from one start point, as one stack.
+
+    xb (K, n, f+1) holds each client's bias-augmented samples, y (K, n)
+    their labels.  Every epoch client k's samples are reordered by
+    rngs[k].permutation(n), then all clients step together over full
+    passes, last short batch included.  Returns the (K, dim) trained
+    parameters; row k equals client k trained alone.
+    """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError("lr must be finite and > 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    n = x.shape[0]
+    k, n = y.shape
     if n == 0:
         raise ValueError("cannot train on an empty shard")
-    xb = _with_bias(x)
-    out = w.copy()
+    clients = np.arange(k)[:, np.newaxis]
+    onehot = spec._onehot(y)
+    out = np.tile(w, (k, 1))
     for _ in range(epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        xe, ye = xb[clients, order], onehot[clients, order]
         for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size]
-            out -= lr * spec._grad(out, xb[batch], y[batch])
+            batch = slice(start, start + batch_size)
+            out -= lr * spec._grad(out, xe[:, batch], ye[:, batch])
     return out
+
+
+def sgd_epochs(w: np.ndarray, x: np.ndarray, y: np.ndarray, spec: ModelSpec,
+               epochs: int, lr: float, batch_size: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """Mini-batch SGD: full shuffled passes, last short batch included."""
+    return _sgd(spec, w, _with_bias(x)[np.newaxis], np.asarray(y)[np.newaxis],
+                epochs, lr, batch_size, (rng,))[0]
 
 
 def train_local(w: np.ndarray, dataset: SimDataset, shard: np.ndarray,
@@ -420,11 +466,26 @@ class AccuracyTrace:
 
 
 def _assign(dataset: SimDataset, partition: Partition,
-            seed: int) -> tuple[Assignment, tuple[np.ndarray, ...]]:
-    """The seed's sample assignment and each client's rows of the dataset."""
+            seed: int) -> tuple[Assignment, np.ndarray]:
+    """The seed's sample assignment and the read-only (clients, spc) block
+    of each client's rows of the dataset."""
     assignment = assign_samples(dataset.train_labels(), partition,
                                 np.random.SeedSequence([seed, _STREAM_ASSIGN]))
-    return assignment, tuple(dataset.train_idx[np.stack(assignment.per_client)])
+    shards = dataset.train_idx[np.stack(assignment.per_client)]
+    shards.setflags(write=False)
+    return assignment, shards
+
+
+def _shard_block(shards: Sequence[np.ndarray], pool_size: int) -> np.ndarray:
+    """Given per-client rows as one (clients, n) block; ragged shards raise."""
+    if len(shards) != pool_size:
+        raise ValueError(
+            f"{len(shards)} shards given, config declares {pool_size} clients")
+    if isinstance(shards, np.ndarray) and shards.ndim == 2:
+        return shards
+    if len({len(s) for s in shards}) > 1:
+        raise ValueError("shards must all hold the same number of samples")
+    return np.array(shards)
 
 
 def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
@@ -437,8 +498,13 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     The returned schedule lists exactly the clients that trained, so it
     can be priced directly; the third element is the final parameter
     vector, so degenerate runs can be compared against plain SGD.
-    `shards` (each client's rows of the dataset) skips the sample
-    assignment; pass the ones build_federation drew for the same seed.
+    `shards` (each client's rows of the dataset, all of one length)
+    skips the sample assignment; pass the ones build_federation drew for
+    the same seed.
+
+    A round's clients train as one stack (see _sgd); each keeps its own
+    batch-order generator, and their deltas are aggregated in selection
+    order, so the result equals training them one by one.
     """
     if partition.num_clients != config.pool_size:
         raise ValueError(
@@ -447,40 +513,38 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     if partition.num_classes != dataset.num_classes:
         raise ValueError("partition and dataset disagree on the class count")
     if shards is None:
-        _, shards = _assign(dataset, partition, config.seed)
-    elif len(shards) != config.pool_size:
-        raise ValueError(
-            f"{len(shards)} shards given, config declares {config.pool_size} clients")
+        _, block = _assign(dataset, partition, config.seed)
+    else:
+        block = _shard_block(shards, config.pool_size)
+    n_k = int(block.shape[1])
 
     spec = ModelSpec(dataset.num_classes, dataset.num_features, config.hidden_units)
     w = spec.init_params(derived_rng(config.seed, _STREAM_INIT))
     adam = AdamState.zeros(spec.dim)
 
-    x_test = dataset.features[dataset.test_idx]
+    xb_test = _with_bias(dataset.features[dataset.test_idx])
     y_test = dataset.labels[dataset.test_idx]
     round_time = config.local_epochs * hardware.time_per_local_epoch_s
 
     accuracies: list[float] = []
     entries: list[ScheduleEntry] = []
     for r in range(config.max_rounds):
-        chosen = select_clients(config.pool_size, config.clients_per_round,
-                                r, config.seed)
-        updates: list[tuple[np.ndarray, int]] = []
-        for cid in chosen:
-            cid = int(cid)
-            rng = derived_rng(config.seed, _STREAM_TRAIN, r, cid)
-            delta, n_k = train_local(w, dataset, shards[cid], spec,
-                                     config.local_epochs, config.client_lr,
-                                     config.batch_size, rng)
-            updates.append((delta, n_k))
-            entries.append(ScheduleEntry(r, cid, round_time, hardware))
+        chosen = [int(cid) for cid in select_clients(
+            config.pool_size, config.clients_per_round, r, config.seed)]
+        rows = block[chosen]
+        rngs = [derived_rng(config.seed, _STREAM_TRAIN, r, cid) for cid in chosen]
+        trained = _sgd(spec, w, _with_bias(dataset.features[rows]),
+                       dataset.labels[rows], config.local_epochs,
+                       config.client_lr, config.batch_size, rngs)
+        updates = [(delta, n_k) for delta in trained - w]
+        entries.extend(ScheduleEntry(r, cid, round_time, hardware) for cid in chosen)
         if config.strategy == "fedavg":
             w = fedavg_aggregate(w, updates)
         else:
             w, adam = fedadam_aggregate(adam, w, weighted_delta(updates),
                                         config.server_lr, config.beta1,
                                         config.beta2, config.tau)
-        accuracies.append(spec.accuracy(w, x_test, y_test))
+        accuracies.append(spec._accuracy(w, xb_test, y_test))
         if accuracies[-1] >= config.target_accuracy:
             break
 
@@ -500,16 +564,16 @@ def centralized_sgd(dataset: SimDataset, periods: int, epochs_per_period: int,
     """
     spec = ModelSpec(dataset.num_classes, dataset.num_features, hidden_units)
     w = spec.init_params(derived_rng(seed, _STREAM_INIT))
-    x_train = dataset.features[dataset.train_idx]
-    y_train = dataset.labels[dataset.train_idx]
-    x_test = dataset.features[dataset.test_idx]
+    xb_train = _with_bias(dataset.features[dataset.train_idx])[np.newaxis]
+    y_train = dataset.labels[dataset.train_idx][np.newaxis]
+    xb_test = _with_bias(dataset.features[dataset.test_idx])
     y_test = dataset.labels[dataset.test_idx]
     accuracies: list[float] = []
     for p in range(periods):
         rng = derived_rng(seed, _STREAM_TRAIN, p, 0)
-        w = sgd_epochs(w, x_train, y_train, spec, epochs_per_period, lr,
-                       batch_size, rng)
-        accuracies.append(spec.accuracy(w, x_test, y_test))
+        w = _sgd(spec, w, xb_train, y_train, epochs_per_period, lr, batch_size,
+                 (rng,))[0]
+        accuracies.append(spec._accuracy(w, xb_test, y_test))
     return w, tuple(accuracies)
 
 
@@ -542,15 +606,16 @@ def _fl_and_sim(cfg: ExperimentConfig) -> tuple[FlSetup, SimSetup]:
 class Federation:
     """A config's task, class prior, per-client class mixes and samples.
 
-    shards[k] holds client k's rows of dataset.features; assignment holds
-    the same samples as positions into the train split.
+    shards is a read-only (clients, samples_per_client) block whose row k
+    holds client k's rows of dataset.features; assignment holds the same
+    samples as positions into the train split.
     """
 
     dataset: SimDataset
     prior: ClassPrior
     partition: Partition
     assignment: Assignment
-    shards: tuple[np.ndarray, ...]
+    shards: np.ndarray
 
 
 def build_federation(cfg: ExperimentConfig,

@@ -183,6 +183,32 @@ class TestScheduleValidation:
             ScheduleEntry(0, -1, 1.0, TX2_CIFAR)
 
 
+class TestUniformSchedule:
+    @pytest.mark.parametrize("clients, wall_time, message", [
+        (-4, 51.4, "clients_per_round must be >= 0"),
+        (2.5, 51.4, "integers"),
+        (True, 51.4, "integers"),
+        (5, "abc", "wall_time_s"),
+        (0, "abc", "wall_time_s"),
+        (0, 0.0, "wall_time_s"),
+        (0, float("inf"), "wall_time_s"),
+        (-4, "abc", "clients_per_round"),
+    ])
+    def test_arguments_are_checked_before_expansion(self, clients, wall_time, message):
+        with pytest.raises(ValueError, match=message):
+            RoundSchedule.uniform(3, clients, wall_time, TX2_NOMINAL)
+
+    def test_zero_clients_does_not_walk_the_rounds(self):
+        schedule = schedule_from_dict({"rounds": 10**12, "uniform": {
+            "clients_per_round": 0, "wall_time_s": 1.0, "hardware": "tx2-nominal"}})
+        assert schedule.rounds == 10**12 and schedule.participation == ()
+
+    def test_expansion_lists_every_client_every_round(self):
+        schedule = RoundSchedule.uniform(3, 2, 4.0, TX2_CIFAR)
+        assert [(e.round_index, e.client_id) for e in schedule.participation] == [
+            (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+
+
 class TestEstimateReports:
     @pytest.fixture
     def fl_cfg(self, fixtures_dir):

@@ -425,6 +425,44 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("uniform, rounds, message", [
+        ({"clients_per_round": -4, "wall_time_s": "abc"}, 3, "clients_per_round"),
+        ({"clients_per_round": 2.5, "wall_time_s": 51.4}, 16, "clients_per_round"),
+        ({"clients_per_round": 0, "wall_time_s": "abc"}, 16, "wall_time_s"),
+        ({"clients_per_round": 5, "wall_time_s": -1.0}, 16, "wall_time_s"),
+        ({"clients_per_round": 0, "wall_time_s": 51.4}, 10**12,
+         "schedule has 1000000000000 rounds"),
+    ], ids=["negative-clients", "fractional-clients", "string-wall-time-no-clients",
+            "negative-wall-time", "zero-clients-huge-rounds"])
+    def test_malformed_uniform_schedule_is_validation_error(self, capsys, tmp_path,
+                                                            uniform, rounds, message):
+        bad = tmp_path / "schedule.json"
+        bad.write_text(json.dumps({"rounds": rounds,
+                                   "uniform": {**uniform, "hardware": "tx2-nominal"}}))
+        code, _, err = run_cli(capsys, "estimate", "--config", FL_NOMINAL,
+                               "--fixtures", str(bad))
+        assert code == 1
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("command, table, message", [
+        ("plot", {"cells": [5]}, "cell 0 needs a 'stable' object"),
+        ("plot", {"cells": 5}, "'cells' must be a list"),
+        ("plot", {"cells": [{"stable": {"co2e_g": 1.0}}]}, "'accuracy'"),
+        ("optimize", [1, 2], "'blocks' list"),
+        ("optimize", {"blocks": [{"alpha": 1.0, "local_epochs": 1, "rows": [5]}]},
+         "row 0 must be an object"),
+        ("optimize", {"target_accuracy": None, "blocks": []}, "'target_accuracy'"),
+    ], ids=["plot-cell-not-object", "plot-cells-not-list", "plot-stable-lacks-accuracy",
+            "optimize-table-is-list", "optimize-row-not-object", "optimize-null-target"])
+    def test_malformed_fixture_table_is_validation_error(self, capsys, tmp_path,
+                                                         command, table, message):
+        bad = tmp_path / "table.json"
+        bad.write_text(json.dumps(table))
+        code, _, err = run_cli(capsys, command, "--config", FL_DEMO,
+                               "--fixtures", str(bad))
+        assert code == 1
+        assert err.startswith("error:") and message in err
+
     def test_malformed_json_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -8,6 +8,7 @@ import pytest
 
 from fedcarbon import (
     CellOutcome,
+    ConfigError,
     CostPoint,
     ExperimentConfig,
     FlSetup,
@@ -22,6 +23,7 @@ from fedcarbon import (
     make_simulation_runner,
     make_table_runner,
     pareto_front,
+    table_cells,
 )
 
 from conftest import load_fixture
@@ -276,6 +278,43 @@ class TestTableRunner:
             n_star = min(costs, key=costs.get)
             assert n_star == best_n
             assert costs[n_star] == pytest.approx(best_cost, rel=5e-3)
+
+
+class TestTableShape:
+    TABLE = load_fixture("cifar10_grid_results.json")
+
+    def test_cells_follow_file_order(self):
+        cells = table_cells(self.TABLE)
+        assert len(cells) == 40
+        assert cells[0] == (1, 5, 1000.0) and cells[10] == (1, 1, 1000.0)
+        assert cells == [(row["clients"], block["local_epochs"], block["alpha"])
+                         for block in self.TABLE["blocks"] for row in block["rows"]]
+
+    @pytest.mark.parametrize("table, message", [
+        ([1, 2], "'blocks' list"),
+        ({"blocks": 3}, "'blocks' list"),
+        ({"blocks": [5]}, "block 0 must be an object with 'alpha'"),
+        ({"blocks": [{"alpha": 1.0, "local_epochs": 1}]}, "'rows' list"),
+        ({"blocks": [{"alpha": None, "local_epochs": 1, "rows": []}]}, "'alpha'"),
+        ({"blocks": [{"alpha": 1.0, "local_epochs": 1, "rows": [7]}]},
+         "row 0 must be an object with 'clients'"),
+        ({"blocks": [{"alpha": 1.0, "local_epochs": 1,
+                      "rows": [{"clients": 1, "stable": 3}]}]}, "'stable' object"),
+        ({"blocks": [{"alpha": 1.0, "local_epochs": 1,
+                      "rows": [{"clients": 1, "target": 3,
+                                "stable": {"rounds": 1, "accuracy": 0.5, "co2_g": 1.0}}]}]},
+         "target must be an object with 'rounds'"),
+        ({"blocks": [{"alpha": 1.0, "local_epochs": 1,
+                      "rows": [{"clients": 1,
+                                "stable": {"rounds": [1], "accuracy": 0.5, "co2_g": 1.0}}]}]},
+         "stable 'rounds'"),
+        ({"blocks": [{"alpha": 1.0, "local_epochs": float("inf"), "rows": []}]},
+         "'local_epochs'"),
+    ])
+    def test_malformed_table_is_config_error(self, table, message):
+        for parse in (make_table_runner, table_cells):
+            with pytest.raises(ConfigError, match=message):
+                parse(table)
 
 
 class TestSimulationRunner:

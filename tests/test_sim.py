@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import fedcarbon.sim as sim
 from fedcarbon import (
     AccuracyTrace,
     AdamState,
@@ -431,6 +432,115 @@ def test_simulate_reproduces_pinned_bits(strategy, hidden_units, alpha):
     digest, accuracies = PINNED_RUNS[(strategy, hidden_units, alpha)]
     assert hashlib.sha256(w.tobytes()).hexdigest() == digest
     assert trace.accuracies == accuracies
+
+
+def reference_grad(spec: ModelSpec, w: np.ndarray, xb: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """The unbatched step: one client's gradient on one bias-augmented batch."""
+    f, m, h = spec.num_features, spec.num_classes, spec.hidden_units
+    b = xb.shape[0]
+    if h == 0:
+        first = w.reshape(m, f + 1)
+        dz = xb @ first.T
+    else:
+        first = w[: h * (f + 1)].reshape(h, f + 1)
+        second = w[h * (f + 1):].reshape(m, h + 1)
+        hb = np.hstack([np.tanh(xb @ first.T), np.ones((b, 1))])
+        dz = hb @ second.T
+    dz -= dz.max(axis=1, keepdims=True)
+    np.exp(dz, out=dz)
+    dz /= dz.sum(axis=1, keepdims=True)
+    dz[np.arange(b), y] -= 1.0
+    dz /= b
+    if h == 0:
+        return (dz.T @ xb).ravel()
+    g2 = dz.T @ hb
+    dh = (dz @ second[:, :-1]) * (1.0 - hb[:, :-1] ** 2)
+    g1 = dh.T @ xb
+    return np.concatenate([g1.ravel(), g2.ravel()])
+
+
+def reference_local_sgd(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray,
+                        epochs: int, lr: float, batch_size: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """One client's local SGD, batch by batch, with the unbatched step."""
+    n = x.shape[0]
+    xb = np.hstack([x, np.ones((n, 1))])
+    out = w.copy()
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            out -= lr * reference_grad(spec, out, xb[batch], y[batch])
+    return out
+
+
+class TestBatchedStep:
+    """The stacked kernel must equal training each client on its own, bit
+    for bit; batched matmul is not guaranteed to round like per-client
+    matmul, so this is checked rather than assumed."""
+
+    @pytest.mark.parametrize("hidden_units", [0, 32])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("batch_size", [1, 32, 200])
+    @pytest.mark.parametrize("n", [16, 33, 80])
+    @pytest.mark.parametrize("k", [1, 2, 7, 100])
+    def test_stack_equals_per_client_loop(self, k, n, batch_size, epochs, hidden_units):
+        spec = ModelSpec(4, 5, hidden_units)
+        data = np.random.default_rng([k, n, batch_size, epochs, hidden_units])
+        x = data.standard_normal((k, n, 5))
+        y = data.integers(0, 4, size=(k, n))
+        w = spec.init_params(data) if hidden_units else 0.1 * data.standard_normal(spec.dim)
+        lr = 0.3
+        stacked = sim._sgd(spec, w, sim._with_bias(x), y, epochs, lr, batch_size,
+                           [derived_rng(3, 15, 0, c) for c in range(k)])
+        assert stacked.shape == (k, spec.dim)
+        for c in range(k):
+            alone = reference_local_sgd(spec, w, x[c], y[c], epochs, lr, batch_size,
+                                        derived_rng(3, 15, 0, c))
+            assert np.array_equal(stacked[c], alone)
+
+    @pytest.mark.parametrize("hidden_units", [0, 32])
+    def test_one_client_sgd_epochs_equals_per_client_loop(self, hidden_units):
+        spec = ModelSpec(3, 4, hidden_units)
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((50, 4))
+        y = rng.integers(0, 3, size=50)
+        w = spec.init_params(rng) if hidden_units else np.zeros(spec.dim)
+        got = sgd_epochs(w, x, y, spec, 2, 0.2, 16, derived_rng(1, 15, 0, 0))
+        want = reference_local_sgd(spec, w, x, y, 2, 0.2, 16, derived_rng(1, 15, 0, 0))
+        assert np.array_equal(got, want)
+
+    def test_augmented_accuracy_equals_public_accuracy(self):
+        ds = make_task(4, 6, 300, seed=2)
+        spec = ModelSpec(4, 6, 8)
+        w = spec.init_params(np.random.default_rng(4))
+        x, y = ds.features[ds.test_idx], ds.labels[ds.test_idx]
+        assert spec._accuracy(w, sim._with_bias(x), y) == spec.accuracy(w, x, y)
+
+    def test_ragged_shards_rejected(self):
+        cfg, ds, part = small_setup()
+        _, shards = sim._assign(ds, part, cfg.seed)
+        ragged = [s for s in shards]
+        ragged[3] = ragged[3][:-1]
+        with pytest.raises(ValueError, match="same number of samples"):
+            simulate(cfg, ds, part, HW, shards=ragged)
+
+    def test_shards_given_as_rows_equal_the_block(self):
+        cfg, ds, part = small_setup(max_rounds=3)
+        _, shards = sim._assign(ds, part, cfg.seed)
+        t1, s1, w1 = simulate(cfg, ds, part, HW, shards=shards)
+        t2, s2, w2 = simulate(cfg, ds, part, HW, shards=[list(s) for s in shards])
+        assert (t1, s1) == (t2, s2) and np.array_equal(w1, w2)
+
+    def test_federation_shards_are_a_read_only_block(self):
+        cfg = config_from_dict(TestRunExperiment.BASE)
+        fed = build_federation(cfg)
+        assert isinstance(fed.shards, np.ndarray)
+        assert fed.shards.shape == (10, 32)
+        assert not fed.shards.flags.writeable
+        with pytest.raises(ValueError):
+            fed.shards[0, 0] = 0
 
 
 class TestRoundsToTarget:
