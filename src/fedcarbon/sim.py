@@ -268,6 +268,10 @@ class ModelSpec:
         return self._predict(w, _with_bias(x))
 
     def accuracy(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+        """Share of rows of x predicted as y.  x holds raw features, shape
+        (n, f), or the same rows already bias-augmented, shape (n, f+1)."""
+        if x.ndim == 2 and x.shape[1] == self.num_features + 1:
+            return self._accuracy(w, x, y)
         return self._accuracy(w, _with_bias(x), y)
 
 
@@ -311,15 +315,59 @@ def sgd_epochs(w: np.ndarray, x: np.ndarray, y: np.ndarray, spec: ModelSpec,
                 epochs, lr, batch_size, (rng,))[0]
 
 
+class _Cohort:
+    """A round's selected clients, trained as one stack by one _sgd call.
+
+    Holds the clients' bias-augmented samples (K, n, f+1), their labels
+    (K, n) and their batch-order generators, in selection order.  The
+    first train_local call on any of them trains the whole stack with
+    that call's parameters; every call returns its own client's row.
+    """
+
+    def __init__(self, xb: np.ndarray, y: np.ndarray,
+                 rngs: Sequence[np.random.Generator]):
+        self._xb, self._y, self._rngs = xb, y, tuple(rngs)
+        self._lane = {id(rng): k for k, rng in enumerate(self._rngs)}
+        self._key: tuple | None = None
+        self._trained: np.ndarray | None = None
+
+    def trained(self, rng: np.random.Generator, shard: np.ndarray,
+                spec: ModelSpec, w: np.ndarray, epochs: int, lr: float,
+                batch_size: int) -> np.ndarray:
+        """The trained parameters of the client whose generator is rng."""
+        lane = self._lane.get(id(rng))
+        if lane is None:
+            raise ValueError("rng is not one of the cohort's generators")
+        if len(shard) != self._y.shape[1]:
+            raise ValueError("shard size differs from the cohort's")
+        key = (spec, id(w), epochs, lr, batch_size)
+        if self._trained is None:
+            self._trained = _sgd(spec, w, self._xb, self._y, epochs, lr,
+                                 batch_size, self._rngs)
+            self._key = key
+        elif key != self._key:
+            raise ValueError("a cohort trains all its clients with one setting")
+        return self._trained[lane]
+
+
 def train_local(w: np.ndarray, dataset: SimDataset, shard: np.ndarray,
                 spec: ModelSpec, epochs: int, lr: float, batch_size: int,
-                rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """One client's local pass; returns (delta, shard size)."""
+                rng: np.random.Generator, *,
+                cohort: _Cohort | None = None) -> tuple[np.ndarray, int]:
+    """One client's local pass; returns (delta, shard size).
+
+    With `cohort` (simulate builds one per round), the client is one
+    lane of the round's stack: the round's first call trains every lane
+    in one batched _sgd call and later calls read their row, so the
+    result equals the client trained alone.
+    """
     if len(shard) == 0:
         raise ValueError("cannot train on an empty shard")
-    xs = dataset.features[shard]
-    ys = dataset.labels[shard]
-    trained = sgd_epochs(w, xs, ys, spec, epochs, lr, batch_size, rng)
+    if cohort is None:
+        trained = sgd_epochs(w, dataset.features[shard], dataset.labels[shard],
+                             spec, epochs, lr, batch_size, rng)
+    else:
+        trained = cohort.trained(rng, shard, spec, w, epochs, lr, batch_size)
     return trained - w, int(len(shard))
 
 
@@ -502,9 +550,10 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     skips the sample assignment; pass the ones build_federation drew for
     the same seed.
 
-    A round's clients train as one stack (see _sgd); each keeps its own
-    batch-order generator, and their deltas are aggregated in selection
-    order, so the result equals training them one by one.
+    A round's clients train as one stack (see _sgd), through one
+    train_local call per client on the round's _Cohort; each keeps its
+    own batch-order generator, and their deltas are aggregated in
+    selection order, so the result equals training them one by one.
     """
     if partition.num_clients != config.pool_size:
         raise ValueError(
@@ -516,7 +565,6 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
         _, block = _assign(dataset, partition, config.seed)
     else:
         block = _shard_block(shards, config.pool_size)
-    n_k = int(block.shape[1])
 
     spec = ModelSpec(dataset.num_classes, dataset.num_features, config.hidden_units)
     w = spec.init_params(derived_rng(config.seed, _STREAM_INIT))
@@ -533,10 +581,12 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
             config.pool_size, config.clients_per_round, r, config.seed)]
         rows = block[chosen]
         rngs = [derived_rng(config.seed, _STREAM_TRAIN, r, cid) for cid in chosen]
-        trained = _sgd(spec, w, _with_bias(dataset.features[rows]),
-                       dataset.labels[rows], config.local_epochs,
-                       config.client_lr, config.batch_size, rngs)
-        updates = [(delta, n_k) for delta in trained - w]
+        cohort = _Cohort(_with_bias(dataset.features[rows]),
+                         dataset.labels[rows], rngs)
+        updates = [train_local(w, dataset, block[cid], spec, config.local_epochs,
+                               config.client_lr, config.batch_size, rng,
+                               cohort=cohort)
+                   for cid, rng in zip(chosen, rngs)]
         entries.extend(ScheduleEntry(r, cid, round_time, hardware) for cid in chosen)
         if config.strategy == "fedavg":
             w = fedavg_aggregate(w, updates)
@@ -544,7 +594,7 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
             w, adam = fedadam_aggregate(adam, w, weighted_delta(updates),
                                         config.server_lr, config.beta1,
                                         config.beta2, config.tau)
-        accuracies.append(spec._accuracy(w, xb_test, y_test))
+        accuracies.append(spec.accuracy(w, xb_test, y_test))
         if accuracies[-1] >= config.target_accuracy:
             break
 

@@ -517,6 +517,39 @@ class TestBatchedStep:
         w = spec.init_params(np.random.default_rng(4))
         x, y = ds.features[ds.test_idx], ds.labels[ds.test_idx]
         assert spec._accuracy(w, sim._with_bias(x), y) == spec.accuracy(w, x, y)
+        assert spec.accuracy(w, sim._with_bias(x), y) == spec.accuracy(w, x, y)
+
+    @pytest.mark.parametrize("hidden_units", [0, 32])
+    def test_cohort_lanes_equal_clients_trained_alone(self, hidden_units):
+        ds = make_task(3, 4, 200, seed=5)
+        spec = ModelSpec(3, 4, hidden_units)
+        w = spec.init_params(np.random.default_rng(6))
+        shards = ds.train_idx[:120].reshape(3, 40)
+        rngs = [derived_rng(5, 15, 0, c) for c in range(3)]
+        cohort = sim._Cohort(sim._with_bias(ds.features[shards]), ds.labels[shards], rngs)
+        # Asked out of selection order: each call still gets its own lane.
+        for c in (2, 0, 1):
+            delta, n_k = train_local(w, ds, shards[c], spec, 2, 0.1, 16, rngs[c],
+                                     cohort=cohort)
+            alone, _ = train_local(w, ds, shards[c], spec, 2, 0.1, 16,
+                                   derived_rng(5, 15, 0, c))
+            assert n_k == 40 and np.array_equal(delta, alone)
+
+    def test_cohort_rejects_a_foreign_rng_or_a_second_setting(self):
+        ds = make_task(3, 4, 200, seed=5)
+        spec = ModelSpec(3, 4)
+        w = np.zeros(spec.dim)
+        shards = ds.train_idx[:80].reshape(2, 40)
+        rngs = [derived_rng(5, 15, 0, c) for c in range(2)]
+        cohort = sim._Cohort(sim._with_bias(ds.features[shards]), ds.labels[shards], rngs)
+        with pytest.raises(ValueError, match="generators"):
+            train_local(w, ds, shards[0], spec, 1, 0.1, 16, derived_rng(5, 15, 0, 0),
+                        cohort=cohort)
+        with pytest.raises(ValueError, match="shard size"):
+            train_local(w, ds, shards[0][:-1], spec, 1, 0.1, 16, rngs[0], cohort=cohort)
+        train_local(w, ds, shards[0], spec, 1, 0.1, 16, rngs[0], cohort=cohort)
+        with pytest.raises(ValueError, match="one setting"):
+            train_local(w, ds, shards[1], spec, 2, 0.1, 16, rngs[1], cohort=cohort)
 
     def test_ragged_shards_rejected(self):
         cfg, ds, part = small_setup()
