@@ -31,9 +31,9 @@ from .profiles import (
     NetworkProfile,
     active_registry,
     config_digest,
+    _as_dict,
     _finite,
     _hardware_from_value,
-    _hardware_to_dict,
     _integer,
 )
 
@@ -312,7 +312,7 @@ def schedule_to_dict(schedule: RoundSchedule) -> dict[str, Any]:
                 "round": e.round_index,
                 "client": e.client_id,
                 "wall_time_s": e.wall_time_s,
-                "hardware": _hardware_to_dict(e.hardware),
+                "hardware": _as_dict(e.hardware),
             }
             for e in schedule.participation
         ],

@@ -281,10 +281,15 @@ def _plot_from_trace(path: str, cfg: ExperimentConfig | None) -> str:
     out = ["# round cumulative_g" if rate is not None else "# round cumulative_wh"]
     rows = 0
     for rec in reader:
-        wh = float(rec["cumulative_wh"])
-        y = wh * rate if rate is not None else wh
-        out.append(f"{int(rec['round'])} {y!r}")
         rows += 1
+        try:
+            wh = float(rec["cumulative_wh"])
+            round_index = int(rec["round"])
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError(f"{path}: trace row {rows} needs an integer 'round' "
+                              "and a numeric 'cumulative_wh'") from None
+        y = wh * rate if rate is not None else wh
+        out.append(f"{round_index} {y!r}")
     if rows == 0:
         raise ConfigError(f"{path}: no data rows")
     return "\n".join(out) + "\n"

@@ -10,11 +10,13 @@ kWh.  Registry names are namespaced: ``hw:``, ``grid:``, ``net:`` and
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -84,6 +86,8 @@ class HardwareProfile:
     kind: str = EDGE
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigError(f"hardware name must be a string, got {self.name!r}")
         _check(self.kind in (EDGE, DATACENTER),
                f"hardware {self.name!r}: kind must be {EDGE!r} or {DATACENTER!r}")
         _check(_finite(self.active_power_w) and self.active_power_w > 0,
@@ -104,6 +108,8 @@ class GridIntensity:
     c_rate_kg_per_kwh: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.region, str):
+            raise ConfigError(f"grid region must be a string, got {self.region!r}")
         _check(_finite(self.c_rate_kg_per_kwh) and self.c_rate_kg_per_kwh > 0,
                f"grid {self.region!r}: c_rate_kg_per_kwh must be finite and > 0")
 
@@ -118,6 +124,8 @@ class NetworkProfile:
     region: str = "custom"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.region, str):
+            raise ConfigError(f"network region must be a string, got {self.region!r}")
         _check(_finite(self.download_mbps) and self.download_mbps > 0,
                f"network {self.region!r}: download_mbps must be finite and > 0")
         _check(_finite(self.upload_mbps) and self.upload_mbps > 0,
@@ -334,18 +342,16 @@ def builtin_registry() -> Mapping[str, Any]:
 
 
 def _registry_entry_from_json(name: str, value: Any) -> Any:
+    where = f"registry entry {name!r}"
     if name.startswith("hw:"):
-        _check(isinstance(value, dict), f"registry entry {name!r} must be an object")
-        return _hardware_from_value(dict(value), default_name=name[3:], default_kind=None)
+        _check(not isinstance(value, dict) or "kind" in value, f"{where} is missing 'kind'")
+        return _from_object(HardwareProfile, value, where, name=name[3:])
     if name.startswith("grid:"):
-        _check(isinstance(value, dict), f"registry entry {name!r} must be an object")
-        return GridIntensity(region=value.get("region", name[5:]),
-                             c_rate_kg_per_kwh=value.get("c_rate_kg_per_kwh"))
+        return _from_object(GridIntensity, value, where, region=name[5:])
     if name.startswith("net:"):
-        _check(isinstance(value, dict), f"registry entry {name!r} must be an object")
-        return _network_from_value(dict(value))
+        return _from_object(NetworkProfile, value, where)
     if name.startswith("pue:"):
-        _check(_finite(value) and value >= 1.0, f"registry entry {name!r} must be a number >= 1.0")
+        _check(_finite(value) and value >= 1.0, f"{where} must be a number >= 1.0")
         return float(value)
     raise ConfigError(f"registry name {name!r} must start with hw:, grid:, net: or pue:")
 
@@ -374,96 +380,80 @@ def active_registry() -> dict[str, Any]:
 
 # --- config parsing -----------------------------------------------------
 
-def _hardware_from_value(value: Any, default_name: str = "inline",
-                         default_kind: str | None = EDGE,
-                         registry: Mapping[str, Any] | None = None) -> HardwareProfile:
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, ...], frozenset[str], tuple[str, ...]]:
+    """A config dataclass's field names in order, the same as a set, and
+    the names of the fields without a default."""
+    fields = dataclasses.fields(cls)
+    names = tuple(f.name for f in fields)
+    required = tuple(f.name for f in fields
+                     if f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING)
+    return names, frozenset(names), required
+
+
+def _from_object(cls: type, value: Any, where: str, **defaults: Any) -> Any:
+    """Build the config dataclass `cls` from a JSON object.
+
+    The object's keys must be field names of `cls`; `defaults` fill fields
+    the object leaves out, and a field with neither a dataclass default nor
+    one given here is missing.  `where` names the object in error messages.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    _, known, required = _fields(cls)
+    if not known.issuperset(value):
+        raise ConfigError(f"{where} has unknown keys: {sorted(set(value) - known)}")
+    defaults.update(value)
+    for name in required:
+        if name not in defaults:
+            raise ConfigError(f"{where} is missing {name!r}")
+    return cls(**defaults)
+
+
+def _named(value: str, namespace: str, registry: Mapping[str, Any], what: str) -> Any:
+    """Registry entry `value`, given with or without its namespace prefix."""
+    key = value if value.startswith(namespace) else namespace + value
+    if key not in registry:
+        raise ConfigError(f"unknown {what} {value!r}")
+    return registry[key]
+
+
+def _hardware_from_value(value: Any, registry: Mapping[str, Any],
+                         default_kind: str = EDGE) -> HardwareProfile:
     if isinstance(value, str):
-        key = value if value.startswith("hw:") else f"hw:{value}"
-        reg = registry if registry is not None else active_registry()
-        if key not in reg:
-            raise ConfigError(f"unknown hardware profile {value!r}")
-        return reg[key]
+        return _named(value, "hw:", registry, "hardware profile")
     _check(isinstance(value, dict), "hardware must be a registry name or an inline object")
-    known = {"name", "active_power_w", "idle_power_w", "time_per_local_epoch_s", "kind"}
-    extra = set(value) - known
-    _check(not extra, f"hardware object has unknown keys: {sorted(extra)}")
-    for req in ("active_power_w", "idle_power_w", "time_per_local_epoch_s"):
-        _check(req in value, f"inline hardware is missing {req!r}")
-    kind = value.get("kind", default_kind)
-    _check(kind is not None, "inline hardware requires 'kind'")
-    return HardwareProfile(
-        name=value.get("name", default_name),
-        active_power_w=value["active_power_w"],
-        idle_power_w=value["idle_power_w"],
-        time_per_local_epoch_s=value["time_per_local_epoch_s"],
-        kind=kind,
-    )
+    return _from_object(HardwareProfile, value, "hardware", name="inline", kind=default_kind)
 
 
 def _grid_from_value(value: Any, registry: Mapping[str, Any]) -> GridIntensity:
     if isinstance(value, str):
-        key = value if value.startswith("grid:") else f"grid:{value}"
-        if key not in registry:
-            raise ConfigError(f"unknown grid region {value!r}")
-        return registry[key]
+        return _named(value, "grid:", registry, "grid region")
     _check(isinstance(value, dict), "grid must be a registry name or an inline object")
-    _check("region" in value and "c_rate_kg_per_kwh" in value,
-           "inline grid requires 'region' and 'c_rate_kg_per_kwh'")
-    return GridIntensity(region=value["region"], c_rate_kg_per_kwh=value["c_rate_kg_per_kwh"])
+    return _from_object(GridIntensity, value, "grid")
 
 
-def _network_from_value(value: Any, registry: Mapping[str, Any] | None = None) -> NetworkProfile:
+def _network_from_value(value: Any, registry: Mapping[str, Any]) -> NetworkProfile:
     if isinstance(value, str):
-        key = value if value.startswith("net:") else f"net:{value}"
-        reg = registry if registry is not None else active_registry()
-        if key not in reg:
-            raise ConfigError(f"unknown network profile {value!r}")
-        return reg[key]
+        return _named(value, "net:", registry, "network profile")
     _check(isinstance(value, dict), "network must be an inline object or a registry name")
-    for req in ("download_mbps", "upload_mbps", "router_power_w"):
-        _check(req in value, f"network object is missing {req!r}")
-    return NetworkProfile(
-        download_mbps=value["download_mbps"],
-        upload_mbps=value["upload_mbps"],
-        router_power_w=value["router_power_w"],
-        region=value.get("region", "custom"),
-    )
+    return _from_object(NetworkProfile, value, "network")
 
 
 def _pue_from_value(value: Any, registry: Mapping[str, Any]) -> float:
     if isinstance(value, str):
-        key = value if value.startswith("pue:") else f"pue:{value}"
-        if key not in registry:
-            raise ConfigError(f"unknown pue entry {value!r}")
-        return float(registry[key])
+        return float(_named(value, "pue:", registry, "pue entry"))
     _check(_finite(value), "pue must be a number or a registry name")
     return float(value)
 
 
-def _fl_from_dict(value: Any) -> FlSetup:
-    _check(isinstance(value, dict), "'fl' must be an object")
-    known = {"pool_size", "clients_per_round", "rounds", "local_epochs",
-             "model_size_mb", "strategy", "wan_model"}
-    extra = set(value) - known
-    _check(not extra, f"fl object has unknown keys: {sorted(extra)}")
-    for req in ("pool_size", "clients_per_round", "rounds", "local_epochs"):
-        _check(req in value, f"fl object is missing {req!r}")
-    return FlSetup(**value)
-
-
 def _sim_from_dict(value: Any) -> SimSetup:
-    _check(isinstance(value, dict), "'sim' must be an object")
-    known = {"classes", "features", "n_samples", "separation", "samples_per_client",
-             "batch_size", "target_accuracy", "client_lr", "server_lr",
-             "beta1", "beta2", "tau", "hidden_units", "prior", "alpha"}
-    extra = set(value) - known
-    _check(not extra, f"sim object has unknown keys: {sorted(extra)}")
-    fields = dict(value)
-    if isinstance(fields.get("prior"), list):
-        _check(all(_finite(p) for p in fields["prior"]),
+    if isinstance(value, dict) and isinstance(value.get("prior"), list):
+        _check(all(_finite(p) for p in value["prior"]),
                "sim.prior list entries must be finite numbers")
-        fields["prior"] = tuple(float(p) for p in fields["prior"])
-    return SimSetup(**fields)
+        value = {**value, "prior": tuple(float(p) for p in value["prior"])}
+    return _from_object(SimSetup, value, "'sim'")
 
 
 def config_from_dict(raw: Any, registry: Mapping[str, Any] | None = None) -> ExperimentConfig:
@@ -488,7 +478,7 @@ def config_from_dict(raw: Any, registry: Mapping[str, Any] | None = None) -> Exp
 
     network = _network_from_value(raw["network"], reg) if "network" in raw else None
     pue = _pue_from_value(raw["pue"], reg) if "pue" in raw else None
-    fl = _fl_from_dict(raw["fl"]) if "fl" in raw else None
+    fl = _from_object(FlSetup, raw["fl"], "'fl'") if "fl" in raw else None
     sim = _sim_from_dict(raw["sim"]) if "sim" in raw else None
 
     epochs = raw.get("epochs")
@@ -510,14 +500,9 @@ def load_config(path: str | Path, registry: Mapping[str, Any] | None = None) -> 
     return config_from_dict(raw, registry=registry)
 
 
-def _hardware_to_dict(hw: HardwareProfile) -> dict[str, Any]:
-    return {
-        "name": hw.name,
-        "active_power_w": hw.active_power_w,
-        "idle_power_w": hw.idle_power_w,
-        "time_per_local_epoch_s": hw.time_per_local_epoch_s,
-        "kind": hw.kind,
-    }
+def _as_dict(obj: Any) -> dict[str, Any]:
+    """A config dataclass as a dict of its fields, in field order."""
+    return {name: getattr(obj, name) for name in _fields(type(obj))[0]}
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -525,51 +510,23 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     out: dict[str, Any] = {
         "mode": cfg.mode,
         "seed": cfg.seed,
-        "hardware": _hardware_to_dict(cfg.hardware),
-        "grid": [{"region": g.region, "c_rate_kg_per_kwh": g.c_rate_kg_per_kwh}
-                 for g in cfg.grids],
+        "hardware": _as_dict(cfg.hardware),
+        "grid": [_as_dict(g) for g in cfg.grids],
     }
     if cfg.network is not None:
-        out["network"] = {
-            "region": cfg.network.region,
-            "download_mbps": cfg.network.download_mbps,
-            "upload_mbps": cfg.network.upload_mbps,
-            "router_power_w": cfg.network.router_power_w,
-        }
+        out["network"] = _as_dict(cfg.network)
     if cfg.pue is not None:
         out["pue"] = cfg.pue
     if cfg.epochs is not None:
         out["epochs"] = cfg.epochs
     if cfg.fl is not None:
-        out["fl"] = {
-            "pool_size": cfg.fl.pool_size,
-            "clients_per_round": cfg.fl.clients_per_round,
-            "rounds": cfg.fl.rounds,
-            "local_epochs": cfg.fl.local_epochs,
-            "model_size_mb": cfg.fl.model_size_mb,
-            "strategy": cfg.fl.strategy,
-            "wan_model": cfg.fl.wan_model,
-        }
+        out["fl"] = _as_dict(cfg.fl)
     if cfg.sim is not None:
-        sim = cfg.sim
-        out["sim"] = {
-            "classes": sim.classes,
-            "features": sim.features,
-            "n_samples": sim.n_samples,
-            "separation": sim.separation,
-            "batch_size": sim.batch_size,
-            "target_accuracy": sim.target_accuracy,
-            "client_lr": sim.client_lr,
-            "server_lr": sim.server_lr,
-            "beta1": sim.beta1,
-            "beta2": sim.beta2,
-            "tau": sim.tau,
-            "hidden_units": sim.hidden_units,
-            "prior": list(sim.prior) if not isinstance(sim.prior, str) else sim.prior,
-            "alpha": sim.alpha,
-        }
-        if sim.samples_per_client is not None:
-            out["sim"]["samples_per_client"] = sim.samples_per_client
+        sim = out["sim"] = _as_dict(cfg.sim)
+        if not isinstance(sim["prior"], str):
+            sim["prior"] = list(sim["prior"])
+        if sim["samples_per_client"] is None:
+            del sim["samples_per_client"]
     return out
 
 

@@ -32,11 +32,13 @@ from .partition import (
     uniform_prior,
 )
 from .profiles import (
-    DEFAULT_CLIENT_LR,
+    DEFAULT_CLIENT_LR,  # re-exported: callers import it from fedcarbon.sim
     ExperimentConfig,
     FlSetup,
     HardwareProfile,
     SimSetup,
+    _as_dict,
+    _fields,
 )
 
 __all__ = [
@@ -452,16 +454,16 @@ class SimConfig:
     clients_per_round: int
     max_rounds: int
     local_epochs: int
-    strategy: str = "fedavg"
-    client_lr: float = DEFAULT_CLIENT_LR
-    server_lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.99
-    tau: float = 0.001
-    batch_size: int = 32
-    target_accuracy: float = 0.5
-    seed: int = 0
-    hidden_units: int = 0
+    strategy: str = FlSetup.strategy
+    client_lr: float = SimSetup.client_lr
+    server_lr: float = SimSetup.server_lr
+    beta1: float = SimSetup.beta1
+    beta2: float = SimSetup.beta2
+    tau: float = SimSetup.tau
+    batch_size: int = SimSetup.batch_size
+    target_accuracy: float = SimSetup.target_accuracy
+    seed: int = ExperimentConfig.seed
+    hidden_units: int = SimSetup.hidden_units
 
     def __post_init__(self) -> None:
         if not (self.pool_size >= 1 and self.clients_per_round >= 1):
@@ -481,24 +483,15 @@ class SimConfig:
 
     @classmethod
     def from_experiment(cls, cfg: ExperimentConfig) -> "SimConfig":
-        """The run described by a federated config's 'fl' and 'sim' blocks."""
+        """The run described by a federated config's 'fl' and 'sim' blocks.
+
+        Every field that shares its name with an 'fl' or 'sim' field is
+        copied from it; max_rounds is fl.rounds and seed the config seed.
+        """
         fl, sim = _fl_and_sim(cfg)
-        return cls(
-            pool_size=fl.pool_size,
-            clients_per_round=fl.clients_per_round,
-            max_rounds=fl.rounds,
-            local_epochs=fl.local_epochs,
-            strategy=fl.strategy,
-            client_lr=sim.client_lr,
-            server_lr=sim.server_lr,
-            beta1=sim.beta1,
-            beta2=sim.beta2,
-            tau=sim.tau,
-            batch_size=sim.batch_size,
-            target_accuracy=sim.target_accuracy,
-            seed=cfg.seed,
-            hidden_units=sim.hidden_units,
-        )
+        blocks = {**_as_dict(fl), **_as_dict(sim)}
+        return cls(max_rounds=fl.rounds, seed=cfg.seed,
+                   **{name: blocks[name] for name in _fields(cls)[0] if name in blocks})
 
 
 @dataclass(frozen=True)

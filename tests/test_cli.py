@@ -463,6 +463,48 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("round,accuracy,cumulative_wh\n1,0.5\n", "trace row 1"),
+        ("round,accuracy,cumulative_wh\n1,0.5,0.1\n2,0.6\n", "trace row 2"),
+        ("round,accuracy,cumulative_wh\n1,0.5,abc\n", "trace row 1"),
+        ("round,accuracy\n1,0.5\n", "trace row 1"),
+    ], ids=["short-row", "short-second-row", "non-numeric-energy", "no-energy-column"])
+    def test_malformed_trace_is_validation_error(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "trace.csv"
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "plot", "--fixtures", str(bad))
+        assert code == 1
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"grid": {"region": 5, "c_rate_kg_per_kwh": 0.1}}, "grid region must be a string"),
+        ({"hardware": {"name": 5, "active_power_w": 5.0, "idle_power_w": 1.0,
+                       "time_per_local_epoch_s": 1.0}}, "hardware name must be a string"),
+        ({"network": {"download_mbps": 100, "upload_mbps": 40, "router_power_w": 10,
+                      "region": [1]}}, "network region must be a string"),
+        ({"network": {"download_mbps": 100, "upload_mbps": 40, "router_power_w": 10,
+                      "regoin": "eu"}}, "network has unknown keys: ['regoin']"),
+        ({"network": {"download_mbps": 100, "router_power_w": 10}},
+         "network is missing 'upload_mbps'"),
+        ({"grid": [{"region": "eu", "c_rate_kg_per_kwh": 0.1, "year": 2020}]},
+         "grid has unknown keys: ['year']"),
+        ({"grid": {"c_rate_kg_per_kwh": 0.1}}, "grid is missing 'region'"),
+        ({"hardware": {"active_power_w": 5.0, "idle_power_w": 1.0,
+                       "time_per_local_epoch_s": 1.0, "watts": 3}},
+         "hardware has unknown keys: ['watts']"),
+    ], ids=["grid-region-number", "hardware-name-number", "network-region-list",
+            "network-unknown-key", "network-missing-key", "grid-unknown-key",
+            "grid-missing-region", "hardware-unknown-key"])
+    def test_malformed_inline_profile_is_validation_error(self, capsys, tmp_path,
+                                                          change, message):
+        raw = json.loads((CONFIGS / "fl_tx2_nominal_china.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**raw, **change}))
+        code, _, err = run_cli(capsys, "estimate", "--config", str(bad),
+                               "--fixtures", SCHED_16X5)
+        assert code == 1
+        assert err.startswith("error:") and message in err
+
     def test_malformed_json_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -242,6 +242,17 @@ class TestConfigParsing:
         assert len(digest) == 12
         int(digest, 16)
 
+    @pytest.mark.parametrize("name, digest", [
+        ("centralized_cifar10_world_france", "c6fe4a623848"),
+        ("centralized_speech_google_france", "367c485cf97d"),
+        ("centralized_speech_world_france", "70f3b3e1be29"),
+        ("fl_sim_small_france", "05b0ba8aefa5"),
+        ("fl_tx2_cifar10_adaptive_france", "333e35331685"),
+        ("fl_tx2_nominal_china", "3098916afaa1"),
+    ])
+    def test_fixture_digests_are_pinned(self, fixtures_dir, name, digest):
+        assert config_digest(load_config(fixtures_dir / "configs" / f"{name}.json")) == digest
+
     def test_digest_changes_with_seed(self):
         assert config_digest(fl_config(seed=1)) != config_digest(fl_config(seed=2))
 
@@ -267,3 +278,22 @@ class TestConfigParsing:
         assert cfg.grid.c_rate_kg_per_kwh == 0.2
         # Builtins remain visible through the override.
         assert fl_config().hardware.name == "tx2-cifar10"
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"grid:island": {"c_rate_kg_per_kwh": 0.2, "regoin": "eu"}},
+         "registry entry 'grid:island' has unknown keys: ['regoin']"),
+        ({"net:lab": {"download_mbps": 10.0, "upload_mbps": 5.0}},
+         "registry entry 'net:lab' is missing 'router_power_w'"),
+        ({"hw:lab-board": {"active_power_w": 2.5, "idle_power_w": 0.5,
+                           "time_per_local_epoch_s": 4.0}},
+         "registry entry 'hw:lab-board' is missing 'kind'"),
+        ({"hw:lab-board": [2.5]}, "registry entry 'hw:lab-board' must be an object"),
+    ], ids=["grid-unknown-key", "net-missing-key", "hw-missing-kind", "hw-not-object"])
+    def test_registry_env_entries_take_exactly_their_fields(self, tmp_path, monkeypatch,
+                                                            entry, message):
+        override = tmp_path / "registry.json"
+        override.write_text(json.dumps(entry))
+        monkeypatch.setenv("FEDCARBON_REGISTRY", str(override))
+        with pytest.raises(ConfigError) as info:
+            fl_config()
+        assert message in str(info.value)

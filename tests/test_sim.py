@@ -660,6 +660,28 @@ class TestRunExperiment:
         assert np.array_equal(again.partition.per_client, fed.partition.per_client)
         assert all(np.array_equal(a, b) for a, b in zip(again.shards, fed.shards))
 
+    def test_sim_config_copies_every_run_setting(self):
+        cfg = config_from_dict({
+            **self.BASE,
+            "fl": {**self.BASE["fl"], "local_epochs": 2, "strategy": "fedadam"},
+            "sim": {**self.BASE["sim"], "client_lr": 0.05, "server_lr": 0.2,
+                    "beta1": 0.8, "beta2": 0.95, "tau": 0.01, "batch_size": 7,
+                    "target_accuracy": 0.6, "hidden_units": 3},
+        })
+        assert SimConfig.from_experiment(cfg) == SimConfig(
+            pool_size=10, clients_per_round=3, max_rounds=6, local_epochs=2,
+            strategy="fedadam", client_lr=0.05, server_lr=0.2, beta1=0.8, beta2=0.95,
+            tau=0.01, batch_size=7, target_accuracy=0.6, seed=5, hidden_units=3)
+
+    def test_sim_config_defaults_are_the_config_defaults(self):
+        raw = {**self.BASE, "fl": {k: v for k, v in self.BASE["fl"].items()
+                                   if k in ("pool_size", "clients_per_round",
+                                            "rounds", "local_epochs")},
+               "sim": {}}
+        del raw["seed"]
+        assert SimConfig.from_experiment(config_from_dict(raw)) == SimConfig(
+            pool_size=10, clients_per_round=3, max_rounds=6, local_epochs=1)
+
     def test_federation_needs_fl_and_sim(self):
         cfg = config_from_dict({k: v for k, v in self.BASE.items() if k != "sim"})
         with pytest.raises(ValueError, match="'fl' and 'sim'"):
