@@ -62,6 +62,12 @@ LEGACY_KWH_PER_GB = 5.0
 
 MEGABITS_PER_GB = 8000.0
 
+# Most entries RoundSchedule.uniform expands to; fl.rounds itself has no
+# upper bound.  Expanding and pricing took about 1.7 us per entry on one
+# vCPU of a shared 2.1 GHz Xeon VM, so the cap is about 0.85 s of
+# `estimate` there.
+UNIFORM_ENTRY_CAP = 500_000
+
 
 @dataclass(frozen=True)
 class ScheduleEntry:
@@ -108,13 +114,20 @@ class RoundSchedule:
     @classmethod
     def uniform(cls, rounds: int, clients_per_round: int, wall_time_s: float,
                 hardware: HardwareProfile) -> "RoundSchedule":
-        """Same clients, same wall time, every round (a uniform fleet)."""
+        """Same clients, same wall time, every round (a uniform fleet).
+
+        Raises when rounds x clients_per_round exceeds UNIFORM_ENTRY_CAP.
+        """
         if not (_integer(rounds) and _integer(clients_per_round)):
             raise ValueError("rounds and clients_per_round must be integers")
         if clients_per_round < 0:
             raise ValueError("clients_per_round must be >= 0")
         if not (_finite(wall_time_s) and wall_time_s > 0):
             raise ValueError("wall_time_s must be finite and > 0")
+        if rounds * clients_per_round > UNIFORM_ENTRY_CAP:
+            raise ValueError(
+                f"uniform schedule of {rounds} rounds x {clients_per_round} clients "
+                f"exceeds the cap of {UNIFORM_ENTRY_CAP} entries")
         entries = tuple(
             ScheduleEntry(r, c, wall_time_s, hardware)
             for r in range(rounds) for c in range(clients_per_round)

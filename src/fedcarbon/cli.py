@@ -121,13 +121,19 @@ def _trace_csv(cfg: ExperimentConfig, trace, schedule) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args.config, args.seed)
-    trace, schedule, _ = run_experiment(cfg)
+    trace, schedule, fed = run_experiment(cfg)
     base = args.out or "fl_run"
     if base.endswith(".csv"):
         base = base[:-4]
     _atomic_write(f"{base}.csv", _trace_csv(cfg, trace, schedule))
     _atomic_write(f"{base}.schedule.json", _json_text(schedule_to_dict(schedule)))
     assert cfg.sim is not None
+    spilled = fed.assignment.exhaustion_warnings
+    if spilled:
+        sys.stderr.write(
+            f"warning: alpha={cfg.sim.alpha}: {spilled} exhaustion warnings while "
+            "assigning samples (a client's class mix was re-spread over the "
+            "classes with samples left)\n")
     if rounds_to_target(trace, cfg.sim.target_accuracy) is None:
         sys.stderr.write(
             f"target accuracy {cfg.sim.target_accuracy} not reached in "

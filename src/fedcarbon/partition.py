@@ -28,6 +28,10 @@ __all__ = [
 
 _SUM_TOL = 1e-9
 
+# Most clients whose class counts assign_samples draws in one
+# multinomial call; temporaries stay at (chunk, classes) scale.
+_CHUNK = 512
+
 
 @dataclass(frozen=True)
 class ClassPrior:
@@ -140,6 +144,26 @@ def assign_samples(labels: Sequence[int] | np.ndarray, partition: Partition,
     class runs dry the unmet remainder is redrawn from q_k renormalized
     over the classes that still have stock; each such event bumps the
     warning counter.  Raises when the whole pool cannot cover the request.
+
+    Clients are drawn in chunks of at most _CHUNK rows.  A chunk takes the
+    classes open at its start, masks its rows of q to them and draws all
+    rows' class counts with one multinomial call; cumulative counts per
+    class then show where a class runs out.  The chunk is cut at its first
+    row that would run some class short (that row is left out) or empty a
+    class exactly (that row is kept, since the next row's mask changes).
+    After a cut the generator is rewound to the chunk's start and redraws
+    exactly the kept rows.  Two kinds of row go through the one-client
+    draw, _assign_one, which is the only place warnings are counted: a row
+    that would run short, and a row whose q has no mass on an open class.
+    Each later chunk holds at most twice the rows the one before it kept,
+    plus one, so a nearly drained pool, which cuts often, does not draw
+    whole chunks only to throw them away.
+
+    The bits equal those of drawing client by client: a (C, m) multinomial
+    call consumes the generator row by row, exactly as C one-row calls do;
+    each kept row was drawn under the mask and the normalisation it would
+    see on its own, since no class ran out before it in its chunk; and the
+    rewind leaves the generator where the kept rows' own draws would.
     """
     y = np.asarray(labels)
     if y.ndim != 1:
@@ -153,49 +177,103 @@ def assign_samples(labels: Sequence[int] | np.ndarray, partition: Partition,
             f"label pool exhausted: {needed} samples requested, {y.size} available")
 
     rng = np.random.default_rng(seed)
-    # Shuffled per-class stacks handed out from the end: the samples class
-    # c still has are pools[c][:avail[c]], so avail doubles as the cursor.
-    pools: list[np.ndarray] = []
+    # Shuffled per-class stacks, laid end to end and handed out from the
+    # end of each: the samples class c still has are
+    # pool[start[c]:start[c] + avail[c]], so avail doubles as the cursor.
+    stacks: list[np.ndarray] = []
     for c in range(m):
         idx = np.flatnonzero(y == c)
         rng.shuffle(idx)
-        pools.append(idx)
-    avail = np.array([len(p) for p in pools])
+        stacks.append(idx)
+    pool = np.concatenate(stacks)
+    avail = np.array([len(s) for s in stacks])
+    start = np.cumsum(avail) - avail
 
     # Every shard is a row of one (clients, spc) block: one allocation
     # instead of one per client keeps the heap of a 10 000-client run compact.
-    spc = partition.samples_per_client
-    block = np.empty((partition.num_clients, spc), dtype=int)
+    n, spc = partition.num_clients, partition.samples_per_client
+    block = np.empty((n, spc), dtype=int)
     warnings = 0
-    for k in range(partition.num_clients):
-        q = np.array(partition.per_client[k], dtype=float)
-        alloc = np.zeros(m, dtype=int)
-        need = spc
-        while need > 0:
-            open_mask = avail > 0
-            if not open_mask.any():
-                raise ValueError("label pool exhausted while assigning samples")
-            weights = np.where(open_mask, q, 0.0)
-            total = weights.sum()
-            if total <= 0:
-                # q's mass sits entirely on empty classes; fall back to
-                # uniform over whatever is left.  The realized mix then
-                # has nothing to do with q, which is worth a warning even
-                # when the draw itself succeeds in one pass.
-                weights = open_mask.astype(float)
-                total = weights.sum()
-                warnings += 1
-            draw = rng.multinomial(need, weights / total)
-            grant = np.minimum(draw, avail)
-            alloc += grant
-            avail -= grant
-            need -= int(grant.sum())
-            if need > 0:
-                # Some requested class ran dry; the remainder is redrawn
-                # over the classes that still have stock.
-                warnings += 1
-        taken = [pools[c][avail[c]:avail[c] + alloc[c]] for c in np.flatnonzero(alloc)]
-        np.concatenate(taken, out=block[k])
-        block[k].sort()
+    k, size = 0, _CHUNK
+    while k < n:
+        open_mask = avail > 0
+        weights = np.where(open_mask, partition.per_client[k:k + size], 0.0)
+        totals = weights.sum(axis=1)
+        dead = np.flatnonzero(totals <= 0)
+        rows = int(dead[0]) if dead.size else len(totals)
+        accepted, short = 0, False
+        if rows:
+            state = rng.bit_generator.state
+            p = weights[:rows] / totals[:rows, None]
+            draws = rng.multinomial(spc, p)
+            taken = np.cumsum(draws, axis=0)
+            stop = np.flatnonzero(((taken >= avail) & open_mask).any(axis=1))
+            accepted = rows
+            if stop.size:
+                short = bool((taken[stop[0]] > avail).any())
+                accepted = int(stop[0]) + (not short)
+            if accepted < rows:
+                rng.bit_generator.state = state
+                if accepted:
+                    rng.multinomial(spc, p[:accepted])
+            if accepted:
+                # Row i, class c takes the draws[i, c] samples just below
+                # the cursor left by rows 0..i-1.
+                counts = draws[:accepted].ravel()
+                first = (start + avail - taken[:accepted]).ravel()
+                offsets = np.cumsum(counts) - counts
+                idx = np.repeat(first - offsets, counts) + np.arange(accepted * spc)
+                chunk = block[k:k + accepted]
+                chunk[:] = pool[idx].reshape(accepted, spc)
+                chunk.sort(axis=1)
+                avail -= taken[accepted - 1]
+                k += accepted
+        size = min(_CHUNK, 2 * accepted + 1)
+        # The chunk stopped on a row that would run short or has no mass
+        # on an open class: that row takes the one-client draw.
+        if k < n and (short or accepted == rows < len(totals)):
+            alloc, spilled = _assign_one(partition.per_client[k], avail, spc, rng)
+            warnings += spilled
+            taken_one = [pool[start[c] + avail[c]:start[c] + avail[c] + alloc[c]]
+                         for c in np.flatnonzero(alloc)]
+            np.concatenate(taken_one, out=block[k])
+            block[k].sort()
+            k += 1
     block.setflags(write=False)
     return Assignment(per_client=tuple(block), exhaustion_warnings=warnings)
+
+
+def _assign_one(q_row: np.ndarray, avail: np.ndarray, spc: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """One client's per-class sample counts, drawn with redraws over the
+    classes that still have stock; lowers avail and returns the counts and
+    the number of warnings the client raised."""
+    m = len(avail)
+    q = np.array(q_row, dtype=float)
+    alloc = np.zeros(m, dtype=int)
+    warnings = 0
+    need = spc
+    while need > 0:
+        open_mask = avail > 0
+        if not open_mask.any():
+            raise ValueError("label pool exhausted while assigning samples")
+        weights = np.where(open_mask, q, 0.0)
+        total = weights.sum()
+        if total <= 0:
+            # q's mass sits entirely on empty classes; fall back to
+            # uniform over whatever is left.  The realized mix then
+            # has nothing to do with q, which is worth a warning even
+            # when the draw itself succeeds in one pass.
+            weights = open_mask.astype(float)
+            total = weights.sum()
+            warnings += 1
+        draw = rng.multinomial(need, weights / total)
+        grant = np.minimum(draw, avail)
+        alloc += grant
+        avail -= grant
+        need -= int(grant.sum())
+        if need > 0:
+            # Some requested class ran dry; the remainder is redrawn
+            # over the classes that still have stock.
+            warnings += 1
+    return alloc, warnings

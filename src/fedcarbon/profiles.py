@@ -51,9 +51,12 @@ class ConfigError(ValueError):
     """A config file or profile failed to parse or validate."""
 
 
-def _check(condition: bool, message: str) -> None:
+def _check(condition: bool, message: str, *args: Any) -> None:
+    """Raise ConfigError unless condition holds.  With args, the message is
+    a str.format template filled only on failure, so checks that pass (one
+    per field of every profile built) format nothing."""
     if not condition:
-        raise ConfigError(message)
+        raise ConfigError(message.format(*args) if args else message)
 
 
 def _integer(x: Any) -> bool:
@@ -89,15 +92,15 @@ class HardwareProfile:
         if not isinstance(self.name, str):
             raise ConfigError(f"hardware name must be a string, got {self.name!r}")
         _check(self.kind in (EDGE, DATACENTER),
-               f"hardware {self.name!r}: kind must be {EDGE!r} or {DATACENTER!r}")
+               "hardware {!r}: kind must be {!r} or {!r}", self.name, EDGE, DATACENTER)
         _check(_finite(self.active_power_w) and self.active_power_w > 0,
-               f"hardware {self.name!r}: active_power_w must be finite and > 0")
+               "hardware {!r}: active_power_w must be finite and > 0", self.name)
         _check(_finite(self.idle_power_w) and self.idle_power_w >= 0,
-               f"hardware {self.name!r}: idle_power_w must be finite and >= 0")
+               "hardware {!r}: idle_power_w must be finite and >= 0", self.name)
         _check(self.idle_power_w < self.active_power_w,
-               f"hardware {self.name!r}: idle_power_w must be < active_power_w")
+               "hardware {!r}: idle_power_w must be < active_power_w", self.name)
         _check(_finite(self.time_per_local_epoch_s) and self.time_per_local_epoch_s > 0,
-               f"hardware {self.name!r}: time_per_local_epoch_s must be finite and > 0")
+               "hardware {!r}: time_per_local_epoch_s must be finite and > 0", self.name)
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ class GridIntensity:
         if not isinstance(self.region, str):
             raise ConfigError(f"grid region must be a string, got {self.region!r}")
         _check(_finite(self.c_rate_kg_per_kwh) and self.c_rate_kg_per_kwh > 0,
-               f"grid {self.region!r}: c_rate_kg_per_kwh must be finite and > 0")
+               "grid {!r}: c_rate_kg_per_kwh must be finite and > 0", self.region)
 
 
 @dataclass(frozen=True)
@@ -127,11 +130,11 @@ class NetworkProfile:
         if not isinstance(self.region, str):
             raise ConfigError(f"network region must be a string, got {self.region!r}")
         _check(_finite(self.download_mbps) and self.download_mbps > 0,
-               f"network {self.region!r}: download_mbps must be finite and > 0")
+               "network {!r}: download_mbps must be finite and > 0", self.region)
         _check(_finite(self.upload_mbps) and self.upload_mbps > 0,
-               f"network {self.region!r}: upload_mbps must be finite and > 0")
+               "network {!r}: upload_mbps must be finite and > 0", self.region)
         _check(_finite(self.router_power_w) and self.router_power_w >= 0,
-               f"network {self.region!r}: router_power_w must be finite and >= 0")
+               "network {!r}: router_power_w must be finite and >= 0", self.region)
 
 
 @dataclass(frozen=True)
@@ -143,10 +146,10 @@ class DatacenterProfile:
 
     def __post_init__(self) -> None:
         _check(self.hardware.kind == DATACENTER,
-               f"datacenter profile requires hardware of kind {DATACENTER!r}, "
-               f"got {self.hardware.kind!r}")
+               "datacenter profile requires hardware of kind {!r}, got {!r}",
+               DATACENTER, self.hardware.kind)
         _check(_finite(self.pue) and self.pue >= 1.0,
-               f"pue must be >= 1.0, got {self.pue!r}")
+               "pue must be >= 1.0, got {!r}", self.pue)
 
 
 STRATEGIES = ("fedavg", "fedadam")
@@ -183,9 +186,9 @@ class FlSetup:
         _check(_finite(self.model_size_mb) and self.model_size_mb >= 0,
                "fl.model_size_mb must be finite and >= 0")
         _check(self.strategy in STRATEGIES,
-               f"fl.strategy must be one of {STRATEGIES}")
+               "fl.strategy must be one of {}", STRATEGIES)
         _check(self.wan_model in WAN_MODELS,
-               f"fl.wan_model must be one of {WAN_MODELS}")
+               "fl.wan_model must be one of {}", WAN_MODELS)
 
 
 # Default client step size; the server-side Adam variant keeps the same
@@ -269,7 +272,7 @@ class ExperimentConfig:
     sim: SimSetup | None = None
 
     def __post_init__(self) -> None:
-        _check(self.mode in MODES, f"mode must be one of {MODES}")
+        _check(self.mode in MODES, "mode must be one of {}", MODES)
         _check(len(self.grids) >= 1, "at least one grid region is required")
         _check(_integer(self.seed), "seed must be an integer")
         if self.mode == "fl":
@@ -282,7 +285,7 @@ class ExperimentConfig:
             _check(self.pue is not None, "centralized mode requires 'pue'")
             assert self.pue is not None
             _check(_finite(self.pue) and self.pue >= 1.0,
-                   f"pue must be >= 1.0, got {self.pue!r}")
+                   "pue must be >= 1.0, got {!r}", self.pue)
             _check(self.epochs is not None and _integer(self.epochs)
                    and self.epochs >= 0,
                    "centralized mode requires integer 'epochs' >= 0")

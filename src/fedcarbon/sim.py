@@ -685,11 +685,16 @@ def build_federation(cfg: ExperimentConfig,
     return Federation(dataset, prior, partition, assignment, shards)
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[AccuracyTrace, RoundSchedule, SimDataset]:
-    """Wire a federated config end to end: task, partition, simulation."""
+def run_experiment(cfg: ExperimentConfig) -> tuple[AccuracyTrace, RoundSchedule, Federation]:
+    """Wire a federated config end to end: task, partition, simulation.
+
+    The federation the run trained on comes back with the trace and the
+    schedule, so callers can read its dataset and its assignment's
+    exhaustion warnings without drawing them again.
+    """
     if cfg.mode != "fl":
         raise ValueError("run_experiment requires a federated config")
     fed = build_federation(cfg)
     trace, schedule, _ = simulate(SimConfig.from_experiment(cfg), fed.dataset,
                                   fed.partition, cfg.hardware, shards=fed.shards)
-    return trace, schedule, fed.dataset
+    return trace, schedule, fed

@@ -33,6 +33,7 @@ from fedcarbon import (
     training_energy_fl,
     NetworkProfile,
 )
+from fedcarbon.carbon import UNIFORM_ENTRY_CAP
 
 from conftest import FIXTURES_DIR, load_fixture
 
@@ -197,6 +198,14 @@ class TestUniformSchedule:
     def test_arguments_are_checked_before_expansion(self, clients, wall_time, message):
         with pytest.raises(ValueError, match=message):
             RoundSchedule.uniform(3, clients, wall_time, TX2_NOMINAL)
+
+    def test_entry_cap_is_checked_before_expansion(self):
+        # About 0.85 s of pricing; README documents the same figure.
+        assert UNIFORM_ENTRY_CAP == 500_000
+        with pytest.raises(ValueError, match="cap of 500000 entries"):
+            RoundSchedule.uniform(UNIFORM_ENTRY_CAP + 1, 1, 1.0, TX2_NOMINAL)
+        with pytest.raises(ValueError, match="100000000 rounds x 5 clients"):
+            RoundSchedule.uniform(10**8, 5, 1.0, TX2_NOMINAL)
 
     def test_zero_clients_does_not_walk_the_rounds(self):
         schedule = schedule_from_dict({"rounds": 10**12, "uniform": {

@@ -181,6 +181,19 @@ class TestSimulate:
         # outputs are still written for inspection
         assert (tmp_path / "hard.csv").exists()
 
+    def test_exhaustion_warnings_reported_on_stderr(self, capsys, tmp_path):
+        # The demo pool hands out its whole train split, so late clients
+        # find classes dry; partition reports the same count in its JSON.
+        code, out, err = run_cli(capsys, "simulate", "--config", FL_DEMO,
+                                 "--out", str(tmp_path / "run"))
+        assert code == 0 and out == ""
+        _, payload, _ = run_cli(capsys, "partition", "--config", FL_DEMO)
+        count = json.loads(payload)["exhaustion_warnings"]
+        assert count > 0
+        assert err == (f"warning: alpha=1000.0: {count} exhaustion warnings while "
+                       "assigning samples (a client's class mix was re-spread "
+                       "over the classes with samples left)\n")
+
 
 class TestPartition:
     def test_json_payload_shape(self, capsys):
@@ -432,8 +445,10 @@ class TestExitCodes:
         ({"clients_per_round": 5, "wall_time_s": -1.0}, 16, "wall_time_s"),
         ({"clients_per_round": 0, "wall_time_s": 51.4}, 10**12,
          "schedule has 1000000000000 rounds"),
+        ({"clients_per_round": 5, "wall_time_s": 51.4}, 10**8,
+         "exceeds the cap of 500000 entries"),
     ], ids=["negative-clients", "fractional-clients", "string-wall-time-no-clients",
-            "negative-wall-time", "zero-clients-huge-rounds"])
+            "negative-wall-time", "zero-clients-huge-rounds", "entries-above-cap"])
     def test_malformed_uniform_schedule_is_validation_error(self, capsys, tmp_path,
                                                             uniform, rounds, message):
         bad = tmp_path / "schedule.json"
@@ -443,6 +458,17 @@ class TestExitCodes:
                                "--fixtures", str(bad))
         assert code == 1
         assert err.startswith("error:") and message in err
+
+    def test_declared_rounds_above_the_entry_cap_are_validation_error(
+            self, capsys, tmp_path):
+        raw = json.loads((CONFIGS / "fl_tx2_nominal_china.json").read_text())
+        raw["fl"]["rounds"] = 10**8
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "estimate", "--config", str(big))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "exceeds the cap of 500000 entries" in err
 
     @pytest.mark.parametrize("command, table, message", [
         ("plot", {"cells": [5]}, "cell 0 needs a 'stable' object"),

@@ -7,9 +7,14 @@ Carlo standard error of the sample in question.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fedcarbon.partition as partition_module
 from fedcarbon import (
     Assignment,
     ClassPrior,
@@ -166,6 +171,35 @@ class TestVectorizedDraws:
         assert len(out.per_client) == len(ref_shards)
         for got, want in zip(out.per_client, ref_shards):
             assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+class TestChunkedAssignment:
+    """assign_samples draws clients in chunks, cut where a class runs out;
+    every chunk size gives the bits of the client-by-client loop."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, partition_module._CHUNK])
+    @settings(max_examples=100, deadline=None)
+    @given(classes=st.integers(2, 40),
+           alpha=st.sampled_from([0.01, 0.05, 0.5, 10.0, 1000.0]),
+           clients=st.integers(1, 40),
+           samples_per_client=st.integers(1, 12),
+           slack=st.integers(0, 50) | st.just(0),
+           seed=st.integers(0, 2**32 - 2))
+    def test_equals_pop_reference(self, chunk, classes, alpha, clients,
+                                  samples_per_client, slack, seed):
+        # Slack 0 hands out the whole pool, so late clients find classes
+        # dry: chunks are cut, redrawn, and rows take the one-client draw.
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, classes, size=clients * samples_per_client + slack)
+        part = lda_partition(uniform_prior(classes), alpha, clients,
+                             samples_per_client, seed=seed)
+        with mock.patch.object(partition_module, "_CHUNK", chunk):
+            out = assign_samples(labels, part, seed=seed + 1)
+        ref_shards, ref_warnings = pop_reference_assignment(labels, part, seed=seed + 1)
+        assert out.exhaustion_warnings == ref_warnings
+        assert len(out.per_client) == len(ref_shards)
+        for got, want in zip(out.per_client, ref_shards):
             assert np.array_equal(got, want)
 
 

@@ -607,7 +607,8 @@ class TestRunExperiment:
 
     def test_pipeline_produces_priceable_schedule(self):
         cfg = config_from_dict(self.BASE)
-        trace, schedule, dataset = run_experiment(cfg)
+        trace, schedule, fed = run_experiment(cfg)
+        dataset = fed.dataset
         assert 1 <= trace.rounds <= 6
         assert dataset.num_classes == 4
         # default shard size is the train split spread over the pool
