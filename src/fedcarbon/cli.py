@@ -40,7 +40,8 @@ from .optimize import (
     pareto_front,
     table_cells,
 )
-from .profiles import ConfigError, ExperimentConfig, _finite, config_digest, load_config
+from .profiles import (ConfigError, ExperimentConfig, _finite, _read_json, config_digest,
+                       load_config)
 from .sim import build_federation, rounds_to_target, run_experiment
 
 EXIT_OK = 0
@@ -69,14 +70,6 @@ def _json_text(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load_json(path: str) -> Any:
-    text = Path(path).read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-
-
 def _load(path: str, seed: int | None) -> ExperimentConfig:
     cfg = load_config(path)
     return cfg if seed is None else replace(cfg, seed=seed)
@@ -92,7 +85,7 @@ def _price(cfg: ExperimentConfig,
     fl = cfg.fl
     assert fl is not None
     if fixture_path:
-        schedule = schedule_from_dict(_load_json(fixture_path))
+        schedule = schedule_from_dict(_read_json(fixture_path))
     elif cfg.sim is not None:
         _, schedule, _ = run_experiment(cfg)
         cfg = replace(cfg, fl=replace(fl, rounds=schedule.rounds))
@@ -159,8 +152,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
         "seed": cfg.seed,
         "alpha": alpha,
         "prior": list(prior.proportions),
-        "per_client": [[float(v) for v in row] for row in part.per_client],
-        "assignments": [[int(i) for i in shard] for shard in assignment.per_client],
+        "per_client": part.per_client.tolist(),
+        "assignments": assignment.per_client.tolist(),
         "exhaustion_warnings": assignment.exhaustion_warnings,
         "max_abs_deviation_from_prior": deviation,
     }
@@ -212,7 +205,7 @@ def _optimize_csv(cells: list[CellResult]) -> str:
 def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _load(args.config, args.seed)
     if args.fixtures:
-        table = _load_json(args.fixtures)
+        table = _read_json(args.fixtures)
         runner = make_table_runner(table)
         cells = table_cells(table)
         declared = table.get("target_accuracy", 0.0)
@@ -308,9 +301,10 @@ def _plot_from_json(raw: Any) -> str:
         out = ["# co2e_g accuracy"]
         for i, cell in enumerate(raw["cells"]):
             stable = cell.get("stable") if isinstance(cell, dict) else None
-            if not (isinstance(stable, dict) and {"co2e_g", "accuracy"} <= stable.keys()):
+            if not (isinstance(stable, dict) and {"co2e_g", "accuracy"} <= stable.keys()
+                    and _finite(stable["co2e_g"]) and _finite(stable["accuracy"])):
                 raise ConfigError(
-                    f"grid output cell {i} needs a 'stable' object with "
+                    f"grid output cell {i} needs a 'stable' object with numeric "
                     "'co2e_g' and 'accuracy'")
             out.append(f"{stable['co2e_g']!r} {stable['accuracy']!r}")
         if len(out) == 1:
@@ -321,6 +315,8 @@ def _plot_from_json(raw: Any) -> str:
         raise ConfigError("input is neither a grid output nor emission reports")
     out = ["# series co2e_g"]
     for i, rep in enumerate(reports, start=1):
+        if not _finite(rep["co2e_g"]):
+            raise ConfigError(f"emission report {i} 'co2e_g' must be a number")
         out.append(f"{i} {rep['co2e_g']!r}")
     return "\n".join(out) + "\n"
 
@@ -333,7 +329,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         cfg = load_config(args.config) if args.config else None
         text = _plot_from_trace(path, cfg)
     else:
-        text = _plot_from_json(_load_json(path))
+        text = _plot_from_json(_read_json(path))
     _emit(text, args.out)
     return EXIT_OK
 

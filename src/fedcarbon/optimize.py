@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from .carbon import estimate_fl, schedule_prefix
-from .profiles import ConfigError, ExperimentConfig
+from .profiles import ConfigError, ExperimentConfig, _finite, _integer
 
 __all__ = [
     "CostPoint",
@@ -243,22 +243,27 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
 
 
 def _table_value(obj: Any, key: str, kind: type, where: str) -> Any:
+    """obj[key] as kind (int or float); an integer must be a JSON integer
+    and a float any finite JSON number."""
     if not isinstance(obj, dict) or key not in obj:
         raise ConfigError(f"{where} must be an object with {key!r}")
-    try:
-        return kind(obj[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where} {key!r}: {exc}") from exc
+    value = obj[key]
+    if kind is int and not _integer(value):
+        raise ConfigError(f"{where} {key!r} must be an integer, got {value!r}")
+    if not _finite(value):
+        raise ConfigError(f"{where} {key!r} must be a finite number, got {value!r}")
+    return kind(value)
 
 
 def _table_rows(table: Any) -> list[tuple[tuple[int, int, float], CellOutcome]]:
     """Each row of a results table in file order, as ((clients,
     local_epochs, alpha), outcome); ConfigError when a block, row or
-    point is missing or not a number."""
+    point is missing or not a number, or when a cell is repeated."""
     blocks = table.get("blocks") if isinstance(table, dict) else None
     if not isinstance(blocks, list):
         raise ConfigError("results table must be an object with a 'blocks' list")
     rows = []
+    first: dict[tuple[int, int, float], str] = {}
     for i, block in enumerate(blocks):
         where = f"results table block {i}"
         alpha = _table_value(block, "alpha", float, where)
@@ -268,10 +273,15 @@ def _table_rows(table: Any) -> list[tuple[tuple[int, int, float], CellOutcome]]:
         for j, row in enumerate(block["rows"]):
             where = f"results table block {i} row {j}"
             n = _table_value(row, "clients", int, where)
+            cell = (n, local_epochs, alpha)
+            if cell in first:
+                raise ConfigError(f"{where} repeats the cell of {first[cell]}: "
+                                  f"(clients, local_epochs, alpha) = {cell}")
+            first[cell] = f"block {i} row {j}"
             target, stable = row.get("target"), row.get("stable")
             if not isinstance(stable, dict):
                 raise ConfigError(f"{where} must hold a 'stable' object")
-            rows.append(((n, local_epochs, alpha), CellOutcome(
+            rows.append((cell, CellOutcome(
                 target_rounds=None if target is None
                 else _table_value(target, "rounds", int, f"{where} target"),
                 target_co2e_g=None if target is None

@@ -127,11 +127,13 @@ def lda_partition(prior: ClassPrior, alpha: float, num_clients: int,
 class Assignment:
     """Concrete, disjoint per-client index sets drawn for a partition.
 
+    per_client is a read-only (clients, samples_per_client) integer block
+    whose row k holds client k's positions into the label pool, sorted.
     exhaustion_warnings counts the times a client's draw had to be
     re-spread over the classes that still had samples left.
     """
 
-    per_client: tuple[np.ndarray, ...]
+    per_client: np.ndarray
     exhaustion_warnings: int
 
 
@@ -240,7 +242,7 @@ def assign_samples(labels: Sequence[int] | np.ndarray, partition: Partition,
             block[k].sort()
             k += 1
     block.setflags(write=False)
-    return Assignment(per_client=tuple(block), exhaustion_warnings=warnings)
+    return Assignment(per_client=block, exhaustion_warnings=warnings)
 
 
 def _assign_one(q_row: np.ndarray, avail: np.ndarray, spc: int,

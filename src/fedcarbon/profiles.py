@@ -274,7 +274,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         _check(self.mode in MODES, "mode must be one of {}", MODES)
         _check(len(self.grids) >= 1, "at least one grid region is required")
-        _check(_integer(self.seed), "seed must be an integer")
+        _check(_integer(self.seed) and self.seed >= 0, "seed must be an integer >= 0")
         if self.mode == "fl":
             _check(self.fl is not None, "fl mode requires an 'fl' object")
             assert self.fl is not None
@@ -371,10 +371,7 @@ def active_registry() -> dict[str, Any]:
         path = Path(override)
         if not path.exists():
             raise ConfigError(f"{REGISTRY_ENV_VAR} points at a missing file: {path}")
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"registry override {path} is not valid JSON: {exc}") from exc
+        raw = _read_json(path)
         _check(isinstance(raw, dict), f"registry override {path} must be a JSON object")
         for name, value in raw.items():
             merged[name] = _registry_entry_from_json(name, value)
@@ -492,15 +489,18 @@ def config_from_dict(raw: Any, registry: Mapping[str, Any] | None = None) -> Exp
                             network=network, pue=pue, epochs=epochs, fl=fl, sim=sim)
 
 
+def _read_json(path: str | Path) -> Any:
+    """Decode a JSON file; malformed JSON is a ConfigError naming the file."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_config(path: str | Path, registry: Mapping[str, Any] | None = None) -> ExperimentConfig:
     """Read a JSON experiment config from disk, resolve names, validate."""
-    p = Path(path)
-    text = p.read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: not valid JSON: {exc}") from exc
-    return config_from_dict(raw, registry=registry)
+    return config_from_dict(_read_json(path), registry=registry)
 
 
 def _as_dict(obj: Any) -> dict[str, Any]:

@@ -512,26 +512,14 @@ def _assign(dataset: SimDataset, partition: Partition,
     of each client's rows of the dataset."""
     assignment = assign_samples(dataset.train_labels(), partition,
                                 np.random.SeedSequence([seed, _STREAM_ASSIGN]))
-    shards = dataset.train_idx[np.stack(assignment.per_client)]
+    shards = dataset.train_idx[assignment.per_client]
     shards.setflags(write=False)
     return assignment, shards
 
 
-def _shard_block(shards: Sequence[np.ndarray], pool_size: int) -> np.ndarray:
-    """Given per-client rows as one (clients, n) block; ragged shards raise."""
-    if len(shards) != pool_size:
-        raise ValueError(
-            f"{len(shards)} shards given, config declares {pool_size} clients")
-    if isinstance(shards, np.ndarray) and shards.ndim == 2:
-        return shards
-    if len({len(s) for s in shards}) > 1:
-        raise ValueError("shards must all hold the same number of samples")
-    return np.array(shards)
-
-
 def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
              hardware: HardwareProfile, *,
-             shards: Sequence[np.ndarray] | None = None,
+             shards: np.ndarray | None = None,
              ) -> tuple[AccuracyTrace, RoundSchedule, np.ndarray]:
     """Run federated rounds until the accuracy target or the round cap.
 
@@ -539,9 +527,9 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     The returned schedule lists exactly the clients that trained, so it
     can be priced directly; the third element is the final parameter
     vector, so degenerate runs can be compared against plain SGD.
-    `shards` (each client's rows of the dataset, all of one length)
-    skips the sample assignment; pass the ones build_federation drew for
-    the same seed.
+    `shards`, a (pool_size, n) array whose row k holds client k's rows
+    of the dataset, skips the sample assignment; pass the block
+    build_federation drew for the same seed.
 
     A round's clients train as one stack (see _sgd), through one
     train_local call per client on the round's _Cohort; each keeps its
@@ -555,9 +543,12 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     if partition.num_classes != dataset.num_classes:
         raise ValueError("partition and dataset disagree on the class count")
     if shards is None:
-        _, block = _assign(dataset, partition, config.seed)
-    else:
-        block = _shard_block(shards, config.pool_size)
+        _, shards = _assign(dataset, partition, config.seed)
+    elif not (isinstance(shards, np.ndarray) and shards.ndim == 2):
+        raise ValueError("shards must be a 2-d (clients, samples) array")
+    elif len(shards) != config.pool_size:
+        raise ValueError(
+            f"{len(shards)} shards given, config declares {config.pool_size} clients")
 
     spec = ModelSpec(dataset.num_classes, dataset.num_features, config.hidden_units)
     w = spec.init_params(derived_rng(config.seed, _STREAM_INIT))
@@ -572,11 +563,11 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     for r in range(config.max_rounds):
         chosen = [int(cid) for cid in select_clients(
             config.pool_size, config.clients_per_round, r, config.seed)]
-        rows = block[chosen]
+        rows = shards[chosen]
         rngs = [derived_rng(config.seed, _STREAM_TRAIN, r, cid) for cid in chosen]
         cohort = _Cohort(_with_bias(dataset.features[rows]),
                          dataset.labels[rows], rngs)
-        updates = [train_local(w, dataset, block[cid], spec, config.local_epochs,
+        updates = [train_local(w, dataset, shards[cid], spec, config.local_epochs,
                                config.client_lr, config.batch_size, rng,
                                cohort=cohort)
                    for cid, rng in zip(chosen, rngs)]

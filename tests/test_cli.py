@@ -7,9 +7,11 @@ to assert; one test runs the real `python -m fedcarbon` entry point.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +225,18 @@ class TestPartition:
         code, _, err = run_cli(capsys, "partition", "--config", CEN_CIFAR)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("alpha, seed, digest", [
+        ("1000", "0", "ccf3d1e4bcf483c280da54d22d49fe0729079ee4bec7bfd68188346bfad28634"),
+        ("0.1", "0", "60eb3444ad33ad06d5590294f10b0b5c31d9e5310c8614ee3cc08eaa5ca00c14"),
+        ("1000", "7", "b52579b24ab131437197595b77e24bb38557de823e2a0ea07404a99ec2f5c7c8"),
+        ("0.1", "7", "12edd57cbc4ee3c86db63f8570ef412706901a508162950a7f985433e6565798"),
+    ])
+    def test_output_bytes_are_pinned(self, capsys, alpha, seed, digest):
+        code, out, _ = run_cli(capsys, "partition", "--config", FL_DEMO,
+                               "--alpha", alpha, "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOptimize:
@@ -537,6 +551,61 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "estimate", "--config", str(bad))
         assert code == 1
         assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("command, fixture, message", [
+        ("optimize", {"blocks": [{"alpha": 1.0, "local_epochs": 1, "rows": [
+            {"clients": 2.7, "stable": {"rounds": 4, "accuracy": 0.5, "co2_g": 1.5}}]}]},
+         "block 0 row 0 'clients' must be an integer"),
+        ("optimize", {"blocks": [{"alpha": 1.0, "local_epochs": 1, "rows": [
+            {"clients": True, "stable": {"rounds": 4, "accuracy": 0.5, "co2_g": 1.5}}]}]},
+         "block 0 row 0 'clients' must be an integer"),
+        ("optimize", {"blocks": [{"alpha": 1.0, "local_epochs": 1, "rows": [
+            {"clients": "3", "stable": {"rounds": 4, "accuracy": 0.5, "co2_g": 1.5}}]}]},
+         "block 0 row 0 'clients' must be an integer"),
+        ("optimize", {"blocks": [{"alpha": 1.0, "local_epochs": 1, "rows": [
+            {"clients": 2, "stable": {"rounds": 4, "accuracy": 0.5, "co2_g": 1.5}},
+            {"clients": 2, "stable": {"rounds": 5, "accuracy": 0.6, "co2_g": 1.5}}]}]},
+         "block 0 row 1 repeats the cell of block 0 row 0"),
+        ("plot", {"cells": [{"stable": {"co2e_g": "x", "accuracy": 1}}]},
+         "cell 0 needs a 'stable' object with numeric 'co2e_g' and 'accuracy'"),
+        ("plot", [{"co2e_g": [1, 2]}], "emission report 1 'co2e_g' must be a number"),
+    ], ids=["optimize-fractional-clients", "optimize-boolean-clients",
+            "optimize-string-clients", "optimize-repeated-cell", "plot-string-co2e",
+            "plot-list-co2e"])
+    def test_fixture_values_must_be_numbers(self, capsys, tmp_path, command, fixture,
+                                            message):
+        bad = tmp_path / "fixture.json"
+        bad.write_text(json.dumps(fixture))
+        code, out, err = run_cli(capsys, command, "--config", FL_DEMO,
+                                 "--fixtures", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", FL_DEMO), ("partition", FL_DEMO), ("optimize", FL_DEMO),
+        ("estimate", FL_DEMO), ("estimate", FL_NOMINAL),
+    ], ids=["simulate", "partition", "optimize", "estimate-sim", "estimate-declared"])
+    def test_negative_seed_is_validation_error(self, capsys, tmp_path, command, config):
+        raw = json.loads(Path(config).read_text())
+        bad = tmp_path / "seed.json"
+        bad.write_text(json.dumps({**raw, "seed": -1}))
+        out_path = str(tmp_path / "out.json")
+        for argv in (["--config", str(bad)], ["--config", config, "--seed", "-1"]):
+            code, _, err = run_cli(capsys, command, *argv, "--out", out_path)
+            assert code == 1
+            assert err == "error: seed must be an integer >= 0\n"
+        assert not (tmp_path / "out.json").exists()
+
+    def test_registry_file_errors_are_validation_errors(self, capsys, tmp_path,
+                                                        monkeypatch):
+        reg = tmp_path / "reg.json"
+        monkeypatch.setenv("FEDCARBON_REGISTRY", str(reg))
+        code, _, err = run_cli(capsys, "estimate", "--config", FL_NOMINAL)
+        assert code == 1 and "points at a missing file" in err
+        reg.write_text("{oops")
+        code, _, err = run_cli(capsys, "estimate", "--config", FL_NOMINAL)
+        assert code == 1 and err.startswith(f"error: {reg}: not valid JSON")
 
     def test_missing_fixture_file_is_io_error(self, capsys):
         code, _, _ = run_cli(capsys, "estimate", "--config", FL_NOMINAL,

@@ -316,6 +316,33 @@ class TestTableShape:
             with pytest.raises(ConfigError, match=message):
                 parse(table)
 
+    @pytest.mark.parametrize("key, value", [
+        ("clients", 2.7), ("clients", True), ("clients", "3"),
+        ("rounds", 4.0), ("co2_g", "1.5"), ("accuracy", False),
+    ])
+    def test_values_must_be_exact_json_numbers(self, key, value):
+        row = {"clients": 2, "stable": {"rounds": 4, "accuracy": 0.5, "co2_g": 1.5}}
+        if key == "clients":
+            row[key] = value
+        else:
+            row["stable"][key] = value
+        table = {"blocks": [{"alpha": 1.0, "local_epochs": 1, "rows": [row]}]}
+        for parse in (make_table_runner, table_cells):
+            with pytest.raises(ConfigError, match=f"block 0 row 0.*'{key}' must be"):
+                parse(table)
+
+    def test_repeated_cell_names_both_rows(self):
+        row = {"clients": 2, "stable": {"rounds": 4, "accuracy": 0.5, "co2_g": 1.5}}
+        table = {"blocks": [
+            {"alpha": 1.0, "local_epochs": 1, "rows": [row]},
+            {"alpha": 0.1, "local_epochs": 1, "rows": [row]},
+            {"alpha": 1, "local_epochs": 1, "rows": [{**row, "clients": 3}, row]},
+        ]}
+        for parse in (make_table_runner, table_cells):
+            with pytest.raises(ConfigError,
+                               match=r"block 2 row 1 repeats the cell of block 0 row 0"):
+                parse(table)
+
 
 class TestSimulationRunner:
     BASE = {

@@ -312,6 +312,15 @@ class TestAssignSamples:
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
             assign_samples(np.array([0, 1, 2, 1]), part, seed=15)
 
+    def test_per_client_is_one_read_only_integer_block(self):
+        labels = balanced_labels(3, 20, seed=16)
+        part = lda_partition(uniform_prior(3), 1.0, 4, 10, seed=17)
+        out = assign_samples(labels, part, seed=18)
+        assert isinstance(out.per_client, np.ndarray)
+        assert out.per_client.shape == (4, 10)
+        assert np.issubdtype(out.per_client.dtype, np.integer)
+        assert not out.per_client.flags.writeable
+
     def test_shards_are_read_only(self):
         labels = balanced_labels(3, 20, seed=16)
         part = lda_partition(uniform_prior(3), 1.0, 2, 10, seed=17)

@@ -551,20 +551,11 @@ class TestBatchedStep:
         with pytest.raises(ValueError, match="one setting"):
             train_local(w, ds, shards[1], spec, 2, 0.1, 16, rngs[1], cohort=cohort)
 
-    def test_ragged_shards_rejected(self):
+    def test_shards_given_as_rows_rejected(self):
         cfg, ds, part = small_setup()
         _, shards = sim._assign(ds, part, cfg.seed)
-        ragged = [s for s in shards]
-        ragged[3] = ragged[3][:-1]
-        with pytest.raises(ValueError, match="same number of samples"):
-            simulate(cfg, ds, part, HW, shards=ragged)
-
-    def test_shards_given_as_rows_equal_the_block(self):
-        cfg, ds, part = small_setup(max_rounds=3)
-        _, shards = sim._assign(ds, part, cfg.seed)
-        t1, s1, w1 = simulate(cfg, ds, part, HW, shards=shards)
-        t2, s2, w2 = simulate(cfg, ds, part, HW, shards=[list(s) for s in shards])
-        assert (t1, s1) == (t2, s2) and np.array_equal(w1, w2)
+        with pytest.raises(ValueError, match="2-d"):
+            simulate(cfg, ds, part, HW, shards=list(shards))
 
     def test_federation_shards_are_a_read_only_block(self):
         cfg = config_from_dict(TestRunExperiment.BASE)
@@ -652,6 +643,10 @@ class TestRunExperiment:
         assert (t1, s1) == (t2, s2) and np.array_equal(w1, w2)
         with pytest.raises(ValueError, match="9 shards given"):
             simulate(sim_cfg, fed.dataset, fed.partition, HW, shards=fed.shards[:9])
+
+    def test_shards_are_the_train_split_indexed_by_the_assignment_block(self):
+        fed = build_federation(config_from_dict(self.BASE))
+        assert np.array_equal(fed.shards, fed.dataset.train_idx[fed.assignment.per_client])
 
     def test_reused_task_gives_the_same_federation(self):
         cfg = config_from_dict(self.BASE)
