@@ -48,7 +48,6 @@ from .partition import (
 )
 from .profiles import (
     ConfigError,
-    DatacenterProfile,
     ExperimentConfig,
     FlSetup,
     GridIntensity,

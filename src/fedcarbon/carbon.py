@@ -33,8 +33,8 @@ from .profiles import (
     config_digest,
     _as_dict,
     _finite,
-    _hardware_from_value,
     _integer,
+    _resolve,
 )
 
 __all__ = [
@@ -300,10 +300,9 @@ def estimate_centralized(cfg: ExperimentConfig) -> EmissionReport:
     """Price a centralized run: epochs times epoch time at PUE-scaled power."""
     if cfg.mode != "centralized":
         raise ValueError(f"estimate_centralized requires mode 'centralized', got {cfg.mode!r}")
-    dc = cfg.datacenter_profile()
-    assert cfg.epochs is not None
-    duration_s = cfg.epochs * dc.hardware.time_per_local_epoch_s
-    training = training_energy_centralized(dc.hardware.active_power_w, duration_s, dc.pue)
+    assert cfg.epochs is not None and cfg.pue is not None
+    duration_s = cfg.epochs * cfg.hardware.time_per_local_epoch_s
+    training = training_energy_centralized(cfg.hardware.active_power_w, duration_s, cfg.pue)
     return _report(cfg, training, 0.0)
 
 
@@ -358,22 +357,22 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
         u = raw["uniform"]
         _require(u, frozenset({"clients_per_round", "wall_time_s", "hardware"}),
                  "schedule 'uniform'")
-        hw = _hardware_from_value(u["hardware"], registry=registry)
+        hw = _resolve(u["hardware"], "hw:", registry)
         return RoundSchedule.uniform(rounds, u["clients_per_round"], u["wall_time_s"], hw)
     if "participation" not in raw:
         raise ConfigError("schedule needs either 'participation' or 'uniform'")
     if not isinstance(raw["participation"], list):
         raise ConfigError("schedule 'participation' must be a list")
     entries = []
-    for i, item in enumerate(raw["participation"]):
-        # Inline test first: this runs once per entry, the message only on failure.
-        if not (isinstance(item, dict) and _ENTRY_KEYS <= item.keys()):
-            _require(item, _ENTRY_KEYS, f"participation entry {i}")
-        hw = _hardware_from_value(item["hardware"], registry=registry)
-        entries.append(ScheduleEntry(
-            round_index=item["round"],
-            client_id=item["client"],
-            wall_time_s=item["wall_time_s"],
-            hardware=hw,
-        ))
+    # One handler around the loop: valid files pay no per-entry check, and
+    # any value error is re-raised naming the entry it came from.
+    try:
+        for i, item in enumerate(raw["participation"]):
+            r, c, t, hw = item["round"], item["client"], item["wall_time_s"], item["hardware"]
+            entries.append(ScheduleEntry(r, c, t, _resolve(hw, "hw:", registry)))
+    except (TypeError, KeyError):
+        _require(item, _ENTRY_KEYS, f"participation entry {i}")
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"participation entry {i}: {exc}") from None
     return RoundSchedule(rounds=rounds, participation=tuple(entries))

@@ -40,8 +40,8 @@ from .optimize import (
     pareto_front,
     table_cells,
 )
-from .profiles import (ConfigError, ExperimentConfig, _finite, _read_json, config_digest,
-                       load_config)
+from .profiles import (ConfigError, ExperimentConfig, SimSetup, _finite, _read_json,
+                       config_digest, load_config)
 from .sim import build_federation, rounds_to_target, run_experiment
 
 EXIT_OK = 0
@@ -211,7 +211,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         declared = table.get("target_accuracy", 0.0)
         if not _finite(declared):
             raise ConfigError("results table 'target_accuracy' must be a number")
-        target = float(declared) or (cfg.sim.target_accuracy if cfg.sim else 0.5)
+        target = float(declared) or (cfg.sim.target_accuracy if cfg.sim
+                                     else SimSetup.target_accuracy)
     else:
         if cfg.fl is None or cfg.sim is None:
             raise ConfigError("optimize needs 'fl' and 'sim' objects, or --fixtures")
@@ -285,8 +286,10 @@ def _plot_from_trace(path: str, cfg: ExperimentConfig | None) -> str:
             wh = float(rec["cumulative_wh"])
             round_index = int(rec["round"])
         except (KeyError, TypeError, ValueError):
+            wh = None
+        if not _finite(wh):
             raise ConfigError(f"{path}: trace row {rows} needs an integer 'round' "
-                              "and a numeric 'cumulative_wh'") from None
+                              "and a finite numeric 'cumulative_wh'")
         y = wh * rate if rate is not None else wh
         out.append(f"{round_index} {y!r}")
     if rows == 0:
@@ -341,35 +344,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, multi_config: bool = False,
-            multi_fixtures: bool = False, config_required: bool = True):
+    def add(name: str, help_text: str, fixtures: str | None = None, seed: bool = True,
+            repeat: bool = False, config_required: bool = True):
         p = sub.add_parser(name, help=help_text)
-        if multi_config:
-            p.add_argument("--config", action="append", required=True,
-                           help="experiment config JSON (repeatable)")
-        else:
-            p.add_argument("--config", required=config_required,
-                           help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        action, again = ("append", " (repeatable)") if repeat else ("store", "")
+        p.add_argument("--config", action=action, required=config_required,
+                       help="experiment config JSON" + again)
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
         p.add_argument("--out", default=None, help="output path")
-        if multi_fixtures:
-            p.add_argument("--fixtures", action="append", default=None,
-                           help="schedule fixture JSON (repeatable)")
-        else:
-            p.add_argument("--fixtures", default=None,
-                           help="fixture file (schedule, results table, or plot input)")
+        if fixtures:
+            p.add_argument("--fixtures", action=action, default=None, help=fixtures + again)
         return p
 
-    add("estimate", "price one run as an emission report")
+    add("estimate", "price one run as an emission report", fixtures="schedule fixture JSON")
     add("simulate", "run federated rounds; write trace CSV and schedule JSON")
     p = add("partition", "draw per-client class mixes and sample assignments")
     p.add_argument("--alpha", type=float, default=None,
                    help="override the concentration parameter")
-    add("optimize", "rank a design grid by carbon cost")
-    add("compare", "emission table across several configs", multi_config=True,
-        multi_fixtures=True)
+    add("optimize", "rank a design grid by carbon cost", fixtures="results table JSON")
+    add("compare", "emission table across several configs",
+        fixtures="schedule fixture JSON, one per --config", repeat=True)
     add("plot", "turn a trace/grid/report file into plain plot columns",
+        fixtures="trace CSV, grid output or emission report", seed=False,
         config_required=False)
     return parser
 

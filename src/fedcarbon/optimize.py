@@ -258,7 +258,8 @@ def _table_value(obj: Any, key: str, kind: type, where: str) -> Any:
 def _table_rows(table: Any) -> list[tuple[tuple[int, int, float], CellOutcome]]:
     """Each row of a results table in file order, as ((clients,
     local_epochs, alpha), outcome); ConfigError when a block, row or
-    point is missing or not a number, or when a cell is repeated."""
+    point is missing or not a number, when clients or local_epochs is
+    below 1 or alpha not above 0, or when a cell is repeated."""
     blocks = table.get("blocks") if isinstance(table, dict) else None
     if not isinstance(blocks, list):
         raise ConfigError("results table must be an object with a 'blocks' list")
@@ -267,12 +268,18 @@ def _table_rows(table: Any) -> list[tuple[tuple[int, int, float], CellOutcome]]:
     for i, block in enumerate(blocks):
         where = f"results table block {i}"
         alpha = _table_value(block, "alpha", float, where)
+        if alpha <= 0:
+            raise ConfigError(f"{where} 'alpha' must be > 0, got {alpha!r}")
         local_epochs = _table_value(block, "local_epochs", int, where)
+        if local_epochs < 1:
+            raise ConfigError(f"{where} 'local_epochs' must be >= 1, got {local_epochs!r}")
         if not isinstance(block.get("rows"), list):
             raise ConfigError(f"{where} must hold a 'rows' list")
         for j, row in enumerate(block["rows"]):
             where = f"results table block {i} row {j}"
             n = _table_value(row, "clients", int, where)
+            if n < 1:
+                raise ConfigError(f"{where} 'clients' must be >= 1, got {n!r}")
             cell = (n, local_epochs, alpha)
             if cell in first:
                 raise ConfigError(f"{where} repeats the cell of {first[cell]}: "

@@ -26,7 +26,6 @@ __all__ = [
     "HardwareProfile",
     "GridIntensity",
     "NetworkProfile",
-    "DatacenterProfile",
     "FlSetup",
     "SimSetup",
     "ExperimentConfig",
@@ -135,21 +134,6 @@ class NetworkProfile:
                "network {!r}: upload_mbps must be finite and > 0", self.region)
         _check(_finite(self.router_power_w) and self.router_power_w >= 0,
                "network {!r}: router_power_w must be finite and >= 0", self.region)
-
-
-@dataclass(frozen=True)
-class DatacenterProfile:
-    """Datacenter hardware wrapped with its power usage effectiveness."""
-
-    hardware: HardwareProfile
-    pue: float
-
-    def __post_init__(self) -> None:
-        _check(self.hardware.kind == DATACENTER,
-               "datacenter profile requires hardware of kind {!r}, got {!r}",
-               DATACENTER, self.hardware.kind)
-        _check(_finite(self.pue) and self.pue >= 1.0,
-               "pue must be >= 1.0, got {!r}", self.pue)
 
 
 STRATEGIES = ("fedavg", "fedadam")
@@ -289,16 +273,14 @@ class ExperimentConfig:
             _check(self.epochs is not None and _integer(self.epochs)
                    and self.epochs >= 0,
                    "centralized mode requires integer 'epochs' >= 0")
+            _check(self.hardware.kind == DATACENTER,
+                   "centralized mode requires hardware of kind {!r}, got {!r}",
+                   DATACENTER, self.hardware.kind)
 
     @property
     def grid(self) -> GridIntensity:
         """Primary grid region (first entry); reports are priced against it."""
         return self.grids[0]
-
-    def datacenter_profile(self) -> DatacenterProfile:
-        _check(self.mode == "centralized", "datacenter profile only exists in centralized mode")
-        assert self.pue is not None
-        return DatacenterProfile(hardware=self.hardware, pue=self.pue)
 
 
 # --- built-in registry -------------------------------------------------
@@ -344,19 +326,32 @@ def builtin_registry() -> Mapping[str, Any]:
     return _BUILTIN
 
 
+# Each namespace: what its entries hold (a config dataclass, or float for a
+# bare pue ratio), the word its errors use, and defaults for fields an
+# inline value leaves out.
+_NAMESPACES: Mapping[str, tuple[type, str, dict[str, Any]]] = MappingProxyType({
+    "hw:": (HardwareProfile, "hardware", {"name": "inline"}),
+    "grid:": (GridIntensity, "grid", {}),
+    "net:": (NetworkProfile, "network", {}),
+    "pue:": (float, "pue", {}),
+})
+
+
 def _registry_entry_from_json(name: str, value: Any) -> Any:
+    namespace = name[:name.find(":") + 1]
+    if namespace not in _NAMESPACES:
+        raise ConfigError(f"registry name {name!r} must start with hw:, grid:, net: or pue:")
+    cls = _NAMESPACES[namespace][0]
     where = f"registry entry {name!r}"
-    if name.startswith("hw:"):
-        _check(not isinstance(value, dict) or "kind" in value, f"{where} is missing 'kind'")
-        return _from_object(HardwareProfile, value, where, name=name[3:])
-    if name.startswith("grid:"):
-        return _from_object(GridIntensity, value, where, region=name[5:])
-    if name.startswith("net:"):
-        return _from_object(NetworkProfile, value, where)
-    if name.startswith("pue:"):
+    if cls is float:
         _check(_finite(value) and value >= 1.0, f"{where} must be a number >= 1.0")
         return float(value)
-    raise ConfigError(f"registry name {name!r} must start with hw:, grid:, net: or pue:")
+    if cls is HardwareProfile:
+        _check(not isinstance(value, dict) or "kind" in value, f"{where} is missing 'kind'")
+        return _from_object(cls, value, where, name=name[3:])
+    if cls is GridIntensity:
+        return _from_object(cls, value, where, region=name[5:])
+    return _from_object(cls, value, where)
 
 
 def active_registry() -> dict[str, Any]:
@@ -411,41 +406,24 @@ def _from_object(cls: type, value: Any, where: str, **defaults: Any) -> Any:
     return cls(**defaults)
 
 
-def _named(value: str, namespace: str, registry: Mapping[str, Any], what: str) -> Any:
-    """Registry entry `value`, given with or without its namespace prefix."""
-    key = value if value.startswith(namespace) else namespace + value
-    if key not in registry:
-        raise ConfigError(f"unknown {what} {value!r}")
-    return registry[key]
-
-
-def _hardware_from_value(value: Any, registry: Mapping[str, Any],
-                         default_kind: str = EDGE) -> HardwareProfile:
+def _resolve(value: Any, namespace: str, registry: Mapping[str, Any],
+             **inline_defaults: Any) -> Any:
+    """The registry entry `value` names, with or without its namespace
+    prefix, or else the inline value it spells out: a number for pue:, an
+    object of the namespace's dataclass otherwise (`inline_defaults` fill
+    fields it leaves out)."""
     if isinstance(value, str):
-        return _named(value, "hw:", registry, "hardware profile")
-    _check(isinstance(value, dict), "hardware must be a registry name or an inline object")
-    return _from_object(HardwareProfile, value, "hardware", name="inline", kind=default_kind)
-
-
-def _grid_from_value(value: Any, registry: Mapping[str, Any]) -> GridIntensity:
-    if isinstance(value, str):
-        return _named(value, "grid:", registry, "grid region")
-    _check(isinstance(value, dict), "grid must be a registry name or an inline object")
-    return _from_object(GridIntensity, value, "grid")
-
-
-def _network_from_value(value: Any, registry: Mapping[str, Any]) -> NetworkProfile:
-    if isinstance(value, str):
-        return _named(value, "net:", registry, "network profile")
-    _check(isinstance(value, dict), "network must be an inline object or a registry name")
-    return _from_object(NetworkProfile, value, "network")
-
-
-def _pue_from_value(value: Any, registry: Mapping[str, Any]) -> float:
-    if isinstance(value, str):
-        return float(_named(value, "pue:", registry, "pue entry"))
-    _check(_finite(value), "pue must be a number or a registry name")
-    return float(value)
+        key = value if value.startswith(namespace) else namespace + value
+        try:
+            return registry[key]
+        except KeyError:
+            raise ConfigError(f"unknown {_NAMESPACES[namespace][1]} {value!r}") from None
+    cls, kind, defaults = _NAMESPACES[namespace]
+    if cls is float:
+        _check(_finite(value), "{} must be a registry name or an inline number", kind)
+        return float(value)
+    _check(isinstance(value, dict), "{} must be a registry name or an inline object", kind)
+    return _from_object(cls, value, kind, **defaults, **inline_defaults)
 
 
 def _sim_from_dict(value: Any) -> SimSetup:
@@ -469,15 +447,12 @@ def config_from_dict(raw: Any, registry: Mapping[str, Any] | None = None) -> Exp
     _check(mode in MODES, f"mode must be one of {MODES}")
 
     default_kind = EDGE if mode == "fl" else DATACENTER
-    hardware = _hardware_from_value(raw["hardware"], default_kind=default_kind, registry=reg)
-
+    hardware = _resolve(raw["hardware"], "hw:", reg, kind=default_kind)
     grid_raw = raw["grid"]
-    grid_values = grid_raw if isinstance(grid_raw, list) else [grid_raw]
-    _check(len(grid_values) >= 1, "'grid' must name at least one region")
-    grids = tuple(_grid_from_value(v, reg) for v in grid_values)
-
-    network = _network_from_value(raw["network"], reg) if "network" in raw else None
-    pue = _pue_from_value(raw["pue"], reg) if "pue" in raw else None
+    grids = tuple(_resolve(v, "grid:", reg)
+                  for v in (grid_raw if isinstance(grid_raw, list) else [grid_raw]))
+    network = _resolve(raw["network"], "net:", reg) if "network" in raw else None
+    pue = _resolve(raw["pue"], "pue:", reg) if "pue" in raw else None
     fl = _from_object(FlSetup, raw["fl"], "'fl'") if "fl" in raw else None
     sim = _sim_from_dict(raw["sim"]) if "sim" in raw else None
 

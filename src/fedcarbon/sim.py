@@ -98,7 +98,7 @@ class SimDataset:
 
 
 def make_task(num_classes: int, num_features: int, n_samples: int, seed: int,
-              separation: float = 3.0) -> SimDataset:
+              separation: float = SimSetup.separation) -> SimDataset:
     """Gaussian mixture task: one unit-covariance cluster per class.
 
     With num_features >= num_classes the class means sit on scaled

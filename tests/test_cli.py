@@ -439,10 +439,19 @@ class TestExitCodes:
                                           "hardware": "tx2-nominal"}]}, "round_index"),
         ({"rounds": 1, "participation": [{"round": 0, "client": True, "wall_time_s": 1.0,
                                           "hardware": "tx2-nominal"}]}, "client_id"),
+        ({"rounds": 2, "participation": [
+            {"round": 0, "client": 0, "wall_time_s": 1.0, "hardware": "tx2-nominal"},
+            {"round": 1, "client": 0, "wall_time_s": -1.0, "hardware": "tx2-nominal"}]},
+         "error: participation entry 1: wall_time_s must be finite and > 0\n"),
+        ({"rounds": 2, "participation": [
+            {"round": 0, "client": 0, "wall_time_s": 1.0, "hardware": "tx2-nominal"},
+            {"round": 1, "client": 0, "wall_time_s": 1.0, "hardware": "tx2-mnist"}]},
+         "error: participation entry 1: unknown hardware 'tx2-mnist'\n"),
     ], ids=["participation-null", "item-not-object", "uniform-not-object",
             "uniform-string-wall-time", "entry-string-wall-time",
             "uniform-string-rounds", "entry-missing-hardware",
-            "uniform-missing-hardware", "boolean-round", "boolean-client"])
+            "uniform-missing-hardware", "boolean-round", "boolean-client",
+            "second-entry-negative-wall-time", "second-entry-unknown-hardware"])
     def test_malformed_schedule_is_validation_error(self, capsys, tmp_path,
                                                     schedule, message):
         bad = tmp_path / "schedule.json"
@@ -508,7 +517,11 @@ class TestExitCodes:
         ("round,accuracy,cumulative_wh\n1,0.5,0.1\n2,0.6\n", "trace row 2"),
         ("round,accuracy,cumulative_wh\n1,0.5,abc\n", "trace row 1"),
         ("round,accuracy\n1,0.5\n", "trace row 1"),
-    ], ids=["short-row", "short-second-row", "non-numeric-energy", "no-energy-column"])
+        ("round,accuracy,cumulative_wh\n1,0.5,nan\n2,0.6,inf\n",
+         "trace row 1 needs an integer 'round' and a finite numeric 'cumulative_wh'\n"),
+        ("round,accuracy,cumulative_wh\n1,0.5,0.1\n2,0.6,-1e400\n", "trace row 2"),
+    ], ids=["short-row", "short-second-row", "non-numeric-energy", "no-energy-column",
+            "nan-energy", "infinite-second-energy"])
     def test_malformed_trace_is_validation_error(self, capsys, tmp_path, text, message):
         bad = tmp_path / "trace.csv"
         bad.write_text(text)
@@ -532,9 +545,13 @@ class TestExitCodes:
         ({"hardware": {"active_power_w": 5.0, "idle_power_w": 1.0,
                        "time_per_local_epoch_s": 1.0, "watts": 3}},
          "hardware has unknown keys: ['watts']"),
+        ({"mode": "centralized", "pue": 1.5, "epochs": 1,
+          "hardware": {"active_power_w": 5.0, "idle_power_w": 1.0,
+                       "time_per_local_epoch_s": 1.0, "kind": "edge"}},
+         "error: centralized mode requires hardware of kind 'datacenter', got 'edge'\n"),
     ], ids=["grid-region-number", "hardware-name-number", "network-region-list",
             "network-unknown-key", "network-missing-key", "grid-unknown-key",
-            "grid-missing-region", "hardware-unknown-key"])
+            "grid-missing-region", "hardware-unknown-key", "centralized-edge-hardware"])
     def test_malformed_inline_profile_is_validation_error(self, capsys, tmp_path,
                                                           change, message):
         raw = json.loads((CONFIGS / "fl_tx2_nominal_china.json").read_text())
@@ -606,6 +623,19 @@ class TestExitCodes:
         reg.write_text("{oops")
         code, _, err = run_cli(capsys, "estimate", "--config", FL_NOMINAL)
         assert code == 1 and err.startswith(f"error: {reg}: not valid JSON")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", FL_DEMO, "--fixtures", "nothing.json"],
+        ["partition", "--config", FL_DEMO, "--fixtures", "nothing.json"],
+        ["plot", "--fixtures", "trace.csv", "--seed", "4"],
+    ], ids=["simulate-fixtures", "partition-fixtures", "plot-seed"])
+    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fedcarbon")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     def test_missing_fixture_file_is_io_error(self, capsys):
         code, _, _ = run_cli(capsys, "estimate", "--config", FL_NOMINAL,

@@ -331,6 +331,22 @@ class TestTableShape:
             with pytest.raises(ConfigError, match=f"block 0 row 0.*'{key}' must be"):
                 parse(table)
 
+    @pytest.mark.parametrize("alpha, local_epochs, clients, message", [
+        (-1.0, -3, -1, "block 0 'alpha' must be > 0, got -1.0"),
+        (0, 1, 2, "block 0 'alpha' must be > 0, got 0.0"),
+        (1.0, 0, 2, "block 0 'local_epochs' must be >= 1, got 0"),
+        (1.0, -3, 2, "block 0 'local_epochs' must be >= 1, got -3"),
+        (1.0, 1, 0, "block 0 row 0 'clients' must be >= 1, got 0"),
+        (1.0, 1, -1, "block 0 row 0 'clients' must be >= 1, got -1"),
+    ])
+    def test_values_must_lie_in_range(self, alpha, local_epochs, clients, message):
+        row = {"clients": clients, "stable": {"rounds": 4, "accuracy": 0.5, "co2_g": 1.5}}
+        table = {"blocks": [{"alpha": alpha, "local_epochs": local_epochs, "rows": [row]}]}
+        for parse in (make_table_runner, table_cells):
+            with pytest.raises(ConfigError) as info:
+                parse(table)
+            assert str(info.value) == f"results table {message}"
+
     def test_repeated_cell_names_both_rows(self):
         row = {"clients": 2, "stable": {"rounds": 4, "accuracy": 0.5, "co2_g": 1.5}}
         table = {"blocks": [

@@ -8,7 +8,6 @@ import pytest
 
 from fedcarbon import (
     ConfigError,
-    DatacenterProfile,
     ExperimentConfig,
     FlSetup,
     GridIntensity,
@@ -133,12 +132,14 @@ class TestProfileValidation:
     def test_pue_below_one_is_rejected(self):
         hw = builtin_registry()["hw:v100-cifar10"]
         with pytest.raises(ConfigError, match="pue must be >= 1.0, got 0.9"):
-            DatacenterProfile(hardware=hw, pue=0.9)
+            ExperimentConfig(mode="centralized", hardware=hw,
+                             grids=(builtin_registry()["grid:france"],), pue=0.9, epochs=1)
 
     def test_datacenter_profile_rejects_edge_hardware(self):
         hw = builtin_registry()["hw:tx2-cifar10"]
         with pytest.raises(ConfigError, match="kind"):
-            DatacenterProfile(hardware=hw, pue=1.5)
+            ExperimentConfig(mode="centralized", hardware=hw,
+                             grids=(builtin_registry()["grid:france"],), pue=1.5, epochs=1)
 
     def test_clients_per_round_cannot_exceed_pool(self):
         with pytest.raises(ConfigError, match="clients_per_round"):
@@ -188,6 +189,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown hardware"):
             fl_config(hardware="tx2-mnist")
 
+    @pytest.mark.parametrize("change, message", [
+        ({"grid": ["france", "grid:mars"]}, "unknown grid 'grid:mars'"),
+        ({"network": "lab"}, "unknown network 'lab'"),
+        ({"pue": "moon"}, "unknown pue 'moon'"),
+        ({"hardware": 5}, "hardware must be a registry name or an inline object"),
+        ({"grid": [None]}, "grid must be a registry name or an inline object"),
+        ({"network": [100.0]}, "network must be a registry name or an inline object"),
+        ({"pue": True}, "pue must be a registry name or an inline number"),
+        ({"grid": []}, "at least one grid region is required"),
+    ], ids=["grid-name", "network-name", "pue-name", "hardware-number",
+            "grid-null", "network-list", "pue-boolean", "grid-empty-list"])
+    def test_registry_or_inline_values_share_one_wording(self, change, message):
+        with pytest.raises(ConfigError) as info:
+            fl_config(**change)
+        assert str(info.value) == message
+
+    def test_inline_pue_is_a_float(self):
+        pue = fl_config(pue=2).pue
+        assert pue == 2.0 and isinstance(pue, float)
+
     def test_unknown_top_level_key_fails(self):
         with pytest.raises(ConfigError, match="unknown"):
             fl_config(banana=1)
@@ -212,9 +233,7 @@ class TestConfigParsing:
             "seed": 0,
         })
         assert cfg.pue == 1.67
-        dc = cfg.datacenter_profile()
-        assert dc.pue == 1.67
-        assert dc.hardware.active_power_w == 202.0
+        assert cfg.hardware.active_power_w == 202.0
 
     def test_grid_list_form(self):
         cfg = fl_config(grid=["france", "usa", "china"])
