@@ -24,6 +24,7 @@ from fedcarbon import (
     make_simulation_runner,
     make_table_runner,
     table_cells,
+    table_target,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -72,21 +73,25 @@ def main() -> None:
                         help="how many ranked cells to print")
     args = parser.parse_args()
 
-    if args.simulate:
-        base = load_config(args.config)
-        assert base.sim is not None
-        target = base.sim.target_accuracy
-        cells = default_grid(max_clients=args.max_clients)
-        ranked = grid_search(cells, make_simulation_runner(base), target)
-        print(f"Simulated {len(cells)} cells from {args.config.name} "
-              f"(target accuracy {target}):\n")
-    else:
-        table = json.loads(args.table.read_text())
-        target = table["target_accuracy"]
-        cells = table_cells(table)
-        ranked = grid_search(cells, make_table_runner(table), target)
-        print(f"Replayed {len(cells)} published cells from {args.table.name} "
-              f"(target accuracy {target}):\n")
+    try:
+        if args.simulate:
+            base = load_config(args.config)
+            runner = make_simulation_runner(base)
+            target = base.sim.target_accuracy
+            cells = default_grid(max_clients=args.max_clients)
+            ranked = grid_search(cells, runner, target)
+            print(f"Simulated {len(cells)} cells from {args.config.name} "
+                  f"(target accuracy {target}):\n")
+        else:
+            table = json.loads(args.table.read_text())
+            runner = make_table_runner(table)
+            cells = table_cells(table)
+            target = table_target(table)
+            ranked = grid_search(cells, runner, target)
+            print(f"Replayed {len(cells)} published cells from {args.table.name} "
+                  f"(target accuracy {target}):\n")
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
 
     print_ranked(ranked, target, args.top)
 

@@ -35,6 +35,7 @@ from .optimize import (
     make_table_runner,
     pareto_front,
     table_cells,
+    table_target,
 )
 from .partition import (
     Assignment,

@@ -287,8 +287,7 @@ def estimate_fl(cfg: ExperimentConfig, schedule: RoundSchedule) -> EmissionRepor
     if size_mb <= 0:
         comm = 0.0
     elif cfg.fl.wan_model == "router":
-        if cfg.network is None:
-            raise ValueError("router wan model requires a network profile")
+        assert cfg.network is not None  # ExperimentConfig requires it here
         comm = communication_energy(schedule, size_mb, cfg.network)
     else:
         kwh = legacy_transfer_energy(size_mb / MEGABITS_PER_GB, len(schedule.participation))

@@ -39,10 +39,11 @@ from .optimize import (
     make_table_runner,
     pareto_front,
     table_cells,
+    table_target,
 )
 from .profiles import (ConfigError, ExperimentConfig, SimSetup, _finite, _read_json,
                        config_digest, load_config)
-from .sim import build_federation, rounds_to_target, run_experiment
+from .sim import _fl_and_sim, build_federation, rounds_to_target, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -137,10 +138,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     cfg = _load(args.config, args.seed)
-    if cfg.fl is None or cfg.sim is None:
-        raise ConfigError("partition needs a config with 'fl' and 'sim' objects")
-    alpha = args.alpha if args.alpha is not None else cfg.sim.alpha
-    fed = build_federation(replace(cfg, sim=replace(cfg.sim, alpha=alpha)))
+    _, sim = _fl_and_sim(cfg)
+    alpha = args.alpha if args.alpha is not None else sim.alpha
+    fed = build_federation(replace(cfg, sim=replace(sim, alpha=alpha)))
     prior, part, assignment = fed.prior, fed.partition, fed.assignment
     deviation = float(np.abs(part.per_client - np.asarray(prior.proportions)).max())
     if alpha >= 100.0 and deviation > 0.05:
@@ -208,17 +208,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         table = _read_json(args.fixtures)
         runner = make_table_runner(table)
         cells = table_cells(table)
-        declared = table.get("target_accuracy", 0.0)
-        if not _finite(declared):
-            raise ConfigError("results table 'target_accuracy' must be a number")
-        target = float(declared) or (cfg.sim.target_accuracy if cfg.sim
-                                     else SimSetup.target_accuracy)
+        target = table_target(table, (cfg.sim or SimSetup).target_accuracy)
     else:
-        if cfg.fl is None or cfg.sim is None:
-            raise ConfigError("optimize needs 'fl' and 'sim' objects, or --fixtures")
+        fl, sim = _fl_and_sim(cfg)
         runner = make_simulation_runner(cfg)
-        cells = default_grid(max_clients=min(10, cfg.fl.pool_size))
-        target = cfg.sim.target_accuracy
+        cells = default_grid(max_clients=min(10, fl.pool_size))
+        target = sim.target_accuracy
     ranked = grid_search(cells, runner, target)
     front = pareto_front([c.stable for c in ranked])
     front_keys = [[p.clients_per_round, p.local_epochs, p.partition_alpha]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from .carbon import estimate_fl, schedule_prefix
-from .profiles import ConfigError, ExperimentConfig, _finite, _integer
+from .profiles import ConfigError, ExperimentConfig, SimSetup, _finite, _integer
 
 __all__ = [
     "CostPoint",
@@ -35,6 +35,7 @@ __all__ = [
     "make_simulation_runner",
     "make_table_runner",
     "table_cells",
+    "table_target",
 ]
 
 _REL_TOL = 1e-9
@@ -193,19 +194,18 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
     builds the task once and the partition and shards once per alpha.
     They live in the runner and go with it; two runners share nothing.
     """
-    from .sim import (Federation, SimConfig, SimDataset, build_federation,
+    from .sim import (Federation, SimConfig, SimDataset, _fl_and_sim, build_federation,
                       rounds_to_target, simulate)
 
-    if base.mode != "fl" or base.fl is None or base.sim is None:
-        raise ValueError("simulation runner needs a federated config with 'sim'")
-    rule_target = base.sim.target_accuracy
+    fl, sim = _fl_and_sim(base)
+    rule_target = sim.target_accuracy
     task: SimDataset | None = None
     federations: dict[float, Federation] = {}
 
     def federation(alpha: float) -> Federation:
         nonlocal task
         if alpha not in federations:
-            cfg = replace(base, sim=replace(base.sim, alpha=alpha))
+            cfg = replace(base, sim=replace(sim, alpha=alpha))
             federations[alpha] = build_federation(cfg, task)
             task = federations[alpha].dataset
         return federations[alpha]
@@ -213,8 +213,8 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
     def run(n: int, local_epochs: int, alpha: float) -> CellOutcome:
         cfg = replace(
             base,
-            fl=replace(base.fl, clients_per_round=n, local_epochs=local_epochs),
-            sim=replace(base.sim, alpha=alpha, target_accuracy=1.0),
+            fl=replace(fl, clients_per_round=n, local_epochs=local_epochs),
+            sim=replace(sim, alpha=alpha, target_accuracy=1.0),
         )
         fed = federation(alpha)
         trace, schedule, _ = simulate(SimConfig.from_experiment(cfg), fed.dataset,
@@ -303,6 +303,16 @@ def _table_rows(table: Any) -> list[tuple[tuple[int, int, float], CellOutcome]]:
 def table_cells(table: Any) -> list[tuple[int, int, float]]:
     """The (clients, local_epochs, alpha) cells of a results table, in file order."""
     return [cell for cell, _ in _table_rows(table)]
+
+
+def table_target(table: dict[str, Any],
+                 default: float = SimSetup.target_accuracy) -> float:
+    """A results table's declared 'target_accuracy', or `default` when it
+    declares none (or 0)."""
+    declared = table.get("target_accuracy", 0.0)
+    if not _finite(declared):
+        raise ConfigError("results table 'target_accuracy' must be a number")
+    return float(declared) or default
 
 
 def make_table_runner(table: Any) -> Runner:

@@ -239,6 +239,12 @@ class SimSetup:
 
 
 MODES = ("fl", "centralized")
+# The optional blocks each mode never reads; a config that holds one is
+# rejected rather than carried into its digest unread.
+_UNREAD = MappingProxyType({
+    "fl": ("pue", "epochs"),
+    "centralized": ("network", "fl", "sim"),
+})
 
 
 @dataclass(frozen=True)
@@ -276,6 +282,8 @@ class ExperimentConfig:
             _check(self.hardware.kind == DATACENTER,
                    "centralized mode requires hardware of kind {!r}, got {!r}",
                    DATACENTER, self.hardware.kind)
+        unread = [name for name in _UNREAD[self.mode] if getattr(self, name) is not None]
+        _check(not unread, "{} mode does not read {}", self.mode, unread)
 
     @property
     def grid(self) -> GridIntensity:
@@ -444,8 +452,6 @@ def config_from_dict(raw: Any, registry: Mapping[str, Any] | None = None) -> Exp
     for req in ("mode", "hardware", "grid"):
         _check(req in raw, f"config is missing {req!r}")
     mode = raw["mode"]
-    _check(mode in MODES, f"mode must be one of {MODES}")
-
     default_kind = EDGE if mode == "fl" else DATACENTER
     hardware = _resolve(raw["hardware"], "hw:", reg, kind=default_kind)
     grid_raw = raw["grid"]
@@ -455,13 +461,8 @@ def config_from_dict(raw: Any, registry: Mapping[str, Any] | None = None) -> Exp
     pue = _resolve(raw["pue"], "pue:", reg) if "pue" in raw else None
     fl = _from_object(FlSetup, raw["fl"], "'fl'") if "fl" in raw else None
     sim = _sim_from_dict(raw["sim"]) if "sim" in raw else None
-
-    epochs = raw.get("epochs")
-    if epochs is not None:
-        _check(_integer(epochs), "'epochs' must be an integer")
-
     return ExperimentConfig(mode=mode, hardware=hardware, grids=grids, seed=raw.get("seed", 0),
-                            network=network, pue=pue, epochs=epochs, fl=fl, sim=sim)
+                            network=network, pue=pue, epochs=raw.get("epochs"), fl=fl, sim=sim)
 
 
 def _read_json(path: str | Path) -> Any:

@@ -466,20 +466,11 @@ class SimConfig:
     hidden_units: int = SimSetup.hidden_units
 
     def __post_init__(self) -> None:
-        if not (self.pool_size >= 1 and self.clients_per_round >= 1):
-            raise ValueError("pool_size and clients_per_round must be >= 1")
-        if self.clients_per_round > self.pool_size:
-            raise ValueError("clients_per_round must be <= pool_size")
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be >= 0")
-        if self.local_epochs < 1:
-            raise ValueError("local_epochs must be >= 1")
-        if self.strategy not in ("fedavg", "fedadam"):
-            raise ValueError("strategy must be 'fedavg' or 'fedadam'")
-        if not (0.0 <= self.target_accuracy <= 1.0):
-            raise ValueError("target_accuracy must lie in [0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # The 'fl' and 'sim' blocks state the rules for the fields they share.
+        FlSetup(self.pool_size, self.clients_per_round, self.max_rounds,
+                self.local_epochs, strategy=self.strategy)
+        SimSetup(**{name: getattr(self, name) for name in _fields(SimSetup)[0]
+                    if name in _fields(SimConfig)[1]})
 
     @classmethod
     def from_experiment(cls, cfg: ExperimentConfig) -> "SimConfig":
@@ -631,8 +622,10 @@ def _resolve_prior(setting: str | tuple[float, ...], dataset: SimDataset) -> Cla
 
 
 def _fl_and_sim(cfg: ExperimentConfig) -> tuple[FlSetup, SimSetup]:
+    """The config's 'fl' and 'sim' blocks; the one check that a config can
+    be simulated."""
     if cfg.fl is None or cfg.sim is None:
-        raise ValueError("simulation needs both 'fl' and 'sim' objects")
+        raise ValueError("simulation needs a federated config with 'fl' and 'sim' objects")
     return cfg.fl, cfg.sim
 
 
@@ -683,8 +676,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[AccuracyTrace, RoundSchedule,
     schedule, so callers can read its dataset and its assignment's
     exhaustion warnings without drawing them again.
     """
-    if cfg.mode != "fl":
-        raise ValueError("run_experiment requires a federated config")
     fed = build_federation(cfg)
     trace, schedule, _ = simulate(SimConfig.from_experiment(cfg), fed.dataset,
                                   fed.partition, cfg.hardware, shards=fed.shards)

@@ -562,6 +562,35 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("config, change, message", [
+        (FL_NOMINAL, {"pue": 0.5, "epochs": -3}, "fl mode does not read ['pue', 'epochs']"),
+        (CEN_CIFAR, {"fl": {"pool_size": 100, "clients_per_round": 5, "rounds": 16,
+                            "local_epochs": 1},
+                     "network": {"download_mbps": 100, "upload_mbps": 40,
+                                 "router_power_w": 10}},
+         "centralized mode does not read ['network', 'fl']"),
+    ], ids=["fl-with-pue-and-epochs", "centralized-with-fl-and-network"])
+    def test_block_the_mode_never_reads_is_validation_error(self, capsys, tmp_path,
+                                                            config, change, message):
+        raw = json.loads(Path(config).read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**raw, **change}))
+        code, out, err = run_cli(capsys, "estimate", "--config", str(bad))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("config", [FL_NOMINAL, CEN_CIFAR], ids=["no-sim", "centralized"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["partition"], ["partition", "--alpha", "0.1"], ["optimize"],
+    ], ids=["simulate", "partition", "partition-alpha", "optimize"])
+    def test_config_that_cannot_be_simulated_is_validation_error(self, capsys, tmp_path,
+                                                                 argv, config):
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(capsys, *argv, "--config", config, "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert err == "error: simulation needs a federated config with 'fl' and 'sim' objects\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_json_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -44,6 +45,10 @@ DATACENTER_HARDWARE = {
 GRID_RATES = {"france": 0.0790, "usa": 0.5741, "china": 0.9746}
 
 PUE_VALUES = {"world-2019": 1.67, "google": 1.11}
+
+
+CENTRALIZED = {"mode": "centralized", "hardware": "v100-cifar10", "grid": "france",
+               "pue": "world-2019", "epochs": 2}
 
 
 def fl_config(**overrides) -> ExperimentConfig:
@@ -206,8 +211,30 @@ class TestConfigParsing:
         assert str(info.value) == message
 
     def test_inline_pue_is_a_float(self):
-        pue = fl_config(pue=2).pue
+        pue = config_from_dict({**CENTRALIZED, "pue": 2}).pue
         assert pue == 2.0 and isinstance(pue, float)
+
+    @pytest.mark.parametrize("mode, block, value", [
+        ("fl", "pue", 1.5),
+        ("fl", "epochs", 3),
+        ("centralized", "fl", {"pool_size": 10, "clients_per_round": 2, "rounds": 1,
+                               "local_epochs": 1}),
+        ("centralized", "sim", {}),
+        ("centralized", "network", {"download_mbps": 100.0, "upload_mbps": 40.0,
+                                    "router_power_w": 10.0}),
+    ], ids=["fl-pue", "fl-epochs", "centralized-fl", "centralized-sim",
+            "centralized-network"])
+    def test_block_the_mode_never_reads_is_rejected(self, mode, block, value):
+        with pytest.raises(ConfigError) as info:
+            if mode == "fl":
+                fl_config(**{block: value})
+            else:
+                config_from_dict({**CENTRALIZED, block: value})
+        assert str(info.value) == f"{mode} mode does not read [{block!r}]"
+
+    def test_replace_cannot_add_a_block_the_mode_never_reads(self):
+        with pytest.raises(ConfigError, match=r"fl mode does not read \['epochs'\]"):
+            dataclasses.replace(fl_config(), epochs=2)
 
     def test_unknown_top_level_key_fails(self):
         with pytest.raises(ConfigError, match="unknown"):

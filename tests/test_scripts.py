@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import REPO_ROOT
+from fedcarbon import SimSetup
+
+from conftest import FIXTURES_DIR, REPO_ROOT
+
+
+def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(REPO_ROOT / "scripts" / name), *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
 
 
 @pytest.mark.parametrize("script", [
@@ -17,11 +28,28 @@ from conftest import REPO_ROOT
     ["compare_iid_vs_noniid.py", "--seeds", "1"],
 ], ids=lambda argv: argv[0])
 def test_script_exits_zero(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(REPO_ROOT / "scripts" / script[0]),
-                           *script[1:]],
-                          capture_output=True, text=True, timeout=120, env=env)
+    proc = run_script(*script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_grid_search_table_without_target_falls_back_to_the_sim_default(tmp_path):
+    table = json.loads((FIXTURES_DIR / "cifar10_grid_results.json").read_text())
+    del table["target_accuracy"]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    proc = run_script("run_grid_search.py", "--table", str(path))
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert f"(target accuracy {SimSetup.target_accuracy})" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--simulate", "--config", str(FIXTURES_DIR / "configs" / "fl_tx2_nominal_china.json")],
+     "simulation needs a federated config with 'fl' and 'sim' objects"),
+    (["--table", str(FIXTURES_DIR / "configs" / "fl_tx2_nominal_china.json")],
+     "results table must be an object with a 'blocks' list"),
+], ids=["simulate-config-without-sim", "table-that-is-not-a-table"])
+def test_grid_search_input_errors_are_usage_errors(argv, message):
+    proc = run_script("run_grid_search.py", *argv)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr.endswith(f"run_grid_search.py: error: {message}\n")

@@ -678,6 +678,22 @@ class TestRunExperiment:
         assert SimConfig.from_experiment(config_from_dict(raw)) == SimConfig(
             pool_size=10, clients_per_round=3, max_rounds=6, local_epochs=1)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"pool_size": 12.0}, "fl.pool_size must be an integer >= 1"),
+        ({"clients_per_round": 13}, "fl.clients_per_round must be <= fl.pool_size"),
+        ({"max_rounds": -1}, "fl.rounds must be an integer >= 0"),
+        ({"strategy": "fedsgd"}, "fl.strategy must be one of ('fedavg', 'fedadam')"),
+        ({"client_lr": 0.0}, "sim.client_lr must be finite and > 0"),
+        ({"beta2": 1.0}, "sim.beta2 must lie in [0, 1)"),
+        ({"target_accuracy": 1.5}, "sim.target_accuracy must lie in [0, 1]"),
+    ], ids=["float-pool", "clients-above-pool", "negative-rounds", "unknown-strategy",
+            "zero-client-lr", "beta2-one", "target-above-one"])
+    def test_sim_config_keeps_the_rules_of_the_fl_and_sim_blocks(self, change, message):
+        run = dict(pool_size=12, clients_per_round=4, max_rounds=8, local_epochs=2)
+        with pytest.raises(ValueError) as info:
+            SimConfig(**{**run, **change})
+        assert str(info.value) == message
+
     def test_federation_needs_fl_and_sim(self):
         cfg = config_from_dict({k: v for k, v in self.BASE.items() if k != "sim"})
         with pytest.raises(ValueError, match="'fl' and 'sim'"):
