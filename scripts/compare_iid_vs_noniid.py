@@ -21,7 +21,6 @@ from fedcarbon import (
     lda_partition,
     make_task,
     rounds_to_target,
-    schedule_prefix,
     simulate,
     to_co2e,
     training_energy_fl,
@@ -38,8 +37,7 @@ def rounds_and_emissions(alpha: float, seed: int, target: float,
                     local_epochs=1, target_accuracy=target, seed=seed)
     trace, schedule, _ = simulate(cfg, task, partition, hardware)
     hit = rounds_to_target(trace, target)
-    executed = schedule if hit is None else schedule_prefix(schedule, hit)
-    wh = training_energy_fl(executed)
+    wh = training_energy_fl(schedule)
     return hit, wh, to_co2e(wh, grid)
 
 

@@ -252,9 +252,10 @@ def to_co2e(energy_wh: float, grid: GridIntensity) -> float:
 
 def _check_schedule_matches(cfg: ExperimentConfig, schedule: RoundSchedule) -> None:
     assert cfg.fl is not None
-    if schedule.rounds != cfg.fl.rounds:
-        raise ValueError(
-            f"schedule has {schedule.rounds} rounds but config declares {cfg.fl.rounds}")
+    fewest = min(1, cfg.fl.rounds)
+    if not fewest <= schedule.rounds <= cfg.fl.rounds:
+        raise ValueError(f"schedule has {schedule.rounds} rounds; a run of this config "
+                         f"has {fewest} to {cfg.fl.rounds}")
     per_round: dict[int, int] = {}
     for e in schedule.participation:
         per_round[e.round_index] = per_round.get(e.round_index, 0) + 1
@@ -277,7 +278,10 @@ def _report(cfg: ExperimentConfig, training_wh: float,
 
 
 def estimate_fl(cfg: ExperimentConfig, schedule: RoundSchedule) -> EmissionReport:
-    """Price a federated schedule under the config's WAN model and grid."""
+    """Price a federated schedule under the config's WAN model and grid.
+
+    fl.rounds caps a run: the schedule may hold 1 to fl.rounds rounds, or 0 if it is 0.
+    """
     if cfg.mode != "fl":
         raise ValueError(f"estimate_fl requires mode 'fl', got {cfg.mode!r}")
     assert cfg.fl is not None
@@ -339,6 +343,9 @@ def _require(obj: Any, keys: frozenset[str], where: str) -> None:
     missing = sorted(keys - obj.keys())
     if missing:
         raise ConfigError(f"{where} is missing {missing[0]!r}")
+    unknown = sorted(obj.keys() - keys)
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys: {unknown}")
 
 
 def schedule_from_dict(raw: Any) -> RoundSchedule:
@@ -346,13 +353,16 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
 
     Two forms are accepted: an explicit "participation" entry list, or the
     compact {"rounds": R, "uniform": {"clients_per_round", "wall_time_s",
-    "hardware"}} form that expands to the same clients every round.
+    "hardware"}} form that expands to the same clients every round.  The
+    uniform object and each entry take exactly their own keys.
     """
     if not isinstance(raw, dict) or "rounds" not in raw:
         raise ConfigError("schedule must be an object with a 'rounds' key")
     rounds = raw["rounds"]
     registry = active_registry()
     if "uniform" in raw:
+        if "participation" in raw:
+            raise ConfigError("schedule takes 'participation' or 'uniform', not both")
         u = raw["uniform"]
         _require(u, frozenset({"clients_per_round", "wall_time_s", "hardware"}),
                  "schedule 'uniform'")
@@ -363,11 +373,13 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
     if not isinstance(raw["participation"], list):
         raise ConfigError("schedule 'participation' must be a list")
     entries = []
-    # One handler around the loop: valid files pay no per-entry check, and
-    # any value error is re-raised naming the entry it came from.
+    # One handler around the loop: valid files pay only a key count per
+    # entry, and any error is re-raised naming the entry it came from.
     try:
         for i, item in enumerate(raw["participation"]):
             r, c, t, hw = item["round"], item["client"], item["wall_time_s"], item["hardware"]
+            if len(item) != 4:
+                raise KeyError
             entries.append(ScheduleEntry(r, c, t, _resolve(hw, "hw:", registry)))
     except (TypeError, KeyError):
         _require(item, _ENTRY_KEYS, f"participation entry {i}")

@@ -76,29 +76,30 @@ def _load(path: str, seed: int | None) -> ExperimentConfig:
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
-def _price(cfg: ExperimentConfig,
-           fixture_path: str | None) -> tuple[ExperimentConfig, EmissionReport]:
+def _price(cfg: ExperimentConfig, fixture_path: str | None) -> EmissionReport:
     """Price a config: centralized directly; federated from the schedule
-    fixture, else by simulating its 'sim' block (the returned config then
-    declares the executed rounds), else from its declared round structure."""
+    fixture, else by simulating its 'sim' block, else from its declared
+    round structure."""
     if cfg.mode == "centralized":
-        return cfg, estimate_centralized(cfg)
+        return estimate_centralized(cfg)
     fl = cfg.fl
     assert fl is not None
     if fixture_path:
         schedule = schedule_from_dict(_read_json(fixture_path))
     elif cfg.sim is not None:
         _, schedule, _ = run_experiment(cfg)
-        cfg = replace(cfg, fl=replace(fl, rounds=schedule.rounds))
     else:
         round_time_s = fl.local_epochs * cfg.hardware.time_per_local_epoch_s
         schedule = RoundSchedule.uniform(fl.rounds, fl.clients_per_round,
                                          round_time_s, cfg.hardware)
-    return cfg, estimate_fl(cfg, schedule)
+    return estimate_fl(cfg, schedule)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    _, report = _price(_load(args.config, args.seed), args.fixtures)
+    cfg = _load(args.config, args.seed)
+    if args.fixtures and cfg.mode == "centralized":
+        raise ConfigError("centralized mode does not read a schedule (--fixtures)")
+    report = _price(cfg, args.fixtures)
     _emit(_json_text(report.to_json_dict()), args.out)
     return EXIT_OK
 
@@ -253,8 +254,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         elif names != regions:
             raise ConfigError(
                 f"{path}: grid regions {names} differ from {regions}")
-        cfg, report = _price(cfg, fixtures[i] if fixtures else None)
-        total_wh = report.energy.total_wh
+        total_wh = _price(cfg, fixtures[i] if fixtures else None).energy.total_wh
         rows.append([Path(path).stem, cfg.mode, repr(total_wh)]
                     + [repr(to_co2e(total_wh, g)) for g in cfg.grids])
     assert regions is not None

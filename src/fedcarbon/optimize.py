@@ -223,9 +223,7 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
             raise ValueError("cell produced an empty run; increase fl.rounds")
 
         def co2_through(rounds: int) -> float:
-            prefix = schedule_prefix(schedule, rounds)
-            priced = replace(cfg, fl=replace(cfg.fl, rounds=rounds))
-            return estimate_fl(priced, prefix).co2e_g
+            return estimate_fl(cfg, schedule_prefix(schedule, rounds)).co2e_g
 
         hit = rounds_to_target(trace, rule_target)
         target_co2 = co2_through(hit) if hit is not None else None

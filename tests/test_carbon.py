@@ -271,9 +271,17 @@ class TestEstimateReports:
             report.energy.training_wh + report.energy.communication_wh, rel=REL)
 
     def test_schedule_round_count_must_match_config(self, fl_cfg):
+        # fl.rounds caps a run: 1 to 16 rounds price, 0 and 17 do not
+        for rounds in (17, 0):
+            schedule = RoundSchedule.uniform(rounds, 5, 51.4, TX2_NOMINAL)
+            with pytest.raises(ValueError, match=f"schedule has {rounds} rounds; "
+                                                 "a run of this config has 1 to 16"):
+                estimate_fl(fl_cfg, schedule)
         short = RoundSchedule.uniform(15, 5, 51.4, TX2_NOMINAL)
-        with pytest.raises(ValueError, match="15 rounds but config declares 16"):
-            estimate_fl(fl_cfg, short)
+        capped = replace(fl_cfg, fl=replace(fl_cfg.fl, rounds=15))
+        early, exact = estimate_fl(fl_cfg, short), estimate_fl(capped, short)
+        assert early.config_digest != exact.config_digest
+        assert replace(early, config_digest="") == replace(exact, config_digest="")
 
     def test_schedule_participants_must_match_config(self, fl_cfg):
         thin = RoundSchedule.uniform(16, 4, 51.4, TX2_NOMINAL)

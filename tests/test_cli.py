@@ -56,6 +56,12 @@ class TestEstimate:
         assert report["co2e_g"] == pytest.approx(0.3553314666666667, rel=1e-12)
         assert report["mode"] == "centralized"
 
+    def test_centralized_config_with_a_schedule_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--config", CEN_CIFAR,
+                                 "--fixtures", SCHED_16X5)
+        assert code == 1 and out == ""
+        assert err == "error: centralized mode does not read a schedule (--fixtures)\n"
+
     def test_simulated_estimate_prices_executed_rounds(self, capsys):
         # the demo run stops early; the report must price what actually ran
         code, out, _ = run_cli(capsys, "estimate", "--config", FL_DEMO)
@@ -133,6 +139,31 @@ class TestOnePricingPath:
             if not ln.startswith("#")))
         _, out, _ = run_cli(capsys, "estimate", "--config", FL_DEMO)
         assert float(rows[-1]["cumulative_wh"]) == json.loads(out)["training_wh"]
+
+    @pytest.mark.parametrize("cap, exit_code", [(None, 0), (4, 3)],
+                             ids=["stops-early", "whole-cap"])
+    def test_simulated_schedule_prices_as_estimate(self, capsys, tmp_path, cap, exit_code):
+        # FL_DEMO meets its target after 3 of its 40 rounds; a copy capped
+        # at 4 rounds with target 1.0 runs all 4
+        config = FL_DEMO
+        if cap is not None:
+            raw = json.loads(Path(FL_DEMO).read_text())
+            raw["fl"]["rounds"] = cap
+            raw["sim"]["target_accuracy"] = 1.0
+            config = str(tmp_path / "cfg.json")
+            Path(config).write_text(json.dumps(raw))
+        base = tmp_path / "run"
+        assert run_cli(capsys, "simulate", "--config", config,
+                       "--out", str(base))[0] == exit_code
+        schedule = str(tmp_path / "run.schedule.json")
+        assert json.loads(Path(schedule).read_text())["rounds"] == (cap or 3)
+        code, direct, _ = run_cli(capsys, "estimate", "--config", config)
+        assert code == 0
+        code, priced, _ = run_cli(capsys, "estimate", "--config", config,
+                                  "--fixtures", schedule)
+        assert code == 0 and priced == direct
+        header = (tmp_path / "run.csv").read_text().splitlines()[0]
+        assert header.startswith(f"# config_digest={json.loads(priced)['config_digest']} ")
 
 
 class TestSimulate:
@@ -447,11 +478,18 @@ class TestExitCodes:
             {"round": 0, "client": 0, "wall_time_s": 1.0, "hardware": "tx2-nominal"},
             {"round": 1, "client": 0, "wall_time_s": 1.0, "hardware": "tx2-mnist"}]},
          "error: participation entry 1: unknown hardware 'tx2-mnist'\n"),
+        ({"rounds": 1, "participation": [{"round": 0, "client": 0, "wall_time_s": 1.0,
+                                          "hardware": "tx2-nominal", "typo": 3}]},
+         "error: participation entry 0 has unknown keys: ['typo']\n"),
+        ({"rounds": 16, "uniform": {"clients_per_round": 5, "wall_time_s": 51.4,
+                                    "hardware": "tx2-nominal"}, "participation": []},
+         "error: schedule takes 'participation' or 'uniform', not both\n"),
     ], ids=["participation-null", "item-not-object", "uniform-not-object",
             "uniform-string-wall-time", "entry-string-wall-time",
             "uniform-string-rounds", "entry-missing-hardware",
             "uniform-missing-hardware", "boolean-round", "boolean-client",
-            "second-entry-negative-wall-time", "second-entry-unknown-hardware"])
+            "second-entry-negative-wall-time", "second-entry-unknown-hardware",
+            "entry-unknown-key", "uniform-and-participation"])
     def test_malformed_schedule_is_validation_error(self, capsys, tmp_path,
                                                     schedule, message):
         bad = tmp_path / "schedule.json"
@@ -470,8 +508,11 @@ class TestExitCodes:
          "schedule has 1000000000000 rounds"),
         ({"clients_per_round": 5, "wall_time_s": 51.4}, 10**8,
          "exceeds the cap of 500000 entries"),
+        ({"clients_per_round": 5, "wall_time_s": 51.4, "extra": 1}, 16,
+         "error: schedule 'uniform' has unknown keys: ['extra']\n"),
     ], ids=["negative-clients", "fractional-clients", "string-wall-time-no-clients",
-            "negative-wall-time", "zero-clients-huge-rounds", "entries-above-cap"])
+            "negative-wall-time", "zero-clients-huge-rounds", "entries-above-cap",
+            "unknown-key"])
     def test_malformed_uniform_schedule_is_validation_error(self, capsys, tmp_path,
                                                             uniform, rounds, message):
         bad = tmp_path / "schedule.json"

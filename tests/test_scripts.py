@@ -1,9 +1,11 @@
-"""The scripts under scripts/ run to completion against the current API."""
+"""The scripts under scripts/ and the README's code run to completion against
+the current API."""
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -14,12 +16,16 @@ from fedcarbon import SimSetup
 from conftest import FIXTURES_DIR, REPO_ROOT
 
 
-def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
+def run_python(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(REPO_ROOT / "scripts" / name), *argv],
-                          capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=120, env=env, cwd=REPO_ROOT)
+
+
+def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
+    return run_python(str(REPO_ROOT / "scripts" / name), *argv)
 
 
 @pytest.mark.parametrize("script", [
@@ -53,3 +59,12 @@ def test_grid_search_input_errors_are_usage_errors(argv, message):
     proc = run_script("run_grid_search.py", *argv)
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
     assert proc.stderr.endswith(f"run_grid_search.py: error: {message}\n")
+
+
+def test_readme_python_blocks_run():
+    readme = (REPO_ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        proc = run_python("-c", block)
+        assert proc.returncode == 0, f"{block}\n{proc.stderr}"
