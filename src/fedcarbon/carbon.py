@@ -14,16 +14,23 @@ The accounting is deliberately simple and auditable:
 * grams of CO2e are energy times the grid intensity; kg per kWh equals
   g per Wh, so Wh values convert directly.
 
-All public functions are pure and deterministic.
+Sums of joules run one entry at a time, left to right (np.cumsum, never
+the pairwise np.sum or Python 3.12's compensated sum), so a price does
+not depend on the numpy or Python version.  All public functions are
+pure and deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from .profiles import (
+    _FLOAT_MAX,
     ConfigError,
     ExperimentConfig,
     GridIntensity,
@@ -68,6 +75,20 @@ MEGABITS_PER_GB = 8000.0
 # `estimate` there.
 UNIFORM_ENTRY_CAP = 500_000
 
+# Round and client values are held as int64.
+_INDEX_LIMIT = 2 ** 63
+
+
+def _entry_problem(round_index: Any, client_id: Any, wall_time_s: Any) -> str | None:
+    """The first rule one entry's three numbers break, or None."""
+    if not (_integer(round_index) and 0 <= round_index < _INDEX_LIMIT):
+        return "round_index must be an integer in [0, 2**63)"
+    if not (_integer(client_id) and 0 <= client_id < _INDEX_LIMIT):
+        return "client_id must be an integer in [0, 2**63)"
+    if not (_finite(wall_time_s) and wall_time_s > 0):
+        return "wall_time_s must be finite and > 0"
+    return None
+
 
 @dataclass(frozen=True)
 class ScheduleEntry:
@@ -79,37 +100,164 @@ class ScheduleEntry:
     hardware: HardwareProfile
 
     def __post_init__(self) -> None:
-        if not (_integer(self.round_index) and self.round_index >= 0):
-            raise ValueError("round_index must be an integer >= 0")
-        if not (_integer(self.client_id) and self.client_id >= 0):
-            raise ValueError("client_id must be an integer >= 0")
-        if not (_finite(self.wall_time_s) and self.wall_time_s > 0):
-            raise ValueError("wall_time_s must be finite and > 0")
+        problem = _entry_problem(self.round_index, self.client_id, self.wall_time_s)
+        if problem:
+            raise ValueError(problem)
 
 
-@dataclass(frozen=True)
+def _number_columns(rounds: list, clients: list, walls: list,
+                    ) -> tuple[tuple[np.ndarray, ...], tuple[int, str] | None]:
+    """The int64 round and client columns and the float64 wall-time column
+    of entries given as three lists, or the index and problem of the first
+    entry whose numbers break ScheduleEntry's rules (then no columns)."""
+    try:
+        if ({*map(type, rounds), *map(type, clients)} <= {int}
+                and set(map(type, walls)) <= {int, float}):
+            columns = (np.array(rounds, dtype=np.int64), np.array(clients, dtype=np.int64),
+                       np.array(walls, dtype=np.float64))
+            r, c, t = columns
+            # t < _FLOAT_MAX also rejects NaN; an int wall time that rounds
+            # to _FLOAT_MAX is left to the exact check below.
+            if not len(t) or (r.min() >= 0 and c.min() >= 0
+                              and ((t > 0) & (t < _FLOAT_MAX)).all()):
+                return columns, None
+    except OverflowError:  # an int beyond int64, or beyond the float range
+        pass
+    for i, numbers in enumerate(zip(rounds, clients, walls)):
+        problem = _entry_problem(*numbers)
+        if problem:
+            return (), (i, problem)
+    return (np.array(rounds, dtype=np.int64), np.array(clients, dtype=np.int64),
+            np.array(walls, dtype=np.float64)), None
+
+
+def _first_repeat(round_: np.ndarray, client: np.ndarray) -> tuple[int, int] | None:
+    """The first entry whose (round, client) pair an earlier entry holds,
+    and the earliest entry holding it; None when no pair repeats."""
+    step = np.diff(round_)
+    if ((step > 0) | ((step == 0) & (np.diff(client) > 0))).all():
+        return None  # listed by round, then client
+    # A stable sort by (round, client) puts each repeat right after the
+    # earliest entry with its pair; the first repeat of all is the second
+    # entry of its pair's group.
+    order = np.lexsort((client, round_))
+    r, c = round_[order], client[order]
+    repeats = np.flatnonzero((r[1:] == r[:-1]) & (c[1:] == c[:-1])) + 1
+    if not repeats.size:
+        return None
+    k = repeats[np.argmin(order[repeats])]
+    return int(order[k]), int(order[k - 1])
+
+
+def _check_entries(rounds: Any, round_: np.ndarray, client: np.ndarray) -> None:
+    """ValueError unless rounds is an integer >= 0, every entry's round lies
+    in [0, rounds) and no (round, client) pair repeats; the message names
+    the first entry that breaks a rule."""
+    if not (_integer(rounds) and rounds >= 0):
+        raise ValueError("rounds must be an integer >= 0")
+    late = np.flatnonzero(round_ >= rounds) if rounds < _INDEX_LIMIT else ()
+    first_late = int(late[0]) if len(late) else len(round_)
+    repeat = _first_repeat(round_, client)
+    if repeat and repeat[0] < first_late:
+        i, earlier = repeat
+        raise ValueError(f"participation entry {i}: duplicate of entry {earlier} "
+                         f"(round {round_[i]}, client {client[i]})")
+    if len(late):
+        raise ValueError(f"participation entry {first_late}: round {round_[first_late]} "
+                         f"outside executed range [0, {rounds})")
+
+
+def _distinct(index: np.ndarray, profiles: Sequence[HardwareProfile],
+              ) -> tuple[np.ndarray, tuple[HardwareProfile, ...]]:
+    """index re-pointed at each distinct profile it uses, listed once in
+    order of first use (so equal schedules hold equal columns)."""
+    used, first = np.unique(index, return_index=True)
+    slot: dict[HardwareProfile, int] = {}
+    remap = np.zeros(len(profiles), dtype=np.int64)
+    for k in used[np.argsort(first)]:
+        remap[k] = slot.setdefault(profiles[k], len(slot))
+    return remap[index], tuple(slot)
+
+
 class RoundSchedule:
-    """Who trained when, for how long, on what device.
+    """Who trained when, for how long, on what device, held as columns.
 
-    rounds is the number of executed rounds; every entry's round index must
-    lie in [0, rounds) and no (round, client) pair may repeat.
+    Entry i is client[i] training in round[i] for wall_time_s[i] seconds on
+    hardware[hardware_index[i]]; rounds is the number of executed rounds.
+    Every round lies in [0, rounds) and no (round, client) pair repeats.
+    round, client and hardware_index are int64 and wall_time_s is float64,
+    all read-only; hardware lists each distinct profile once, in order of
+    first use.  RoundSchedule(rounds, participation) builds a schedule from
+    ScheduleEntry objects, and `participation` lists them again (built on
+    first read).  Two schedules are equal when their entries are.
     """
 
     rounds: int
-    participation: tuple[ScheduleEntry, ...]
+    round: np.ndarray
+    client: np.ndarray
+    wall_time_s: np.ndarray
+    hardware_index: np.ndarray
+    hardware: tuple[HardwareProfile, ...]
 
-    def __post_init__(self) -> None:
-        if not (_integer(self.rounds) and self.rounds >= 0):
-            raise ValueError("rounds must be an integer >= 0")
-        seen: set[tuple[int, int]] = set()
-        for e in self.participation:
-            if e.round_index >= self.rounds:
-                raise ValueError(
-                    f"entry round {e.round_index} outside executed range [0, {self.rounds})")
-            key = (e.round_index, e.client_id)
-            if key in seen:
-                raise ValueError(f"duplicate participation entry for {key}")
-            seen.add(key)
+    def __init__(self, rounds: int, participation: Iterable[ScheduleEntry]) -> None:
+        entries = tuple(participation)
+        slot: dict[HardwareProfile, int] = {}
+        index = [slot.setdefault(e.hardware, len(slot)) for e in entries]
+        round_ = np.array([e.round_index for e in entries], dtype=np.int64)
+        client = np.array([e.client_id for e in entries], dtype=np.int64)
+        _check_entries(rounds, round_, client)
+        self._set(rounds, round_, client,
+                  np.array([e.wall_time_s for e in entries], dtype=np.float64),
+                  np.array(index, dtype=np.int64), tuple(slot))
+        self.__dict__["participation"] = entries
+
+    @classmethod
+    def _from_columns(cls, rounds: int, round_: np.ndarray, client: np.ndarray,
+                      wall_time_s: np.ndarray, hardware_index: np.ndarray,
+                      hardware: tuple[HardwareProfile, ...]) -> "RoundSchedule":
+        """A schedule over columns its caller has checked and owns."""
+        schedule = cls.__new__(cls)
+        schedule._set(rounds, round_, client, wall_time_s, hardware_index, hardware)
+        return schedule
+
+    def _set(self, rounds: int, round_: np.ndarray, client: np.ndarray,
+             wall_time_s: np.ndarray, hardware_index: np.ndarray,
+             hardware: tuple[HardwareProfile, ...]) -> None:
+        for column in (round_, client, wall_time_s, hardware_index):
+            column.setflags(write=False)
+        self.__dict__.update(rounds=rounds, round=round_, client=client,
+                             wall_time_s=wall_time_s, hardware_index=hardware_index,
+                             hardware=hardware)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"RoundSchedule is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"RoundSchedule is read-only; cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.rounds, self.hardware, self.round.tobytes(), self.client.tobytes(),
+                self.wall_time_s.tobytes(), self.hardware_index.tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoundSchedule):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"RoundSchedule(rounds={self.rounds}, entries={len(self.round)}, "
+                f"hardware={[h.name for h in self.hardware]})")
+
+    @functools.cached_property
+    def participation(self) -> tuple[ScheduleEntry, ...]:
+        """The entries as ScheduleEntry objects, in schedule order."""
+        hw = self.hardware
+        return tuple(ScheduleEntry(r, c, t, hw[h]) for r, c, t, h in zip(
+            self.round.tolist(), self.client.tolist(), self.wall_time_s.tolist(),
+            self.hardware_index.tolist()))
 
     @classmethod
     def uniform(cls, rounds: int, clients_per_round: int, wall_time_s: float,
@@ -128,11 +276,24 @@ class RoundSchedule:
             raise ValueError(
                 f"uniform schedule of {rounds} rounds x {clients_per_round} clients "
                 f"exceeds the cap of {UNIFORM_ENTRY_CAP} entries")
-        entries = tuple(
-            ScheduleEntry(r, c, wall_time_s, hardware)
-            for r in range(rounds) for c in range(clients_per_round)
-        ) if clients_per_round else ()
-        return cls(rounds=rounds, participation=entries)
+        if rounds < 0:
+            raise ValueError("rounds must be an integer >= 0")
+        # rounds may be huge when no client trains: then no round is walked.
+        clients = np.broadcast_to(np.arange(clients_per_round, dtype=np.int64),
+                                  (rounds if clients_per_round else 0, clients_per_round))
+        return cls._same_device(rounds, clients, wall_time_s, hardware)
+
+    @classmethod
+    def _same_device(cls, rounds: int, clients: np.ndarray, wall_time_s: float,
+                     hardware: HardwareProfile) -> "RoundSchedule":
+        """Row r of the (rounds trained, clients per round) array `clients`
+        lists the clients that trained in round r, each for wall_time_s on
+        hardware; `rounds` is at least the number of rows."""
+        n = clients.size
+        return cls._from_columns(
+            rounds, np.repeat(np.arange(len(clients), dtype=np.int64), clients.shape[1]),
+            clients.astype(np.int64).reshape(-1), np.full(n, wall_time_s, dtype=np.float64),
+            np.zeros(n, dtype=np.int64), (hardware,) if n else ())
 
 
 @dataclass(frozen=True)
@@ -177,27 +338,35 @@ class EmissionReport:
         }
 
 
+def _per_hardware(schedule: RoundSchedule, field: str) -> np.ndarray:
+    return np.array([getattr(h, field) for h in schedule.hardware], dtype=np.float64)
+
+
+def _training_ledger(schedule: RoundSchedule) -> np.ndarray:
+    """Training Wh of rounds 0..r for each executed round r (float64).
+
+    Joules are added one entry at a time, round by round and in schedule
+    order within a round: one np.cumsum over a stable sort by round, read
+    at the last entry of each round.
+    """
+    order = np.argsort(schedule.round, kind="stable")
+    active = _per_hardware(schedule, "active_power_w")[schedule.hardware_index[order]]
+    joules = np.cumsum(schedule.wall_time_s[order] * active)
+    ends = np.cumsum(np.bincount(schedule.round, minlength=schedule.rounds))
+    return np.concatenate(([0.0], joules))[ends] / SECONDS_PER_HOUR
+
+
 def cumulative_training_energy(schedule: RoundSchedule) -> tuple[float, ...]:
     """Training Wh of rounds 0..r for each executed round r; the last is the total.
 
     Joules are summed entry by entry, round by round, in schedule order.
     """
-    per_round: list[list[float]] = [[] for _ in range(schedule.rounds)]
-    for e in schedule.participation:
-        per_round[e.round_index].append(e.wall_time_s * e.hardware.active_power_w)
-    cumulative = []
-    joules = 0.0
-    for round_joules in per_round:
-        for j in round_joules:
-            joules += j
-        cumulative.append(joules / SECONDS_PER_HOUR)
-    return tuple(cumulative)
+    return tuple(_training_ledger(schedule).tolist())
 
 
 def training_energy_fl(schedule: RoundSchedule) -> float:
     """Training energy of every entry of the schedule, in Wh."""
-    cumulative = cumulative_training_energy(schedule)
-    return cumulative[-1] if cumulative else 0.0
+    return float(_training_ledger(schedule)[-1]) if len(schedule.round) else 0.0
 
 
 def training_energy_centralized(power_w: float, duration_s: float, pue: float) -> float:
@@ -218,23 +387,22 @@ def communication_energy(schedule: RoundSchedule, model_size_mb: float,
     One exchange keeps the link busy for S * (1/D + 1/U) seconds, where S
     is the model size in megabits and D, U the link rates in Mbps.  That
     window is priced at router power plus the idle draw of the entry's
-    device (the device waits while the payload moves).
+    device (the device waits while the payload moves).  Joules are summed
+    in schedule order.
     """
     if not (math.isfinite(model_size_mb) and model_size_mb >= 0):
         raise ValueError("model_size_mb must be finite and >= 0")
     transfer_s = model_size_mb * (1.0 / network.download_mbps + 1.0 / network.upload_mbps)
-    joules = sum(
-        transfer_s * (network.router_power_w + e.hardware.idle_power_w)
-        for e in schedule.participation
-    )
-    return joules / SECONDS_PER_HOUR
+    per_hardware = transfer_s * (network.router_power_w + _per_hardware(schedule, "idle_power_w"))
+    joules = np.cumsum(per_hardware[schedule.hardware_index])
+    return (float(joules[-1]) if len(joules) else 0.0) / SECONDS_PER_HOUR
 
 
 def legacy_transfer_energy(model_size_gb: float, transfers: int) -> float:
     """Flat-rate WAN model: 5 kWh per GB per transfer.  Returns kWh."""
     if not (math.isfinite(model_size_gb) and model_size_gb >= 0):
         raise ValueError("model_size_gb must be finite and >= 0")
-    if not (isinstance(transfers, int) and transfers >= 0):
+    if not (_integer(transfers) and transfers >= 0):
         raise ValueError("transfers must be an integer >= 0")
     return LEGACY_KWH_PER_GB * model_size_gb * transfers
 
@@ -251,23 +419,26 @@ def to_co2e(energy_wh: float, grid: GridIntensity) -> float:
 
 
 def _check_schedule_matches(cfg: ExperimentConfig, schedule: RoundSchedule) -> None:
-    assert cfg.fl is not None
-    fewest = min(1, cfg.fl.rounds)
-    if not fewest <= schedule.rounds <= cfg.fl.rounds:
+    fl = cfg.fl
+    assert fl is not None
+    fewest = min(1, fl.rounds)
+    if not fewest <= schedule.rounds <= fl.rounds:
         raise ValueError(f"schedule has {schedule.rounds} rounds; a run of this config "
-                         f"has {fewest} to {cfg.fl.rounds}")
-    per_round: dict[int, int] = {}
-    for e in schedule.participation:
-        per_round[e.round_index] = per_round.get(e.round_index, 0) + 1
-        if e.client_id >= cfg.fl.pool_size:
-            raise ValueError(
-                f"schedule client {e.client_id} outside pool of {cfg.fl.pool_size}")
-    for r in range(schedule.rounds):
-        n = per_round.get(r, 0)
-        if n != cfg.fl.clients_per_round:
-            raise ValueError(
-                f"round {r} has {n} participants, config declares "
-                f"{cfg.fl.clients_per_round} per round")
+                         f"has {fewest} to {fl.rounds}")
+    outside = (np.flatnonzero(schedule.client >= fl.pool_size)
+               if fl.pool_size < _INDEX_LIMIT else ())
+    if len(outside):
+        raise ValueError(
+            f"schedule client {schedule.client[outside[0]]} outside pool of {fl.pool_size}")
+    # n entries fill at most n rounds, so when there are more rounds than
+    # that, one of rounds 0..n is short: counting those finds the first.
+    head = min(schedule.rounds, len(schedule.round) + 1)
+    counts = np.bincount(schedule.round[schedule.round < head], minlength=head)
+    wrong = np.flatnonzero(counts != fl.clients_per_round)
+    if len(wrong):
+        r = wrong[0]
+        raise ValueError(f"round {r} has {counts[r]} participants, config declares "
+                         f"{fl.clients_per_round} per round")
 
 
 def _report(cfg: ExperimentConfig, training_wh: float,
@@ -294,7 +465,7 @@ def estimate_fl(cfg: ExperimentConfig, schedule: RoundSchedule) -> EmissionRepor
         assert cfg.network is not None  # ExperimentConfig requires it here
         comm = communication_energy(schedule, size_mb, cfg.network)
     else:
-        kwh = legacy_transfer_energy(size_mb / MEGABITS_PER_GB, len(schedule.participation))
+        kwh = legacy_transfer_energy(size_mb / MEGABITS_PER_GB, len(schedule.round))
         comm = kwh * 1000.0
     return _report(cfg, training, comm)
 
@@ -311,25 +482,25 @@ def estimate_centralized(cfg: ExperimentConfig) -> EmissionReport:
 
 def schedule_prefix(schedule: RoundSchedule, rounds: int) -> RoundSchedule:
     """Restrict a schedule to its first `rounds` rounds."""
-    if not (isinstance(rounds, int) and 0 <= rounds <= schedule.rounds):
-        raise ValueError(f"rounds must lie in [0, {schedule.rounds}]")
-    entries = tuple(e for e in schedule.participation if e.round_index < rounds)
-    return RoundSchedule(rounds=rounds, participation=entries)
+    if not (_integer(rounds) and 0 <= rounds <= schedule.rounds):
+        raise ValueError(f"rounds must be an integer in [0, {schedule.rounds}]")
+    keep = schedule.round < rounds
+    index, hardware = _distinct(schedule.hardware_index[keep], schedule.hardware)
+    return RoundSchedule._from_columns(rounds, schedule.round[keep], schedule.client[keep],
+                                       schedule.wall_time_s[keep], index, hardware)
 
 
 # --- JSON round-trip ----------------------------------------------------
 
 def schedule_to_dict(schedule: RoundSchedule) -> dict[str, Any]:
+    hardware = [_as_dict(h) for h in schedule.hardware]
     return {
         "rounds": schedule.rounds,
         "participation": [
-            {
-                "round": e.round_index,
-                "client": e.client_id,
-                "wall_time_s": e.wall_time_s,
-                "hardware": _as_dict(e.hardware),
-            }
-            for e in schedule.participation
+            {"round": r, "client": c, "wall_time_s": t, "hardware": dict(hardware[h])}
+            for r, c, t, h in zip(schedule.round.tolist(), schedule.client.tolist(),
+                                  schedule.wall_time_s.tolist(),
+                                  schedule.hardware_index.tolist())
         ],
     }
 
@@ -348,13 +519,75 @@ def _require(obj: Any, keys: frozenset[str], where: str) -> None:
         raise ConfigError(f"{where} has unknown keys: {unknown}")
 
 
+def _participation_columns(participation: list, registry: dict[str, Any],
+                           ) -> tuple[tuple[np.ndarray, ...], list[HardwareProfile]]:
+    """The four columns of an explicit entry list, and the profile each
+    hardware index names; a ConfigError names the first bad entry.
+
+    Each distinct hardware value is resolved once: a registry name by
+    itself, an inline object by its items and their types (so 1 and true
+    stay apart).
+    """
+    rounds, clients, walls, slots = [], [], [], []
+    slot_of: dict[Any, int] = {}
+    values: list[Any] = []  # the first hardware value of each slot
+    first_use: list[int] = []
+    stop = None
+    # One handler around the loop: valid files pay only a key count and a
+    # slot lookup per entry.
+    try:
+        for i, item in enumerate(participation):
+            r, c, t, hw = item["round"], item["client"], item["wall_time_s"], item["hardware"]
+            if len(item) != 4:
+                raise KeyError
+            if type(hw) is str:
+                key = hw
+            elif type(hw) is dict:
+                key = (*hw, *hw.values(), *map(type, hw.values()))
+            else:
+                key = i  # not a name or an object: resolved on its own, and fails
+            try:
+                slot = slot_of.setdefault(key, len(values))
+            except TypeError:  # an object holding a list or an object
+                slot = slot_of.setdefault(i, len(values))
+            if slot == len(values):
+                values.append(hw)
+                first_use.append(i)
+            rounds.append(r)
+            clients.append(c)
+            walls.append(t)
+            slots.append(slot)
+    except (TypeError, KeyError):
+        stop = i, item
+    # The first bad entry is named.  Within an entry the numbers come
+    # before the hardware; the entry the loop stopped at comes after every
+    # entry it read.
+    columns, problem = _number_columns(rounds, clients, walls)
+    profiles = []
+    for slot, value in enumerate(values):
+        if problem and first_use[slot] >= problem[0]:
+            break
+        try:
+            profiles.append(_resolve(value, "hw:", registry))
+        except ValueError as exc:
+            problem = first_use[slot], str(exc)
+            break
+    if problem:
+        raise ConfigError(f"participation entry {problem[0]}: {problem[1]}")
+    if stop:
+        _require(stop[1], _ENTRY_KEYS, f"participation entry {stop[0]}")
+        raise ConfigError(f"participation entry {stop[0]} must be an object")
+    return (*columns, np.array(slots, dtype=np.int64)), profiles
+
+
 def schedule_from_dict(raw: Any) -> RoundSchedule:
     """Parse a schedule JSON object.
 
     Two forms are accepted: an explicit "participation" entry list, or the
     compact {"rounds": R, "uniform": {"clients_per_round", "wall_time_s",
     "hardware"}} form that expands to the same clients every round.  The
-    uniform object and each entry take exactly their own keys.
+    uniform object and each entry take exactly their own keys.  An error
+    in the entry list names the first entry that breaks a rule.
     """
     if not isinstance(raw, dict) or "rounds" not in raw:
         raise ConfigError("schedule must be an object with a 'rounds' key")
@@ -372,18 +605,11 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
         raise ConfigError("schedule needs either 'participation' or 'uniform'")
     if not isinstance(raw["participation"], list):
         raise ConfigError("schedule 'participation' must be a list")
-    entries = []
-    # One handler around the loop: valid files pay only a key count per
-    # entry, and any error is re-raised naming the entry it came from.
+    (round_, client, wall, slots), profiles = _participation_columns(
+        raw["participation"], registry)
     try:
-        for i, item in enumerate(raw["participation"]):
-            r, c, t, hw = item["round"], item["client"], item["wall_time_s"], item["hardware"]
-            if len(item) != 4:
-                raise KeyError
-            entries.append(ScheduleEntry(r, c, t, _resolve(hw, "hw:", registry)))
-    except (TypeError, KeyError):
-        _require(item, _ENTRY_KEYS, f"participation entry {i}")
-        raise
+        _check_entries(rounds, round_, client)
     except ValueError as exc:
-        raise ConfigError(f"participation entry {i}: {exc}") from None
-    return RoundSchedule(rounds=rounds, participation=tuple(entries))
+        raise ConfigError(str(exc)) from None
+    index, hardware = _distinct(slots, profiles)
+    return RoundSchedule._from_columns(rounds, round_, client, wall, index, hardware)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .carbon import RoundSchedule, ScheduleEntry
+from .carbon import RoundSchedule
 from .partition import (
     Assignment,
     ClassPrior,
@@ -550,10 +550,11 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     round_time = config.local_epochs * hardware.time_per_local_epoch_s
 
     accuracies: list[float] = []
-    entries: list[ScheduleEntry] = []
+    clients: list[np.ndarray] = []
     for r in range(config.max_rounds):
-        chosen = [int(cid) for cid in select_clients(
-            config.pool_size, config.clients_per_round, r, config.seed)]
+        selected = select_clients(config.pool_size, config.clients_per_round, r, config.seed)
+        clients.append(selected)
+        chosen = [int(cid) for cid in selected]
         rows = shards[chosen]
         rngs = [derived_rng(config.seed, _STREAM_TRAIN, r, cid) for cid in chosen]
         cohort = _Cohort(_with_bias(dataset.features[rows]),
@@ -562,7 +563,6 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
                                config.client_lr, config.batch_size, rng,
                                cohort=cohort)
                    for cid, rng in zip(chosen, rngs)]
-        entries.extend(ScheduleEntry(r, cid, round_time, hardware) for cid in chosen)
         if config.strategy == "fedavg":
             w = fedavg_aggregate(w, updates)
         else:
@@ -574,7 +574,9 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
             break
 
     executed = len(accuracies)
-    schedule = RoundSchedule(rounds=executed, participation=tuple(entries))
+    schedule = RoundSchedule._same_device(
+        executed, np.reshape(clients, (executed, config.clients_per_round)),
+        round_time, hardware)
     return AccuracyTrace(tuple(accuracies), round_time), schedule, w
 
 

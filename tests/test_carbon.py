@@ -7,14 +7,22 @@ was written; the tests only compare.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcarbon import (
+    ConfigError,
     EmissionReport,
     EnergyBreakdown,
+    HardwareProfile,
     RoundSchedule,
     ScheduleEntry,
     builtin_registry,
@@ -153,6 +161,11 @@ class TestLegacyTransferAndConversion:
     def test_zero_transfers_is_zero(self):
         assert legacy_transfer_energy(3.0, 0) == 0.0
 
+    @pytest.mark.parametrize("transfers", [True, False, 2.0, -1])
+    def test_transfers_must_be_an_integer(self, transfers):
+        with pytest.raises(ValueError, match="transfers must be an integer >= 0"):
+            legacy_transfer_energy(1.0, transfers)
+
     def test_to_co2e_oracle(self):
         # 4.5 Wh on a 0.0790 kg/kWh grid
         assert to_co2e(4.5, FRANCE) == pytest.approx(0.3555, rel=REL)
@@ -165,13 +178,39 @@ class TestLegacyTransferAndConversion:
 class TestScheduleValidation:
     def test_duplicate_round_client_pair_rejected(self):
         e = ScheduleEntry(0, 1, 2.0, TX2_CIFAR)
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=r"^participation entry 1: duplicate of "
+                                             r"entry 0 \(round 0, client 1\)$"):
             RoundSchedule(rounds=1, participation=(e, e))
+
+    def test_first_repeat_names_its_pair_in_any_order(self):
+        entries = [ScheduleEntry(r, c, 1.0, TX2_CIFAR)
+                   for r, c in ((1, 4), (0, 2), (1, 3), (1, 4), (0, 2))]
+        with pytest.raises(ValueError, match=r"^participation entry 3: duplicate of "
+                                             r"entry 0 \(round 1, client 4\)$"):
+            RoundSchedule(rounds=2, participation=entries)
 
     def test_entry_outside_executed_rounds_rejected(self):
         e = ScheduleEntry(3, 0, 2.0, TX2_CIFAR)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"^participation entry 0: round 3 outside "
+                                             r"executed range \[0, 3\)$"):
             RoundSchedule(rounds=3, participation=(e,))
+
+    def test_repeated_inline_hardware_is_matched_with_its_types(self):
+        # true == 1 in Python, but a JSON true is no number: the second
+        # object must not reuse the profile the first one resolved to.
+        good = {"active_power_w": 7, "idle_power_w": 0, "time_per_local_epoch_s": 1}
+        entries = [{"round": 0, "client": c, "wall_time_s": 1.0, "hardware": hw}
+                   for c, hw in enumerate((good, {**good, "time_per_local_epoch_s": True}))]
+        with pytest.raises(ConfigError, match=r"^participation entry 1: hardware 'inline': "
+                                              r"time_per_local_epoch_s must be finite and > 0$"):
+            schedule_from_dict({"rounds": 1, "participation": entries})
+
+    def test_ids_must_fit_in_int64(self):
+        ScheduleEntry(2**63 - 1, 2**63 - 1, 1.0, TX2_CIFAR)
+        with pytest.raises(ValueError, match=r"round_index must be an integer in \[0, 2\*\*63\)"):
+            ScheduleEntry(2**63, 0, 1.0, TX2_CIFAR)
+        with pytest.raises(ValueError, match=r"client_id must be an integer in \[0, 2\*\*63\)"):
+            ScheduleEntry(0, 10**400, 1.0, TX2_CIFAR)
 
     def test_nonpositive_wall_time_rejected(self):
         with pytest.raises(ValueError, match="wall_time_s"):
@@ -336,8 +375,23 @@ class TestScheduleTools:
         assert head.rounds == 0 and head.participation == ()
 
     def test_prefix_beyond_run_rejected(self):
-        with pytest.raises(ValueError, match="rounds"):
+        with pytest.raises(ValueError, match=r"rounds must be an integer in \[0, 16\]"):
             schedule_prefix(uniform_16x5(), 17)
+
+    @pytest.mark.parametrize("rounds", [-1, True, 4.0])
+    def test_prefix_rounds_must_be_an_integer_in_the_run(self, rounds):
+        with pytest.raises(ValueError, match=r"rounds must be an integer in \[0, 16\]"):
+            schedule_prefix(uniform_16x5(), rounds)
+
+    def test_prefix_lists_only_the_hardware_it_keeps(self):
+        schedule = RoundSchedule(rounds=2, participation=(
+            ScheduleEntry(1, 0, 1.0, TX2_CIFAR),
+            ScheduleEntry(0, 1, 1.0, NX_CIFAR),
+            ScheduleEntry(0, 0, 2.0, TX2_CIFAR),
+        ))
+        head = schedule_prefix(schedule, 1)
+        assert head.hardware == (NX_CIFAR, TX2_CIFAR)
+        assert head == RoundSchedule(rounds=1, participation=schedule.participation[1:])
 
     def test_json_round_trip(self):
         entries = (
@@ -357,6 +411,221 @@ class TestScheduleTools:
     def test_schedule_dict_requires_rounds(self):
         with pytest.raises(ValueError, match="rounds"):
             schedule_from_dict({"participation": []})
+
+
+class TestColumns:
+    def test_columns_of_entries(self):
+        schedule = RoundSchedule(rounds=2, participation=(
+            ScheduleEntry(1, 5, 2.5, NX_CIFAR),
+            ScheduleEntry(0, 3, 1.5, TX2_CIFAR),
+            ScheduleEntry(1, 3, 3.5, NX_CIFAR),
+        ))
+        assert schedule.round.tolist() == [1, 0, 1]
+        assert schedule.client.tolist() == [5, 3, 3]
+        assert schedule.wall_time_s.tolist() == [2.5, 1.5, 3.5]
+        assert schedule.hardware == (NX_CIFAR, TX2_CIFAR)
+        assert schedule.hardware_index.tolist() == [0, 1, 0]
+        assert {c.dtype for c in (schedule.round, schedule.client,
+                                  schedule.hardware_index)} == {np.dtype(np.int64)}
+
+    def test_schedule_is_read_only(self):
+        schedule = uniform_16x5()
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.wall_time_s[0] = 1.0
+        with pytest.raises(AttributeError, match="read-only"):
+            schedule.rounds = 3  # type: ignore[misc]
+
+    def test_every_route_to_the_same_entries_is_equal(self):
+        entries = tuple(ScheduleEntry(r, c, 4.0, TX2_CIFAR) for r in range(2) for c in range(3))
+        by_entries = RoundSchedule(rounds=2, participation=entries)
+        uniform = RoundSchedule.uniform(2, 3, 4.0, TX2_CIFAR)
+        # One entry names the profile, the others spell it out inline.
+        parsed = schedule_from_dict({"rounds": 2, "participation": [
+            {"round": e.round_index, "client": e.client_id, "wall_time_s": 4.0,
+             "hardware": dataclasses.asdict(TX2_CIFAR) if i else "tx2-cifar10"}
+            for i, e in enumerate(entries)]})
+        assert by_entries == uniform == parsed
+        assert hash(by_entries) == hash(uniform) == hash(parsed)
+        assert parsed.hardware == (TX2_CIFAR,) and parsed.participation == entries
+        assert uniform != RoundSchedule.uniform(2, 3, 4.0, NX_CIFAR)
+        assert uniform != RoundSchedule.uniform(3, 2, 4.0, TX2_CIFAR)
+
+
+class TestSequentialSums:
+    """Joules add one entry at a time, in schedule order: a compensated sum
+    (math.fsum, or the built-in sum of floats on Python 3.12) would keep the
+    low-order joules that a sequential sum rounds away."""
+
+    BIG = HardwareProfile("big", 2.0 ** 54, 2.0 ** 53, 1.0)
+    SMALL = HardwareProfile("small", 2.0, 1.0, 1.0)
+
+    def schedule(self):
+        # Ten entries, so numpy's pairwise sum (eight partial sums from
+        # eight entries on) would differ too.
+        return RoundSchedule(rounds=1, participation=[
+            ScheduleEntry(0, c, 1.0, self.SMALL if c else self.BIG) for c in range(10)])
+
+    def test_training_energy_is_the_sequential_sum(self):
+        assert training_energy_fl(self.schedule()) == 2.0 ** 54 / 3600.0
+        assert math.fsum([2.0 ** 54] + [2.0] * 9) == 2.0 ** 54 + 16
+
+    def test_communication_energy_is_the_sequential_sum(self):
+        # 1 Mb over 2 Mbps each way keeps the link busy 1 s per exchange.
+        net = NetworkProfile(download_mbps=2.0, upload_mbps=2.0, router_power_w=0.0)
+        assert communication_energy(self.schedule(), 1.0, net) == 2.0 ** 53 / 3600.0
+        assert math.fsum([2.0 ** 53] + [1.0] * 9) == 2.0 ** 53 + 8
+
+
+# Hardware an entry may name or spell out.  The second inline object holds
+# integers, and the third equals it except for a JSON true, which is no number.
+_INLINE = (
+    {"name": "phone", "active_power_w": 3.2, "idle_power_w": 0.9,
+     "time_per_local_epoch_s": 1.1},
+    {"active_power_w": 7, "idle_power_w": 0, "time_per_local_epoch_s": 1, "kind": "edge"},
+    {"active_power_w": 7, "idle_power_w": 0, "time_per_local_epoch_s": True, "kind": "edge"},
+)
+_HARDWARE = ("tx2-cifar10", "hw:nx-cifar10", "tx2-nominal", *_INLINE[:2])
+_ENTRY_KEYS = {"round", "client", "wall_time_s", "hardware"}
+
+
+def _profile(value) -> HardwareProfile:
+    if isinstance(value, str):
+        return REG[value if value.startswith("hw:") else "hw:" + value]
+    return HardwareProfile(**{"name": "inline", **value})
+
+
+@st.composite
+def _priced_schedules(draw):
+    """A schedule object in any entry order, and a config that prices it."""
+    rounds = draw(st.integers(0, 5))
+    per_round = draw(st.integers(1, 5))
+    pool = per_round + draw(st.integers(0, 3))
+    entries = [
+        {"round": r, "client": c,
+         "wall_time_s": draw(st.floats(1e-3, 1e4) | st.integers(1, 10 ** 6)),
+         "hardware": copy.deepcopy(draw(st.sampled_from(_HARDWARE)))}
+        for r in range(rounds)
+        for c in draw(st.permutations(range(pool)))[:per_round]]
+    cfg = config_from_dict({
+        "mode": "fl", "hardware": "tx2-cifar10", "grid": "france",
+        "network": {"download_mbps": 100.0, "upload_mbps": 40.0, "router_power_w": 10.0},
+        "fl": {"pool_size": pool, "clients_per_round": per_round,
+               "rounds": rounds + draw(st.integers(0, 2)) if rounds else 0,
+               "local_epochs": 1,
+               "model_size_mb": draw(st.sampled_from([0.0, 1.5, 357.0])),
+               "wan_model": draw(st.sampled_from(["router", "legacy-5kwh-per-gb"]))},
+    }, registry=REG)
+    return {"rounds": rounds, "participation": draw(st.permutations(entries))}, cfg
+
+
+def _left_to_right(raw, cfg):
+    """Cumulative training Wh per round, training Wh and communication Wh,
+    each sum taken one entry at a time."""
+    entries, fl, net = raw["participation"], cfg.fl, cfg.network
+    joules, cumulative = 0.0, []
+    for r in range(raw["rounds"]):
+        for e in entries:
+            if e["round"] == r:
+                joules += e["wall_time_s"] * _profile(e["hardware"]).active_power_w
+        cumulative.append(joules / 3600.0)
+    if fl.model_size_mb <= 0:
+        comm = 0.0
+    elif fl.wan_model == "router":
+        transfer_s = fl.model_size_mb * (1.0 / net.download_mbps + 1.0 / net.upload_mbps)
+        comm_joules = 0.0
+        for e in entries:
+            comm_joules += transfer_s * (net.router_power_w + _profile(e["hardware"]).idle_power_w)
+        comm = comm_joules / 3600.0
+    else:
+        comm = 5.0 * (fl.model_size_mb / 8000.0) * len(entries) * 1000.0
+    return tuple(cumulative), (cumulative[-1] if cumulative else 0.0), comm
+
+
+# (good values, bad values) of each entry field.
+_FIELDS = {
+    "round": ((0, 1, 2), (-1, True, 2 ** 63, 1.5)),
+    "client": ((0, 1, 2), (-1, False, 2 ** 63, 10 ** 400)),
+    "wall_time_s": ((1.0, 2, 0.5), (0.0, -1.0, "1", math.inf, math.nan, True, 10 ** 400)),
+    "hardware": (_HARDWARE, (_INLINE[2],) * 3 + ("nope", 5, None, ["tx2-cifar10"],
+                                                {**_INLINE[0], "name": ["phone"]})),
+}
+
+
+@st.composite
+def _entry_lists(draw):
+    """A schedule object whose entries mix good and bad values and shapes."""
+    items = []
+    for _ in range(draw(st.integers(0, 6))):
+        item = {key: copy.deepcopy(draw(st.sampled_from(good if draw(st.integers(0, 3)) else bad)))
+                for key, (good, bad) in _FIELDS.items()}
+        shape = draw(st.sampled_from(["ok"] * 6 + ["drop", "add", "list"]))
+        if shape == "drop":
+            del item[draw(st.sampled_from(sorted(_ENTRY_KEYS)))]
+        elif shape == "add":
+            item["typo"] = 1
+        elif shape == "list":
+            item = list(item.values())
+        items.append(item)
+    return {"rounds": draw(st.sampled_from((0, 1, 2, 3, -1, True, "2"))),
+            "participation": items}
+
+
+def _first_error(raw):
+    """What reading the entries left to right reports: each entry's shape,
+    numbers and hardware in turn, then the round count, then each entry's
+    round range and (round, client) pair."""
+    for i, item in enumerate(raw["participation"]):
+        where = f"participation entry {i}"
+        if not isinstance(item, dict):
+            return f"{where} must be an object"
+        if _ENTRY_KEYS - item.keys():
+            return f"{where} is missing {sorted(_ENTRY_KEYS - item.keys())[0]!r}"
+        if item.keys() - _ENTRY_KEYS:
+            return f"{where} has unknown keys: {sorted(item.keys() - _ENTRY_KEYS)}"
+        try:
+            ScheduleEntry(item["round"], item["client"], item["wall_time_s"], TX2_CIFAR)
+            schedule_from_dict({"rounds": 1, "participation": [
+                {"round": 0, "client": 0, "wall_time_s": 1.0, "hardware": item["hardware"]}]})
+        except ValueError as exc:
+            return f"{where}: {str(exc).removeprefix('participation entry 0: ')}"
+    rounds = raw["rounds"]
+    if not (type(rounds) is int and rounds >= 0):
+        return "rounds must be an integer >= 0"
+    first: dict[tuple[int, int], int] = {}
+    for i, item in enumerate(raw["participation"]):
+        pair = (item["round"], item["client"])
+        if pair[0] >= rounds:
+            return (f"participation entry {i}: round {pair[0]} outside executed "
+                    f"range [0, {rounds})")
+        if pair in first:
+            return (f"participation entry {i}: duplicate of entry {first[pair]} "
+                    f"(round {pair[0]}, client {pair[1]})")
+        first[pair] = i
+    return None
+
+
+class TestScheduleProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_priced_schedules())
+    def test_pricing_matches_a_left_to_right_loop(self, case):
+        raw, cfg = case
+        schedule = schedule_from_dict(raw)
+        cumulative, training, comm = _left_to_right(raw, cfg)
+        assert cumulative_training_energy(schedule) == cumulative
+        report = estimate_fl(cfg, schedule)
+        assert report.energy == EnergyBreakdown.from_parts(training, comm)
+        assert report.co2e_g == report.energy.total_wh * cfg.grid.c_rate_kg_per_kwh
+        assert schedule_from_dict(schedule_to_dict(schedule)) == schedule
+
+    @settings(max_examples=500, deadline=None)
+    @given(raw=_entry_lists())
+    def test_errors_name_the_first_bad_entry(self, raw):
+        try:
+            schedule_from_dict(raw)
+            message = None
+        except ConfigError as exc:
+            message = str(exc)
+        assert message == _first_error(raw)
 
 
 class TestEnergyBreakdown:

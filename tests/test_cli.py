@@ -484,12 +484,28 @@ class TestExitCodes:
         ({"rounds": 16, "uniform": {"clients_per_round": 5, "wall_time_s": 51.4,
                                     "hardware": "tx2-nominal"}, "participation": []},
          "error: schedule takes 'participation' or 'uniform', not both\n"),
+        ({"rounds": 1, "participation": [
+            {"round": 0, "client": 1, "wall_time_s": 1.0, "hardware": "tx2-nominal"},
+            {"round": 0, "client": 1, "wall_time_s": 1.0, "hardware": "tx2-nominal"}]},
+         "error: participation entry 1: duplicate of entry 0 (round 0, client 1)\n"),
+        ({"rounds": 1, "participation": [{"round": 3, "client": 0, "wall_time_s": 1.0,
+                                          "hardware": "tx2-nominal"}]},
+         "error: participation entry 0: round 3 outside executed range [0, 1)\n"),
+        ({"rounds": 1, "participation": [
+            {"round": 0, "client": 0, "wall_time_s": 1.0, "hardware": "tx2-nominal"},
+            {"round": 0, "client": 2**63, "wall_time_s": 1.0, "hardware": "tx2-nominal"}]},
+         "error: participation entry 1: client_id must be an integer in [0, 2**63)\n"),
+        ({"rounds": 10**400, "participation": [{"round": 10**400, "client": 0,
+                                                "wall_time_s": 1.0,
+                                                "hardware": "tx2-nominal"}]},
+         "error: participation entry 0: round_index must be an integer in [0, 2**63)\n"),
     ], ids=["participation-null", "item-not-object", "uniform-not-object",
             "uniform-string-wall-time", "entry-string-wall-time",
             "uniform-string-rounds", "entry-missing-hardware",
             "uniform-missing-hardware", "boolean-round", "boolean-client",
             "second-entry-negative-wall-time", "second-entry-unknown-hardware",
-            "entry-unknown-key", "uniform-and-participation"])
+            "entry-unknown-key", "uniform-and-participation", "duplicate-entry",
+            "round-outside-run", "client-beyond-int64", "round-beyond-int64"])
     def test_malformed_schedule_is_validation_error(self, capsys, tmp_path,
                                                     schedule, message):
         bad = tmp_path / "schedule.json"
