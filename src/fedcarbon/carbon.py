@@ -134,9 +134,6 @@ def _number_columns(rounds: list, clients: list, walls: list,
 def _first_repeat(round_: np.ndarray, client: np.ndarray) -> tuple[int, int] | None:
     """The first entry whose (round, client) pair an earlier entry holds,
     and the earliest entry holding it; None when no pair repeats."""
-    step = np.diff(round_)
-    if ((step > 0) | ((step == 0) & (np.diff(client) > 0))).all():
-        return None  # listed by round, then client
     # A stable sort by (round, client) puts each repeat right after the
     # earliest entry with its pair; the first repeat of all is the second
     # entry of its pair's group.
@@ -278,9 +275,10 @@ class RoundSchedule:
                 f"exceeds the cap of {UNIFORM_ENTRY_CAP} entries")
         if rounds < 0:
             raise ValueError("rounds must be an integer >= 0")
-        # rounds may be huge when no client trains: then no round is walked.
-        clients = np.broadcast_to(np.arange(clients_per_round, dtype=np.int64),
-                                  (rounds if clients_per_round else 0, clients_per_round))
+        # Either count may be huge when the other is 0: then nothing is built.
+        width = clients_per_round if rounds else 0
+        clients = np.broadcast_to(np.arange(width, dtype=np.int64),
+                                  (rounds if clients_per_round else 0, width))
         return cls._same_device(rounds, clients, wall_time_s, hardware)
 
     @classmethod

@@ -548,6 +548,8 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     xb_test = _with_bias(dataset.features[dataset.test_idx])
     y_test = dataset.labels[dataset.test_idx]
     round_time = config.local_epochs * hardware.time_per_local_epoch_s
+    if not (math.isfinite(round_time) and round_time > 0):
+        raise ValueError("wall_time_s must be finite and > 0")
 
     accuracies: list[float] = []
     clients: list[np.ndarray] = []

@@ -522,12 +522,17 @@ class TestExitCodes:
         ({"clients_per_round": 5, "wall_time_s": -1.0}, 16, "wall_time_s"),
         ({"clients_per_round": 0, "wall_time_s": 51.4}, 10**12,
          "schedule has 1000000000000 rounds"),
+        ({"clients_per_round": 10**10, "wall_time_s": 51.4}, 0,
+         "schedule has 0 rounds"),
+        ({"clients_per_round": 10**400, "wall_time_s": 51.4}, 0,
+         "schedule has 0 rounds"),
         ({"clients_per_round": 5, "wall_time_s": 51.4}, 10**8,
          "exceeds the cap of 500000 entries"),
         ({"clients_per_round": 5, "wall_time_s": 51.4, "extra": 1}, 16,
          "error: schedule 'uniform' has unknown keys: ['extra']\n"),
     ], ids=["negative-clients", "fractional-clients", "string-wall-time-no-clients",
-            "negative-wall-time", "zero-clients-huge-rounds", "entries-above-cap",
+            "negative-wall-time", "zero-clients-huge-rounds", "zero-rounds-huge-clients",
+            "zero-rounds-clients-beyond-int64", "entries-above-cap",
             "unknown-key"])
     def test_malformed_uniform_schedule_is_validation_error(self, capsys, tmp_path,
                                                             uniform, rounds, message):
@@ -549,6 +554,14 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "exceeds the cap of 500000 entries" in err
+
+    def test_zero_declared_rounds_with_a_huge_pool_price_to_zero(self, capsys, tmp_path):
+        raw = json.loads((CONFIGS / "fl_tx2_nominal_china.json").read_text())
+        raw["fl"].update(rounds=0, pool_size=10**10, clients_per_round=10**10)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, _ = run_cli(capsys, "estimate", "--config", str(cfg))
+        assert code == 0 and json.loads(out)["training_wh"] == 0.0
 
     @pytest.mark.parametrize("command, table, message", [
         ("plot", {"cells": [5]}, "cell 0 needs a 'stable' object"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -370,6 +371,13 @@ class TestSimulateLoop:
         cfg, ds, part = small_setup(max_rounds=0)
         trace, schedule, _ = simulate(cfg, ds, part, HW)
         assert trace.accuracies == () and schedule.participation == ()
+
+    def test_round_time_overflow_is_rejected(self):
+        # 2 local epochs of 1e308 s each overflow to an infinite round time
+        cfg, ds, part = small_setup(local_epochs=2)
+        slow = dataclasses.replace(HW, time_per_local_epoch_s=1e308)
+        with pytest.raises(ValueError, match="wall_time_s must be finite and > 0"):
+            simulate(cfg, ds, part, slow)
 
     def test_strategies_diverge(self):
         cfg_avg, ds, part = small_setup(strategy="fedavg")
