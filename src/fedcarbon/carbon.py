@@ -105,32 +105,6 @@ class ScheduleEntry:
             raise ValueError(problem)
 
 
-def _number_columns(rounds: list, clients: list, walls: list,
-                    ) -> tuple[tuple[np.ndarray, ...], tuple[int, str] | None]:
-    """The int64 round and client columns and the float64 wall-time column
-    of entries given as three lists, or the index and problem of the first
-    entry whose numbers break ScheduleEntry's rules (then no columns)."""
-    try:
-        if ({*map(type, rounds), *map(type, clients)} <= {int}
-                and set(map(type, walls)) <= {int, float}):
-            columns = (np.array(rounds, dtype=np.int64), np.array(clients, dtype=np.int64),
-                       np.array(walls, dtype=np.float64))
-            r, c, t = columns
-            # t < _FLOAT_MAX also rejects NaN; an int wall time that rounds
-            # to _FLOAT_MAX is left to the exact check below.
-            if not len(t) or (r.min() >= 0 and c.min() >= 0
-                              and ((t > 0) & (t < _FLOAT_MAX)).all()):
-                return columns, None
-    except OverflowError:  # an int beyond int64, or beyond the float range
-        pass
-    for i, numbers in enumerate(zip(rounds, clients, walls)):
-        problem = _entry_problem(*numbers)
-        if problem:
-            return (), (i, problem)
-    return (np.array(rounds, dtype=np.int64), np.array(clients, dtype=np.int64),
-            np.array(walls, dtype=np.float64)), None
-
-
 def _first_repeat(round_: np.ndarray, client: np.ndarray) -> tuple[int, int] | None:
     """The first entry whose (round, client) pair an earlier entry holds,
     and the earliest entry holding it; None when no pair repeats."""
@@ -517,65 +491,63 @@ def _require(obj: Any, keys: frozenset[str], where: str) -> None:
         raise ConfigError(f"{where} has unknown keys: {unknown}")
 
 
-def _participation_columns(participation: list, registry: dict[str, Any],
-                           ) -> tuple[tuple[np.ndarray, ...], list[HardwareProfile]]:
-    """The four columns of an explicit entry list, and the profile each
-    hardware index names; a ConfigError names the first bad entry.
-
-    Each distinct hardware value is resolved once: a registry name by
-    itself, an inline object by its items and their types (so 1 and true
-    stay apart).
-    """
+def _unchecked_columns(participation: list, registry: dict[str, Any]) -> tuple | None:
+    """The round, client, wall-time and hardware-slot columns of an entry
+    list and the profile each slot names, or None on any doubt that every
+    entry keeps the rules.  Each distinct hardware value is resolved once:
+    a name by itself, an inline object by its items and their types (so 1
+    and true stay apart)."""
     rounds, clients, walls, slots = [], [], [], []
     slot_of: dict[Any, int] = {}
     values: list[Any] = []  # the first hardware value of each slot
-    first_use: list[int] = []
-    stop = None
-    # One handler around the loop: valid files pay only a key count and a
-    # slot lookup per entry.
     try:
-        for i, item in enumerate(participation):
+        for item in participation:
             r, c, t, hw = item["round"], item["client"], item["wall_time_s"], item["hardware"]
             if len(item) != 4:
-                raise KeyError
-            if type(hw) is str:
-                key = hw
-            elif type(hw) is dict:
-                key = (*hw, *hw.values(), *map(type, hw.values()))
-            else:
-                key = i  # not a name or an object: resolved on its own, and fails
-            try:
-                slot = slot_of.setdefault(key, len(values))
-            except TypeError:  # an object holding a list or an object
-                slot = slot_of.setdefault(i, len(values))
+                return None
+            # Hardware neither a name nor an object raises while it is keyed.
+            key = hw if type(hw) is str else (*hw, *hw.values(), *map(type, hw.values()))
+            slot = slot_of.setdefault(key, len(values))
             if slot == len(values):
                 values.append(hw)
-                first_use.append(i)
             rounds.append(r)
             clients.append(c)
             walls.append(t)
             slots.append(slot)
-    except (TypeError, KeyError):
-        stop = i, item
-    # The first bad entry is named.  Within an entry the numbers come
-    # before the hardware; the entry the loop stopped at comes after every
-    # entry it read.
-    columns, problem = _number_columns(rounds, clients, walls)
-    profiles = []
-    for slot, value in enumerate(values):
-        if problem and first_use[slot] >= problem[0]:
-            break
+        if not ({*map(type, rounds), *map(type, clients)} <= {int}
+                and set(map(type, walls)) <= {int, float}):
+            return None
+        round_, client, wall = (np.array(rounds, dtype=np.int64),
+                                np.array(clients, dtype=np.int64),
+                                np.array(walls, dtype=np.float64))
+        # wall < _FLOAT_MAX also rejects NaN, and an int that rounds to it.
+        if len(wall) and not (round_.min() >= 0 and client.min() >= 0
+                              and ((wall > 0) & (wall < _FLOAT_MAX)).all()):
+            return None
+        profiles = [_resolve(value, "hw:", registry) for value in values]
+    except (TypeError, KeyError, AttributeError, OverflowError, ValueError):
+        return None
+    return round_, client, wall, np.array(slots, dtype=np.int64), profiles
+
+
+def _read_entries(participation: list, registry: dict[str, Any]) -> list[ScheduleEntry]:
+    """The entries of an entry list, read left to right: each entry's
+    shape, then its numbers, then its hardware.  A ConfigError names the
+    first entry that breaks a rule."""
+    entries = []
+    for i, item in enumerate(participation):
+        where = f"participation entry {i}"
+        _require(item, _ENTRY_KEYS, where)
+        numbers = item["round"], item["client"], item["wall_time_s"]
+        problem = _entry_problem(*numbers)
+        if problem:
+            raise ConfigError(f"{where}: {problem}")
         try:
-            profiles.append(_resolve(value, "hw:", registry))
+            hardware = _resolve(item["hardware"], "hw:", registry)
         except ValueError as exc:
-            problem = first_use[slot], str(exc)
-            break
-    if problem:
-        raise ConfigError(f"participation entry {problem[0]}: {problem[1]}")
-    if stop:
-        _require(stop[1], _ENTRY_KEYS, f"participation entry {stop[0]}")
-        raise ConfigError(f"participation entry {stop[0]} must be an object")
-    return (*columns, np.array(slots, dtype=np.int64)), profiles
+            raise ConfigError(f"{where}: {exc}") from None
+        entries.append(ScheduleEntry(*numbers, hardware))
+    return entries
 
 
 def schedule_from_dict(raw: Any) -> RoundSchedule:
@@ -603,9 +575,11 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
         raise ConfigError("schedule needs either 'participation' or 'uniform'")
     if not isinstance(raw["participation"], list):
         raise ConfigError("schedule 'participation' must be a list")
-    (round_, client, wall, slots), profiles = _participation_columns(
-        raw["participation"], registry)
+    columns = _unchecked_columns(raw["participation"], registry)
     try:
+        if columns is None:
+            return RoundSchedule(rounds, _read_entries(raw["participation"], registry))
+        round_, client, wall, slots, profiles = columns
         _check_entries(rounds, round_, client)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

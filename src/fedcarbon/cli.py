@@ -55,7 +55,11 @@ def _atomic_write(path: str | Path, text: str) -> None:
     p = Path(path)
     tmp = p.with_name(p.name + ".tmp")
     tmp.write_text(text)
-    os.replace(tmp, p)
+    try:
+        os.replace(tmp, p)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _emit(text: str, out: str | None) -> None:

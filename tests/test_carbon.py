@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +41,9 @@ from fedcarbon import (
     training_energy_centralized,
     training_energy_fl,
     NetworkProfile,
+    active_registry,
 )
+from fedcarbon import carbon
 from fedcarbon.carbon import UNIFORM_ENTRY_CAP
 
 from conftest import FIXTURES_DIR, load_fixture
@@ -204,6 +207,18 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError, match=r"^participation entry 1: hardware 'inline': "
                                               r"time_per_local_epoch_s must be finite and > 0$"):
             schedule_from_dict({"rounds": 1, "participation": entries})
+
+    @pytest.mark.parametrize("largest", [sys.float_info.max, int(sys.float_info.max)],
+                             ids=["float", "int"])
+    def test_largest_finite_wall_time_is_valid(self, largest):
+        # The column check doubts a wall time of float max; reading the
+        # entries one by one must still accept it.
+        parsed = schedule_from_dict({"rounds": 1, "participation": [
+            {"round": 0, "client": 0, "wall_time_s": largest, "hardware": "tx2-cifar10"},
+            {"round": 0, "client": 1, "wall_time_s": 2.0, "hardware": _INLINE[0]}]})
+        assert parsed == RoundSchedule(1, (
+            ScheduleEntry(0, 0, sys.float_info.max, TX2_CIFAR),
+            ScheduleEntry(0, 1, 2.0, _profile(_INLINE[0]))))
 
     def test_ids_must_fit_in_int64(self):
         ScheduleEntry(2**63 - 1, 2**63 - 1, 1.0, TX2_CIFAR)
@@ -545,7 +560,9 @@ def _left_to_right(raw, cfg):
 _FIELDS = {
     "round": ((0, 1, 2), (-1, True, 2 ** 63, 1.5)),
     "client": ((0, 1, 2), (-1, False, 2 ** 63, 10 ** 400)),
-    "wall_time_s": ((1.0, 2, 0.5), (0.0, -1.0, "1", math.inf, math.nan, True, 10 ** 400)),
+    "wall_time_s": ((1.0, 2, 0.5, sys.float_info.max),
+                    (0.0, -1.0, "1", math.inf, math.nan, True, 10 ** 400,
+                     int(sys.float_info.max) + 1)),  # an int that rounds to float max
     "hardware": (_HARDWARE, (_INLINE[2],) * 3 + ("nope", 5, None, ["tx2-cifar10"],
                                                 {**_INLINE[0], "name": ["phone"]})),
 }
@@ -616,6 +633,8 @@ class TestScheduleProperties:
         assert report.energy == EnergyBreakdown.from_parts(training, comm)
         assert report.co2e_g == report.energy.total_wh * cfg.grid.c_rate_kg_per_kwh
         assert schedule_from_dict(schedule_to_dict(schedule)) == schedule
+        assert RoundSchedule(raw["rounds"], carbon._read_entries(
+            raw["participation"], active_registry())) == schedule
 
     @settings(max_examples=500, deadline=None)
     @given(raw=_entry_lists())

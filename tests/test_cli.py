@@ -79,6 +79,18 @@ class TestEstimate:
             11.132097777777778, rel=1e-12)
         assert list(tmp_path.glob("*.tmp")) == []
 
+    @pytest.mark.parametrize("command, config, out", [
+        ("estimate", FL_NOMINAL, "outdir"), ("simulate", FL_DEMO, "run.csv")],
+        ids=["estimate", "simulate"])
+    def test_failed_rename_leaves_no_temp_file(self, capsys, tmp_path, command, config, out):
+        # simulate writes <base>.csv first, so a directory of that name stops it.
+        (tmp_path / out).mkdir()
+        code, stdout, err = run_cli(capsys, command, "--config", config,
+                                    "--out", str(tmp_path / out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(capsys, "estimate", "--config", FL_DEMO, "--out", str(a))
@@ -499,13 +511,19 @@ class TestExitCodes:
                                                 "wall_time_s": 1.0,
                                                 "hardware": "tx2-nominal"}]},
          "error: participation entry 0: round_index must be an integer in [0, 2**63)\n"),
+        # Above float max, yet it rounds to float max as a float64.
+        ({"rounds": 1, "participation": [{"round": 0, "client": 0,
+                                          "wall_time_s": int(sys.float_info.max) + 1,
+                                          "hardware": "tx2-nominal"}]},
+         "error: participation entry 0: wall_time_s must be finite and > 0\n"),
     ], ids=["participation-null", "item-not-object", "uniform-not-object",
             "uniform-string-wall-time", "entry-string-wall-time",
             "uniform-string-rounds", "entry-missing-hardware",
             "uniform-missing-hardware", "boolean-round", "boolean-client",
             "second-entry-negative-wall-time", "second-entry-unknown-hardware",
             "entry-unknown-key", "uniform-and-participation", "duplicate-entry",
-            "round-outside-run", "client-beyond-int64", "round-beyond-int64"])
+            "round-outside-run", "client-beyond-int64", "round-beyond-int64",
+            "int-wall-time-above-float-max"])
     def test_malformed_schedule_is_validation_error(self, capsys, tmp_path,
                                                     schedule, message):
         bad = tmp_path / "schedule.json"
