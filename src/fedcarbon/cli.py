@@ -119,11 +119,14 @@ def _trace_csv(cfg: ExperimentConfig, trace, schedule) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load(args.config, args.seed)
-    trace, schedule, fed = run_experiment(cfg)
     base = args.out or "fl_run"
     if base.endswith(".csv"):
         base = base[:-4]
+    if os.path.basename(base) in ("", ".", ".."):
+        raise ConfigError(f"--out {args.out!r} names no file: simulate writes "
+                          "<out>.csv and <out>.schedule.json")
+    cfg = _load(args.config, args.seed)
+    trace, schedule, fed = run_experiment(cfg)
     _atomic_write(f"{base}.csv", _trace_csv(cfg, trace, schedule))
     _atomic_write(f"{base}.schedule.json", _json_text(schedule_to_dict(schedule)))
     assert cfg.sim is not None

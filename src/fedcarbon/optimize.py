@@ -192,15 +192,19 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
     A cell's task depends only on the seed and the 'sim' block, and its
     partition and sample shards only on alpha besides, so the runner
     builds the task once and the partition and shards once per alpha.
-    They live in the runner and go with it; two runners share nothing.
+    Every cell runs with the seed, so the runner also draws each round's
+    client selection and each client's batch orders once (a sim._Draws)
+    and every cell reads them.  All of it lives in the runner and goes
+    with it; two runners share nothing.
     """
-    from .sim import (Federation, SimConfig, SimDataset, _fl_and_sim, build_federation,
-                      rounds_to_target, simulate)
+    from .sim import (Federation, SimConfig, SimDataset, _Draws, _fl_and_sim,
+                      build_federation, rounds_to_target, simulate)
 
     fl, sim = _fl_and_sim(base)
     rule_target = sim.target_accuracy
     task: SimDataset | None = None
     federations: dict[float, Federation] = {}
+    draws = _Draws(base.seed)
 
     def federation(alpha: float) -> Federation:
         nonlocal task
@@ -218,7 +222,8 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
         )
         fed = federation(alpha)
         trace, schedule, _ = simulate(SimConfig.from_experiment(cfg), fed.dataset,
-                                      fed.partition, cfg.hardware, shards=fed.shards)
+                                      fed.partition, cfg.hardware, shards=fed.shards,
+                                      draws=draws)
         if trace.rounds == 0:
             raise ValueError("cell produced an empty run; increase fl.rounds")
 

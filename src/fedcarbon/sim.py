@@ -277,16 +277,74 @@ class ModelSpec:
         return self._accuracy(w, _with_bias(x), y)
 
 
+class _Lane:
+    """One run's order source for one client: its i-th permutation(n)
+    returns the i-th order kept for that client, drawing it from the
+    client's generator on first use."""
+
+    __slots__ = ("_rng", "_kept", "_n", "_used")
+
+    def __init__(self, rng: np.random.Generator, kept: list[np.ndarray], n: int):
+        self._rng, self._kept, self._n, self._used = rng, kept, n, 0
+
+    def permutation(self, n: int) -> np.ndarray:
+        if n != self._n:
+            raise ValueError(f"lane keeps orders of {self._n} samples, asked for {n}")
+        if self._used == len(self._kept):
+            order = self._rng.permutation(n)
+            order.setflags(write=False)
+            self._kept.append(order)
+        self._used += 1
+        return self._kept[self._used - 1]
+
+
+class _Draws:
+    """A seed's client selections and batch orders, each drawn once.
+
+    Round r's clients depend only on (seed, pool size, clients per round,
+    r) and client c's batch orders only on (seed, r, c, shard size), so
+    runs with one seed that differ in alpha, local epochs or clients per
+    round can share them: a run with more local epochs reuses the orders
+    a shorter one drew and draws the rest.  The live optimize runner keeps
+    one for its grid search and passes it to simulate (draws=).
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._selections: dict[tuple[int, int, int], np.ndarray] = {}
+        self._orders: dict[tuple[int, int, int],
+                           tuple[np.random.Generator, list[np.ndarray]]] = {}
+
+    def selection(self, pool_size: int, clients_per_round: int,
+                  round_index: int) -> np.ndarray:
+        """select_clients for this seed, read-only."""
+        key = (pool_size, clients_per_round, round_index)
+        if key not in self._selections:
+            chosen = select_clients(pool_size, clients_per_round, round_index, self.seed)
+            chosen.setflags(write=False)
+            self._selections[key] = chosen
+        return self._selections[key]
+
+    def orders(self, round_index: int, client: int, n: int) -> _Lane:
+        """A fresh order source over the client's kept orders of n samples."""
+        key = (round_index, client, n)
+        if key not in self._orders:
+            self._orders[key] = (derived_rng(self.seed, _STREAM_TRAIN, round_index, client), [])
+        return _Lane(*self._orders[key], n)
+
+
 def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
          epochs: int, lr: float, batch_size: int,
-         rngs: Sequence[np.random.Generator]) -> np.ndarray:
+         rngs: Sequence[np.random.Generator | _Lane]) -> np.ndarray:
     """Mini-batch SGD of K clients from one start point, as one stack.
 
     xb (K, n, f+1) holds each client's bias-augmented samples, y (K, n)
     their labels.  Every epoch client k's samples are reordered by
     rngs[k].permutation(n), then all clients step together over full
-    passes, last short batch included.  Returns the (K, dim) trained
-    parameters; row k equals client k trained alone.
+    passes, last short batch included.  rngs[k] is any order source with
+    that method: a Generator, or a _Draws lane replaying kept orders.
+    Returns the (K, dim) trained parameters; row k equals client k
+    trained alone.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -327,16 +385,16 @@ class _Cohort:
     """
 
     def __init__(self, xb: np.ndarray, y: np.ndarray,
-                 rngs: Sequence[np.random.Generator]):
+                 rngs: Sequence[np.random.Generator | _Lane]):
         self._xb, self._y, self._rngs = xb, y, tuple(rngs)
         self._lane = {id(rng): k for k, rng in enumerate(self._rngs)}
         self._key: tuple | None = None
         self._trained: np.ndarray | None = None
 
-    def trained(self, rng: np.random.Generator, shard: np.ndarray,
+    def trained(self, rng: np.random.Generator | _Lane, shard: np.ndarray,
                 spec: ModelSpec, w: np.ndarray, epochs: int, lr: float,
                 batch_size: int) -> np.ndarray:
-        """The trained parameters of the client whose generator is rng."""
+        """The trained parameters of the client whose order source is rng."""
         lane = self._lane.get(id(rng))
         if lane is None:
             raise ValueError("rng is not one of the cohort's generators")
@@ -354,14 +412,15 @@ class _Cohort:
 
 def train_local(w: np.ndarray, dataset: SimDataset, shard: np.ndarray,
                 spec: ModelSpec, epochs: int, lr: float, batch_size: int,
-                rng: np.random.Generator, *,
+                rng: np.random.Generator | _Lane, *,
                 cohort: _Cohort | None = None) -> tuple[np.ndarray, int]:
     """One client's local pass; returns (delta, shard size).
 
-    With `cohort` (simulate builds one per round), the client is one
-    lane of the round's stack: the round's first call trains every lane
-    in one batched _sgd call and later calls read their row, so the
-    result equals the client trained alone.
+    rng gives each epoch's batch order (see _sgd).  With `cohort`
+    (simulate builds one per round), the client is one lane of the
+    round's stack: the round's first call trains every lane in one
+    batched _sgd call and later calls read their row, so the result
+    equals the client trained alone.
     """
     if len(shard) == 0:
         raise ValueError("cannot train on an empty shard")
@@ -510,7 +569,7 @@ def _assign(dataset: SimDataset, partition: Partition,
 
 def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
              hardware: HardwareProfile, *,
-             shards: np.ndarray | None = None,
+             shards: np.ndarray | None = None, draws: _Draws | None = None,
              ) -> tuple[AccuracyTrace, RoundSchedule, np.ndarray]:
     """Run federated rounds until the accuracy target or the round cap.
 
@@ -520,12 +579,15 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     vector, so degenerate runs can be compared against plain SGD.
     `shards`, a (pool_size, n) array whose row k holds client k's rows
     of the dataset, skips the sample assignment; pass the block
-    build_federation drew for the same seed.
+    build_federation drew for the same seed.  `draws`, a _Draws of the
+    config's seed, supplies the selections and batch orders and keeps
+    them for the next run; without it each round draws its own
+    generators and keeps nothing past the round.
 
     A round's clients train as one stack (see _sgd), through one
     train_local call per client on the round's _Cohort; each keeps its
-    own batch-order generator, and their deltas are aggregated in
-    selection order, so the result equals training them one by one.
+    own batch-order source, and their deltas are aggregated in selection
+    order, so the result equals training them one by one.
     """
     if partition.num_clients != config.pool_size:
         raise ValueError(
@@ -540,6 +602,8 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     elif len(shards) != config.pool_size:
         raise ValueError(
             f"{len(shards)} shards given, config declares {config.pool_size} clients")
+    if draws is not None and draws.seed != config.seed:
+        raise ValueError(f"draws are for seed {draws.seed}, config seed is {config.seed}")
 
     spec = ModelSpec(dataset.num_classes, dataset.num_features, config.hidden_units)
     w = spec.init_params(derived_rng(config.seed, _STREAM_INIT))
@@ -554,11 +618,17 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     accuracies: list[float] = []
     clients: list[np.ndarray] = []
     for r in range(config.max_rounds):
-        selected = select_clients(config.pool_size, config.clients_per_round, r, config.seed)
+        if draws is None:
+            selected = select_clients(config.pool_size, config.clients_per_round, r,
+                                      config.seed)
+            chosen = [int(cid) for cid in selected]
+            rngs = [derived_rng(config.seed, _STREAM_TRAIN, r, cid) for cid in chosen]
+        else:
+            selected = draws.selection(config.pool_size, config.clients_per_round, r)
+            chosen = [int(cid) for cid in selected]
+            rngs = [draws.orders(r, cid, shards.shape[1]) for cid in chosen]
         clients.append(selected)
-        chosen = [int(cid) for cid in selected]
         rows = shards[chosen]
-        rngs = [derived_rng(config.seed, _STREAM_TRAIN, r, cid) for cid in chosen]
         cohort = _Cohort(_with_bias(dataset.features[rows]),
                          dataset.labels[rows], rngs)
         updates = [train_local(w, dataset, shards[cid], spec, config.local_epochs,

@@ -212,6 +212,18 @@ class TestSimulate:
         cum = [float(r["cumulative_wh"]) for r in rows]
         assert all(b > a for a, b in zip(cum, cum[1:])) or len(cum) == 1
 
+    @pytest.mark.parametrize("out", ["outdir/", "outdir/.csv", ".csv", "outdir/."])
+    def test_out_naming_no_file_is_validation_error(self, capsys, tmp_path,
+                                                   monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        code, stdout, err = run_cli(capsys, "simulate", "--config", FL_DEMO,
+                                    "--out", out)
+        assert code == 1 and stdout == ""
+        assert err == (f"error: --out {out!r} names no file: simulate writes "
+                       "<out>.csv and <out>.schedule.json\n")
+        assert [p.name for p in tmp_path.rglob("*")] == ["outdir"]
+
     def test_unreached_target_exits_3(self, capsys, tmp_path):
         raw = json.loads((CONFIGS / "fl_sim_small_france.json").read_text())
         raw["fl"]["rounds"] = 2

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedcarbon import (
     CellOutcome,
@@ -431,6 +435,76 @@ class TestSimulationRunner:
         assert calls == {"make_task": 2, "lda_partition": 4, "assign_samples": 4}
         fresh = [make_simulation_runner(cfg)(n, e, a) for n, e, a in cells]
         assert first == fresh
+
+    def test_selections_and_batch_orders_drawn_once_per_runner(self, monkeypatch):
+        import fedcarbon.sim as sim
+
+        derived_rng, select_clients = sim.derived_rng, sim.select_clients
+        generators: Counter = Counter()
+        selections: Counter = Counter()
+
+        def counted_rng(*keys):
+            if keys[1] == sim._STREAM_TRAIN:
+                generators[keys[2:]] += 1
+            return derived_rng(*keys)
+
+        def counted_select(pool_size, clients_per_round, round_index, seed):
+            selections[(clients_per_round, round_index)] += 1
+            return select_clients(pool_size, clients_per_round, round_index, seed)
+
+        monkeypatch.setattr(sim, "derived_rng", counted_rng)
+        monkeypatch.setattr(sim, "select_clients", counted_select)
+        cfg = config_from_dict(self.BASE)
+        cells = default_grid(max_clients=3, alphas=(1000.0, 0.1))
+        grid_search(cells, make_simulation_runner(cfg), target_accuracy=0.6)
+
+        # 12 cells of 5 rounds: one selection per (clients per round,
+        # round) and one generator per (round, client) they selected.
+        keys = {(n, r) for n in (1, 2, 3) for r in range(5)}
+        trained = {(r, int(c)) for n, r in keys for c in select_clients(10, n, r, 3)}
+        assert selections == Counter(dict.fromkeys(keys, 1))
+        assert generators == Counter(dict.fromkeys(trained, 1))
+
+        # A second runner draws its own.
+        grid_search(cells, make_simulation_runner(cfg), target_accuracy=0.6)
+        assert selections == Counter(dict.fromkeys(keys, 2))
+        assert generators == Counter(dict.fromkeys(trained, 2))
+
+    TINY = {
+        "mode": "fl",
+        "hardware": "tx2-cifar10",
+        "grid": "france",
+        "fl": {"pool_size": 4, "clients_per_round": 1, "rounds": 3,
+               "local_epochs": 1, "model_size_mb": 0.0},
+        "sim": {"classes": 2, "features": 3, "n_samples": 120, "batch_size": 8,
+                "separation": 1.5, "target_accuracy": 0.7},
+        "seed": 8,
+    }
+
+    @settings(max_examples=25, deadline=None)
+    @given(cells=st.lists(st.tuples(st.integers(1, 4), st.sampled_from((1, 2, 5)),
+                                    st.sampled_from((1000.0, 0.1))),
+                          min_size=1, max_size=4))
+    @example(cells=[(2, 1, 1000.0), (2, 5, 1000.0), (3, 5, 0.1)])
+    @example(cells=[(2, 5, 0.1), (2, 1, 0.1), (2, 1, 1000.0)])
+    def test_shared_draws_leave_every_cell_as_run_alone(self, cells):
+        import fedcarbon.sim as sim
+
+        simulate = sim.simulate
+
+        def checked(*args, draws, **kwargs):
+            trace, schedule, w = simulate(*args, draws=draws, **kwargs)
+            # The run equals one that draws its own, to the last bit of
+            # the final weights, which the outcome rounds away.
+            alone = simulate(*args, **kwargs)
+            assert (trace, schedule, w.tobytes()) == (alone[0], alone[1], alone[2].tobytes())
+            return trace, schedule, w
+
+        cfg = config_from_dict(self.TINY)
+        with mock.patch.object(sim, "simulate", checked):
+            shared = make_simulation_runner(cfg)
+            for cell in cells:
+                assert shared(*cell) == make_simulation_runner(cfg)(*cell)
 
     def test_requires_a_federated_config(self):
         cen = config_from_dict({

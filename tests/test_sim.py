@@ -575,6 +575,33 @@ class TestBatchedStep:
             fed.shards[0, 0] = 0
 
 
+class TestDraws:
+    def test_lanes_replay_the_clients_generator_and_keep_read_only_orders(self):
+        draws = sim._Draws(5)
+        first, second = draws.orders(0, 3, 10), draws.orders(0, 3, 10)
+        alone = derived_rng(5, 15, 0, 3)
+        a = first.permutation(10)
+        assert np.array_equal(a, alone.permutation(10))
+        assert second.permutation(10) is a
+        # The second lane draws the next order on first use; the first reads it.
+        b = second.permutation(10)
+        assert np.array_equal(b, alone.permutation(10))
+        assert first.permutation(10) is b
+        assert draws.selection(12, 4, 0) is draws.selection(12, 4, 0)
+        assert np.array_equal(draws.selection(12, 4, 0), select_clients(12, 4, 0, 5))
+        for kept in (a, b, draws.selection(12, 4, 0)):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 0
+        with pytest.raises(ValueError, match="orders of 10 samples, asked for 9"):
+            first.permutation(9)
+
+    def test_draws_of_another_seed_rejected(self):
+        cfg, ds, part = small_setup()
+        with pytest.raises(ValueError, match="draws are for seed 22, config seed is 21"):
+            simulate(cfg, ds, part, HW, draws=sim._Draws(22))
+
+
 class TestRoundsToTarget:
     def test_first_crossing_is_one_based(self):
         trace = AccuracyTrace(accuracies=(0.2, 0.5, 0.7, 0.71), round_time_s=1.0)
