@@ -193,9 +193,10 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
     partition and sample shards only on alpha besides, so the runner
     builds the task once and the partition and shards once per alpha.
     Every cell runs with the seed, so the runner also draws each round's
-    client selection and each client's batch orders once (a sim._Draws)
-    and every cell reads them.  All of it lives in the runner and goes
-    with it; two runners share nothing.
+    client selection and each client's batch orders once (a sim._Draws,
+    which keeps at most sim._KEEP_BYTES of them) and every cell reads
+    them.  All of it lives in the runner and goes with it; two runners
+    share nothing.
     """
     from .sim import (Federation, SimConfig, SimDataset, _Draws, _fl_and_sim,
                       build_federation, rounds_to_target, simulate)

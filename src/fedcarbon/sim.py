@@ -15,6 +15,7 @@ centralized SGD with the same seed.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -277,25 +278,51 @@ class ModelSpec:
         return self._accuracy(w, _with_bias(x), y)
 
 
+# What a _Draws may keep, in bytes: its read-only selections and orders
+# (their data plus about 128 bytes each) and about 2 KB per training
+# generator.  Once full it keeps nothing more, so a long or large grid
+# search holds at most this much, and a _Draws of 0 bytes keeps nothing.
+# A 40-cell grid of 10 rounds keeps under 1 MB; with large shards local
+# SGD, not drawing, dominates, so the rest buys little.
+_KEEP_BYTES = 16 << 20
+_ARRAY_BYTES = 128
+_GENERATOR_BYTES = 2048
+
+
 class _Lane:
     """One run's order source for one client: its i-th permutation(n)
-    returns the i-th order kept for that client, drawing it from the
-    client's generator on first use."""
+    returns the i-th order kept for that client, drawing and keeping it on
+    first use.  When its _Draws is full, the lane draws the rest from its
+    own copy of the client's generator, which stands at the same order."""
 
-    __slots__ = ("_rng", "_kept", "_n", "_used")
+    __slots__ = ("_draws", "_rng", "_kept", "_n", "_used", "_own")
 
-    def __init__(self, rng: np.random.Generator, kept: list[np.ndarray], n: int):
-        self._rng, self._kept, self._n, self._used = rng, kept, n, 0
+    def __init__(self, draws: _Draws, rng: np.random.Generator,
+                 kept: list[np.ndarray], n: int):
+        self._draws, self._rng, self._kept, self._n = draws, rng, kept, n
+        self._used = 0
+        self._own: np.random.Generator | None = None
 
     def permutation(self, n: int) -> np.ndarray:
         if n != self._n:
             raise ValueError(f"lane keeps orders of {self._n} samples, asked for {n}")
-        if self._used == len(self._kept):
-            order = self._rng.permutation(n)
-            order.setflags(write=False)
-            self._kept.append(order)
-        self._used += 1
-        return self._kept[self._used - 1]
+        i, self._used = self._used, self._used + 1
+        if self._own is not None:
+            return self._own.permutation(n)
+        if i < len(self._kept):
+            return self._kept[i]
+        # Kept as the smallest integer type that holds n - 1: indexing by
+        # it selects the same rows.
+        index = np.min_scalar_type(n - 1)
+        if not self._draws._take(n * index.itemsize + _ARRAY_BYTES):
+            # Full: the client's generator stands at order i (every lane
+            # kept the ones before), so a copy of it draws order i on.
+            self._own = copy.deepcopy(self._rng)
+            return self._own.permutation(n)
+        order = self._rng.permutation(n).astype(index)
+        order.setflags(write=False)
+        self._kept.append(order)
+        return order
 
 
 class _Draws:
@@ -306,31 +333,49 @@ class _Draws:
     runs with one seed that differ in alpha, local epochs or clients per
     round can share them: a run with more local epochs reuses the orders
     a shorter one drew and draws the rest.  The live optimize runner keeps
-    one for its grid search and passes it to simulate (draws=).
+    one for its grid search and passes it to simulate (draws=).  It keeps
+    at most keep_bytes (see _KEEP_BYTES); past that it hands out fresh
+    draws, the same bits at the cost of drawing them again.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, keep_bytes: int = _KEEP_BYTES):
         self.seed = seed
+        self._room = keep_bytes
         self._selections: dict[tuple[int, int, int], np.ndarray] = {}
         self._orders: dict[tuple[int, int, int],
                            tuple[np.random.Generator, list[np.ndarray]]] = {}
+
+    def _take(self, nbytes: int) -> bool:
+        """Reserve nbytes of the budget; False, reserving nothing, if full."""
+        if nbytes > self._room:
+            return False
+        self._room -= nbytes
+        return True
 
     def selection(self, pool_size: int, clients_per_round: int,
                   round_index: int) -> np.ndarray:
         """select_clients for this seed, read-only."""
         key = (pool_size, clients_per_round, round_index)
-        if key not in self._selections:
+        chosen = self._selections.get(key)
+        if chosen is None:
             chosen = select_clients(pool_size, clients_per_round, round_index, self.seed)
             chosen.setflags(write=False)
-            self._selections[key] = chosen
-        return self._selections[key]
+            if self._take(chosen.nbytes + _ARRAY_BYTES):
+                self._selections[key] = chosen
+        return chosen
 
-    def orders(self, round_index: int, client: int, n: int) -> _Lane:
-        """A fresh order source over the client's kept orders of n samples."""
+    def orders(self, round_index: int, client: int,
+               n: int) -> _Lane | np.random.Generator:
+        """The client's order source for one run: a fresh lane over its
+        kept orders of n samples, or its own generator once full."""
         key = (round_index, client, n)
-        if key not in self._orders:
-            self._orders[key] = (derived_rng(self.seed, _STREAM_TRAIN, round_index, client), [])
-        return _Lane(*self._orders[key], n)
+        kept = self._orders.get(key)
+        if kept is None:
+            rng = derived_rng(self.seed, _STREAM_TRAIN, round_index, client)
+            if not self._take(_GENERATOR_BYTES):
+                return rng
+            kept = self._orders[key] = (rng, [])
+        return _Lane(self, *kept, n)
 
 
 def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
@@ -581,8 +626,8 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     of the dataset, skips the sample assignment; pass the block
     build_federation drew for the same seed.  `draws`, a _Draws of the
     config's seed, supplies the selections and batch orders and keeps
-    them for the next run; without it each round draws its own
-    generators and keeps nothing past the round.
+    them for the next run; without it a _Draws of 0 bytes draws them and
+    keeps nothing.
 
     A round's clients train as one stack (see _sgd), through one
     train_local call per client on the round's _Cohort; each keeps its
@@ -602,7 +647,9 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     elif len(shards) != config.pool_size:
         raise ValueError(
             f"{len(shards)} shards given, config declares {config.pool_size} clients")
-    if draws is not None and draws.seed != config.seed:
+    if draws is None:
+        draws = _Draws(config.seed, keep_bytes=0)
+    elif draws.seed != config.seed:
         raise ValueError(f"draws are for seed {draws.seed}, config seed is {config.seed}")
 
     spec = ModelSpec(dataset.num_classes, dataset.num_features, config.hidden_units)
@@ -618,15 +665,9 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     accuracies: list[float] = []
     clients: list[np.ndarray] = []
     for r in range(config.max_rounds):
-        if draws is None:
-            selected = select_clients(config.pool_size, config.clients_per_round, r,
-                                      config.seed)
-            chosen = [int(cid) for cid in selected]
-            rngs = [derived_rng(config.seed, _STREAM_TRAIN, r, cid) for cid in chosen]
-        else:
-            selected = draws.selection(config.pool_size, config.clients_per_round, r)
-            chosen = [int(cid) for cid in selected]
-            rngs = [draws.orders(r, cid, shards.shape[1]) for cid in chosen]
+        selected = draws.selection(config.pool_size, config.clients_per_round, r)
+        chosen = [int(cid) for cid in selected]
+        rngs = [draws.orders(r, cid, shards.shape[1]) for cid in chosen]
         clients.append(selected)
         rows = shards[chosen]
         cohort = _Cohort(_with_bias(dataset.features[rows]),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -481,13 +482,18 @@ class TestSimulationRunner:
         "seed": 8,
     }
 
+    # The TINY runner's keys cost 2048 bytes and its orders 24 + 128, so
+    # these budgets fill up at the first key, within the first keys' orders,
+    # and after a few keys; None is the default budget.
     @settings(max_examples=25, deadline=None)
     @given(cells=st.lists(st.tuples(st.integers(1, 4), st.sampled_from((1, 2, 5)),
                                     st.sampled_from((1000.0, 0.1))),
-                          min_size=1, max_size=4))
-    @example(cells=[(2, 1, 1000.0), (2, 5, 1000.0), (3, 5, 0.1)])
-    @example(cells=[(2, 5, 0.1), (2, 1, 0.1), (2, 1, 1000.0)])
-    def test_shared_draws_leave_every_cell_as_run_alone(self, cells):
+                          min_size=1, max_size=4),
+           keep_bytes=st.sampled_from((None, 0, 2200, 2600, 9000)))
+    @example(cells=[(2, 1, 1000.0), (2, 5, 1000.0), (3, 5, 0.1)], keep_bytes=None)
+    @example(cells=[(2, 5, 0.1), (2, 1, 0.1), (2, 1, 1000.0)], keep_bytes=None)
+    @example(cells=[(4, 1, 1000.0), (4, 5, 1000.0), (4, 2, 0.1)], keep_bytes=9000)
+    def test_shared_draws_leave_every_cell_as_run_alone(self, cells, keep_bytes):
         import fedcarbon.sim as sim
 
         simulate = sim.simulate
@@ -501,7 +507,9 @@ class TestSimulationRunner:
             return trace, schedule, w
 
         cfg = config_from_dict(self.TINY)
-        with mock.patch.object(sim, "simulate", checked):
+        draws = sim._Draws if keep_bytes is None else partial(sim._Draws, keep_bytes=keep_bytes)
+        with mock.patch.object(sim, "simulate", checked), \
+                mock.patch.object(sim, "_Draws", draws):
             shared = make_simulation_runner(cfg)
             for cell in cells:
                 assert shared(*cell) == make_simulation_runner(cfg)(*cell)

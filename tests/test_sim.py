@@ -596,6 +596,47 @@ class TestDraws:
         with pytest.raises(ValueError, match="orders of 10 samples, asked for 9"):
             first.permutation(9)
 
+    def test_orders_are_kept_in_the_smallest_index_type(self):
+        draws = sim._Draws(5)
+        for n, dtype in ((10, np.uint8), (256, np.uint8), (257, np.uint16), (70000, np.uint32)):
+            order = draws.orders(0, 0, n).permutation(n)
+            assert order.dtype == dtype
+            assert np.array_equal(order, derived_rng(5, 15, 0, 0).permutation(n))
+
+    @pytest.mark.parametrize("orders_kept", [0, 1, 2])
+    def test_a_full_draws_keeps_nothing_more_and_hands_out_the_same_orders(self, orders_kept):
+        # Room for one generator and orders_kept orders of 10 samples
+        # (uint8, 10 bytes each), and nothing else.
+        budget = sim._GENERATOR_BYTES + orders_kept * (10 + sim._ARRAY_BYTES)
+        draws = sim._Draws(5, keep_bytes=budget)
+        lanes = [draws.orders(0, 3, 10) for _ in range(3)]
+        alone = derived_rng(5, 15, 0, 3)
+        for _ in range(4):
+            expected = alone.permutation(10)
+            for lane in lanes:
+                assert np.array_equal(lane.permutation(10), expected)
+        assert draws._room == 0
+        assert len(draws._orders[0, 3, 10][1]) == orders_kept
+        # Full: another client gets its own generator and no selection is kept.
+        other = draws.orders(0, 4, 10)
+        assert isinstance(other, np.random.Generator)
+        assert np.array_equal(other.permutation(10), derived_rng(5, 15, 0, 4).permutation(10))
+        assert draws.selection(12, 4, 0) is not draws.selection(12, 4, 0)
+        assert draws._selections == {}
+
+    def test_plain_simulate_keeps_no_draws(self, monkeypatch):
+        made = []
+
+        class Recorded(sim._Draws):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(sim, "_Draws", Recorded)
+        cfg, ds, part = small_setup()
+        simulate(cfg, ds, part, HW)
+        assert [(d._room, d._selections, d._orders) for d in made] == [(0, {}, {})]
+
     def test_draws_of_another_seed_rejected(self):
         cfg, ds, part = small_setup()
         with pytest.raises(ValueError, match="draws are for seed 22, config seed is 21"):
