@@ -14,6 +14,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 
 from fedcarbon import (
     SimConfig,
@@ -42,6 +43,11 @@ def rounds_and_emissions(alpha: float, seed: int, target: float,
 
 
 def main() -> None:
+    registry = builtin_registry()
+
+    def names(prefix: str) -> list[str]:
+        return [key[len(prefix):] for key in registry if key.startswith(prefix)]
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=10,
                         help="number of independent seeds to run")
@@ -51,13 +57,20 @@ def main() -> None:
                         help="Dirichlet alpha for the near-uniform arm")
     parser.add_argument("--alpha-noniid", type=float, default=0.1,
                         help="Dirichlet alpha for the concentrated arm")
-    parser.add_argument("--hardware", default="tx2-nominal",
-                        help="hardware profile name for pricing")
-    parser.add_argument("--grid", default="france",
-                        help="grid region name for pricing")
+    parser.add_argument("--hardware", default="tx2-nominal", choices=names("hw:"),
+                        metavar="NAME", help="hardware profile name for pricing")
+    parser.add_argument("--grid", default="france", choices=names("grid:"),
+                        metavar="NAME", help="grid region name for pricing")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be >= 1")
+    if not 0.0 <= args.target <= 1.0:
+        parser.error("--target must lie in [0, 1]")
+    for flag, alpha in (("--alpha-iid", args.alpha_iid),
+                        ("--alpha-noniid", args.alpha_noniid)):
+        if not (math.isfinite(alpha) and alpha > 0):
+            parser.error(f"{flag} must be finite and > 0")
 
-    registry = builtin_registry()
     hardware = registry[f"hw:{args.hardware}"]
     grid = registry[f"grid:{args.grid}"]
 

@@ -66,7 +66,10 @@ def main() -> None:
     parser.add_argument("--fixtures", type=Path, default=REPO_ROOT / "fixtures",
                         help="directory holding the published-table fixtures")
     args = parser.parse_args()
-    device_energy_table(args.fixtures)
+    try:
+        device_energy_table(args.fixtures)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     centralized_emissions()
 
 

@@ -72,6 +72,9 @@ def main() -> None:
     parser.add_argument("--top", type=int, default=10,
                         help="how many ranked cells to print")
     args = parser.parse_args()
+    for flag, value in (("--max-clients", args.max_clients), ("--top", args.top)):
+        if value < 1:
+            parser.error(f"{flag} must be >= 1")
 
     try:
         if args.simulate:

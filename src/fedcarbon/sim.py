@@ -15,7 +15,6 @@ centralized SGD with the same seed.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -278,8 +277,8 @@ class ModelSpec:
         return self._accuracy(w, _with_bias(x), y)
 
 
-# What a _Draws may keep, in bytes: its read-only selections and orders
-# (their data plus about 128 bytes each) and about 2 KB per training
+# What a _Draws may keep, in bytes: its read-only selections and order
+# blocks (their data plus about 128 bytes each) and about 2 KB per training
 # generator.  Once full it keeps nothing more, so a long or large grid
 # search holds at most this much, and a _Draws of 0 bytes keeps nothing.
 # A 40-cell grid of 10 rounds keeps under 1 MB; with large shards local
@@ -289,40 +288,18 @@ _ARRAY_BYTES = 128
 _GENERATOR_BYTES = 2048
 
 
-class _Lane:
-    """One run's order source for one client: its i-th permutation(n)
-    returns the i-th order kept for that client, drawing and keeping it on
-    first use.  When its _Draws is full, the lane draws the rest from its
-    own copy of the client's generator, which stands at the same order."""
-
-    __slots__ = ("_draws", "_rng", "_kept", "_n", "_used", "_own")
-
-    def __init__(self, draws: _Draws, rng: np.random.Generator,
-                 kept: list[np.ndarray], n: int):
-        self._draws, self._rng, self._kept, self._n = draws, rng, kept, n
-        self._used = 0
-        self._own: np.random.Generator | None = None
-
-    def permutation(self, n: int) -> np.ndarray:
-        if n != self._n:
-            raise ValueError(f"lane keeps orders of {self._n} samples, asked for {n}")
-        i, self._used = self._used, self._used + 1
-        if self._own is not None:
-            return self._own.permutation(n)
-        if i < len(self._kept):
-            return self._kept[i]
-        # Kept as the smallest integer type that holds n - 1: indexing by
-        # it selects the same rows.
-        index = np.min_scalar_type(n - 1)
-        if not self._draws._take(n * index.itemsize + _ARRAY_BYTES):
-            # Full: the client's generator stands at order i (every lane
-            # kept the ones before), so a copy of it draws order i on.
-            self._own = copy.deepcopy(self._rng)
-            return self._own.permutation(n)
-        order = self._rng.permutation(n).astype(index)
-        order.setflags(write=False)
-        self._kept.append(order)
-        return order
+def _draw_orders(rng: np.random.Generator, n: int, epochs: int) -> np.ndarray:
+    """The next `epochs` batch orders rng.permutation(n) gives, as a
+    read-only (epochs, n) block of the smallest integer type that holds
+    n - 1: indexing by it selects the same rows.  It is filled row by row,
+    so no int64 block is built."""
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    block = np.empty((epochs, n), np.min_scalar_type(n - 1))
+    for e in range(epochs):
+        block[e] = rng.permutation(n)
+    block.setflags(write=False)
+    return block
 
 
 class _Draws:
@@ -331,11 +308,13 @@ class _Draws:
     Round r's clients depend only on (seed, pool size, clients per round,
     r) and client c's batch orders only on (seed, r, c, shard size), so
     runs with one seed that differ in alpha, local epochs or clients per
-    round can share them: a run with more local epochs reuses the orders
-    a shorter one drew and draws the rest.  The live optimize runner keeps
-    one for its grid search and passes it to simulate (draws=).  It keeps
-    at most keep_bytes (see _KEEP_BYTES); past that it hands out fresh
-    draws, the same bits at the cost of drawing them again.
+    round can share them.  Per (r, c, shard size) it keeps the client's
+    generator and the block of orders drawn so far: a run with more local
+    epochs extends the block from the kept generator, which stands at its
+    next row.  The live optimize runner keeps one for its grid search and
+    passes it to simulate (draws=).  It keeps at most keep_bytes (see
+    _KEEP_BYTES); past that it hands out fresh draws, the same bits at the
+    cost of drawing them again.
     """
 
     def __init__(self, seed: int, keep_bytes: int = _KEEP_BYTES):
@@ -343,7 +322,7 @@ class _Draws:
         self._room = keep_bytes
         self._selections: dict[tuple[int, int, int], np.ndarray] = {}
         self._orders: dict[tuple[int, int, int],
-                           tuple[np.random.Generator, list[np.ndarray]]] = {}
+                           tuple[np.random.Generator, np.ndarray]] = {}
 
     def _take(self, nbytes: int) -> bool:
         """Reserve nbytes of the budget; False, reserving nothing, if full."""
@@ -364,35 +343,41 @@ class _Draws:
                 self._selections[key] = chosen
         return chosen
 
-    def orders(self, round_index: int, client: int,
-               n: int) -> _Lane | np.random.Generator:
-        """The client's order source for one run: a fresh lane over its
-        kept orders of n samples, or its own generator once full."""
+    def orders(self, round_index: int, client: int, n: int,
+               epochs: int) -> np.ndarray:
+        """The client's first `epochs` batch orders of n samples, a
+        read-only (epochs, n) block (see _draw_orders)."""
         key = (round_index, client, n)
         kept = self._orders.get(key)
         if kept is None:
             rng = derived_rng(self.seed, _STREAM_TRAIN, round_index, client)
-            if not self._take(_GENERATOR_BYTES):
-                return rng
-            kept = self._orders[key] = (rng, [])
-        return _Lane(self, *kept, n)
+            block = _draw_orders(rng, n, epochs)
+            if self._take(block.nbytes + _ARRAY_BYTES + _GENERATOR_BYTES):
+                self._orders[key] = (rng, block)
+            return block
+        rng, block = kept
+        if epochs > len(block):
+            if not self._take((epochs - len(block)) * n * block.itemsize):
+                # Full: a fresh generator draws the same orders again, and
+                # the kept entry stays as it is.
+                return _draw_orders(derived_rng(self.seed, _STREAM_TRAIN,
+                                                round_index, client), n, epochs)
+            block = np.concatenate([block, _draw_orders(rng, n, epochs - len(block))])
+            block.setflags(write=False)
+            self._orders[key] = (rng, block)
+        return block[:epochs]
 
 
 def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
-         epochs: int, lr: float, batch_size: int,
-         rngs: Sequence[np.random.Generator | _Lane]) -> np.ndarray:
+         orders: np.ndarray, lr: float, batch_size: int) -> np.ndarray:
     """Mini-batch SGD of K clients from one start point, as one stack.
 
     xb (K, n, f+1) holds each client's bias-augmented samples, y (K, n)
-    their labels.  Every epoch client k's samples are reordered by
-    rngs[k].permutation(n), then all clients step together over full
-    passes, last short batch included.  rngs[k] is any order source with
-    that method: a Generator, or a _Draws lane replaying kept orders.
-    Returns the (K, dim) trained parameters; row k equals client k
-    trained alone.
+    their labels and orders (K, epochs, n) their batch orders: epoch e
+    reorders client k's samples by orders[k, e], then all clients
+    step together over full passes, last short batch included.  Returns
+    the (K, dim) trained parameters; row k equals client k trained alone.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError("lr must be finite and > 0")
     if batch_size < 1:
@@ -403,8 +388,7 @@ def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
     clients = np.arange(k)[:, np.newaxis]
     onehot = spec._onehot(y)
     out = np.tile(w, (k, 1))
-    for _ in range(epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
+    for order in orders.swapaxes(0, 1):
         xe, ye = xb[clients, order], onehot[clients, order]
         for start in range(0, n, batch_size):
             batch = slice(start, start + batch_size)
@@ -416,39 +400,39 @@ def sgd_epochs(w: np.ndarray, x: np.ndarray, y: np.ndarray, spec: ModelSpec,
                epochs: int, lr: float, batch_size: int,
                rng: np.random.Generator) -> np.ndarray:
     """Mini-batch SGD: full shuffled passes, last short batch included."""
+    orders = _draw_orders(rng, len(y), epochs)
     return _sgd(spec, w, _with_bias(x)[np.newaxis], np.asarray(y)[np.newaxis],
-                epochs, lr, batch_size, (rng,))[0]
+                orders[np.newaxis], lr, batch_size)[0]
 
 
 class _Cohort:
     """A round's selected clients, trained as one stack by one _sgd call.
 
     Holds the clients' bias-augmented samples (K, n, f+1), their labels
-    (K, n) and their batch-order generators, in selection order.  The
+    (K, n) and their (epochs, n) order blocks, stacked once as (K, epochs,
+    n), in selection order.  A client's own block is its lane token.  The
     first train_local call on any of them trains the whole stack with
     that call's parameters; every call returns its own client's row.
     """
 
-    def __init__(self, xb: np.ndarray, y: np.ndarray,
-                 rngs: Sequence[np.random.Generator | _Lane]):
-        self._xb, self._y, self._rngs = xb, y, tuple(rngs)
-        self._lane = {id(rng): k for k, rng in enumerate(self._rngs)}
+    def __init__(self, xb: np.ndarray, y: np.ndarray, orders: Sequence[np.ndarray]):
+        self._xb, self._y, self._blocks = xb, y, tuple(orders)
+        self._orders = np.array(self._blocks)
+        self._lane = {id(block): k for k, block in enumerate(self._blocks)}
         self._key: tuple | None = None
         self._trained: np.ndarray | None = None
 
-    def trained(self, rng: np.random.Generator | _Lane, shard: np.ndarray,
-                spec: ModelSpec, w: np.ndarray, epochs: int, lr: float,
-                batch_size: int) -> np.ndarray:
-        """The trained parameters of the client whose order source is rng."""
-        lane = self._lane.get(id(rng))
+    def trained(self, block: np.ndarray, shard: np.ndarray, spec: ModelSpec,
+                w: np.ndarray, epochs: int, lr: float, batch_size: int) -> np.ndarray:
+        """The trained parameters of the client whose order block is block."""
+        lane = self._lane.get(id(block))
         if lane is None:
-            raise ValueError("rng is not one of the cohort's generators")
-        if len(shard) != self._y.shape[1]:
-            raise ValueError("shard size differs from the cohort's")
-        key = (spec, id(w), epochs, lr, batch_size)
+            raise ValueError("rng is not one of the cohort's order blocks")
+        if self._orders.shape[1:] != (epochs, len(shard)):
+            raise ValueError("epochs or shard size differ from the cohort's orders")
+        key = (spec, id(w), lr, batch_size)
         if self._trained is None:
-            self._trained = _sgd(spec, w, self._xb, self._y, epochs, lr,
-                                 batch_size, self._rngs)
+            self._trained = _sgd(spec, w, self._xb, self._y, self._orders, lr, batch_size)
             self._key = key
         elif key != self._key:
             raise ValueError("a cohort trains all its clients with one setting")
@@ -457,12 +441,13 @@ class _Cohort:
 
 def train_local(w: np.ndarray, dataset: SimDataset, shard: np.ndarray,
                 spec: ModelSpec, epochs: int, lr: float, batch_size: int,
-                rng: np.random.Generator | _Lane, *,
+                rng: np.random.Generator | np.ndarray, *,
                 cohort: _Cohort | None = None) -> tuple[np.ndarray, int]:
     """One client's local pass; returns (delta, shard size).
 
-    rng gives each epoch's batch order (see _sgd).  With `cohort`
-    (simulate builds one per round), the client is one lane of the
+    rng draws each epoch's batch order (see sgd_epochs).  With `cohort`
+    (simulate builds one per round), rng is instead the client's
+    (epochs, n) block of batch orders, which names its lane of the
     round's stack: the round's first call trains every lane in one
     batched _sgd call and later calls read their row, so the result
     equals the client trained alone.
@@ -630,9 +615,11 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     keeps nothing.
 
     A round's clients train as one stack (see _sgd), through one
-    train_local call per client on the round's _Cohort; each keeps its
-    own batch-order source, and their deltas are aggregated in selection
-    order, so the result equals training them one by one.
+    train_local call per client on the round's _Cohort.  Each client
+    brings its (local_epochs, n) block of batch orders, so a round holds
+    K x local_epochs x n order entries of 1 to 4 bytes each.  Their
+    deltas are aggregated in selection order, so the result equals
+    training them one by one.
     """
     if partition.num_clients != config.pool_size:
         raise ValueError(
@@ -667,15 +654,16 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     for r in range(config.max_rounds):
         selected = draws.selection(config.pool_size, config.clients_per_round, r)
         chosen = [int(cid) for cid in selected]
-        rngs = [draws.orders(r, cid, shards.shape[1]) for cid in chosen]
+        orders = [draws.orders(r, cid, shards.shape[1], config.local_epochs)
+                  for cid in chosen]
         clients.append(selected)
         rows = shards[chosen]
         cohort = _Cohort(_with_bias(dataset.features[rows]),
-                         dataset.labels[rows], rngs)
+                         dataset.labels[rows], orders)
         updates = [train_local(w, dataset, shards[cid], spec, config.local_epochs,
-                               config.client_lr, config.batch_size, rng,
+                               config.client_lr, config.batch_size, block,
                                cohort=cohort)
-                   for cid, rng in zip(chosen, rngs)]
+                   for cid, block in zip(chosen, orders)]
         if config.strategy == "fedavg":
             w = fedavg_aggregate(w, updates)
         else:
@@ -710,9 +698,9 @@ def centralized_sgd(dataset: SimDataset, periods: int, epochs_per_period: int,
     y_test = dataset.labels[dataset.test_idx]
     accuracies: list[float] = []
     for p in range(periods):
-        rng = derived_rng(seed, _STREAM_TRAIN, p, 0)
-        w = _sgd(spec, w, xb_train, y_train, epochs_per_period, lr, batch_size,
-                 (rng,))[0]
+        orders = _draw_orders(derived_rng(seed, _STREAM_TRAIN, p, 0),
+                              y_train.shape[1], epochs_per_period)
+        w = _sgd(spec, w, xb_train, y_train, orders[np.newaxis], lr, batch_size)[0]
         accuracies.append(spec._accuracy(w, xb_test, y_test))
     return w, tuple(accuracies)
 

@@ -482,15 +482,19 @@ class TestSimulationRunner:
         "seed": 8,
     }
 
-    # The TINY runner's keys cost 2048 bytes and its orders 24 + 128, so
-    # these budgets fill up at the first key, within the first keys' orders,
-    # and after a few keys; None is the default budget.
+    # The TINY runner's shards hold 24 samples, so a (round, client) key
+    # costs 2048 + 128 bytes for its generator and block plus 24 per epoch
+    # of orders, and a selection of n clients 8n + 128.  These budgets fill
+    # up at the first key; after the six keys a 2-client, 1-epoch cell
+    # keeps, within their orders (the example below extends them to 5
+    # epochs); and after a few keys.  None is the default budget.
     @settings(max_examples=25, deadline=None)
     @given(cells=st.lists(st.tuples(st.integers(1, 4), st.sampled_from((1, 2, 5)),
                                     st.sampled_from((1000.0, 0.1))),
                           min_size=1, max_size=4),
-           keep_bytes=st.sampled_from((None, 0, 2200, 2600, 9000)))
+           keep_bytes=st.sampled_from((None, 0, 2000, 13700, 9000)))
     @example(cells=[(2, 1, 1000.0), (2, 5, 1000.0), (3, 5, 0.1)], keep_bytes=None)
+    @example(cells=[(2, 1, 1000.0), (2, 5, 1000.0), (3, 5, 0.1)], keep_bytes=13700)
     @example(cells=[(2, 5, 0.1), (2, 1, 0.1), (2, 1, 1000.0)], keep_bytes=None)
     @example(cells=[(4, 1, 1000.0), (4, 5, 1000.0), (4, 2, 0.1)], keep_bytes=9000)
     def test_shared_draws_leave_every_cell_as_run_alone(self, cells, keep_bytes):

@@ -54,11 +54,33 @@ def test_grid_search_table_without_target_falls_back_to_the_sim_default(tmp_path
      "simulation needs a federated config with 'fl' and 'sim' objects"),
     (["--table", str(FIXTURES_DIR / "configs" / "fl_tx2_nominal_china.json")],
      "results table must be an object with a 'blocks' list"),
-], ids=["simulate-config-without-sim", "table-that-is-not-a-table"])
+    (["--simulate", "--max-clients", "0"], "--max-clients must be >= 1"),
+    (["--top", "-1"], "--top must be >= 1"),
+], ids=["simulate-config-without-sim", "table-that-is-not-a-table", "no-clients", "negative-top"])
 def test_grid_search_input_errors_are_usage_errors(argv, message):
     proc = run_script("run_grid_search.py", *argv)
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
     assert proc.stderr.endswith(f"run_grid_search.py: error: {message}\n")
+
+
+@pytest.mark.parametrize("script, argv, message", [
+    ("compare_iid_vs_noniid.py", ["--hardware", "nope"],
+     "argument --hardware: invalid choice: 'nope'"),
+    ("compare_iid_vs_noniid.py", ["--grid", "mars"], "argument --grid: invalid choice: 'mars'"),
+    ("compare_iid_vs_noniid.py", ["--seeds", "-2"], "--seeds must be >= 1"),
+    ("compare_iid_vs_noniid.py", ["--target", "1.5"], "--target must lie in [0, 1]"),
+    ("compare_iid_vs_noniid.py", ["--alpha-noniid", "0"], "--alpha-noniid must be finite and > 0"),
+    ("compare_iid_vs_noniid.py", ["--alpha-iid", "nan"], "--alpha-iid must be finite and > 0"),
+    ("reproduce_emission_tables.py", ["--fixtures", "/nonexistent"],
+     "No such file or directory: '/nonexistent/device_energy_table.json'"),
+], ids=["unknown-hardware", "unknown-grid", "negative-seeds", "target-above-one", "zero-alpha",
+        "nan-alpha", "missing-fixtures"])
+def test_script_input_errors_are_usage_errors(script, argv, message):
+    proc = run_script(script, *argv)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ")
+    assert f"{script}: error: " in proc.stderr and message in proc.stderr
 
 
 def test_readme_python_blocks_run():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,27 @@ class TestSgdAndLocalTraining:
         with pytest.raises(ValueError, match="empty shard"):
             train_local(np.zeros(6), ds, np.array([], dtype=int), ModelSpec(2, 2),
                         1, 0.1, 4, derived_rng(0))
+
+    @pytest.mark.parametrize("epochs, lr, batch_size, n, message", [
+        (0, 0.1, 4, 5, "epochs must be >= 1"),
+        (-1, 0.1, 4, 5, "epochs must be >= 1"),
+        (1, 0.0, 4, 5, "lr must be finite and > 0"),
+        (1, math.nan, 4, 5, "lr must be finite and > 0"),
+        (1, math.inf, 4, 5, "lr must be finite and > 0"),
+        (1, 0.1, 0, 5, "batch_size must be >= 1"),
+        (1, 0.1, 4, 0, "cannot train on an empty shard"),
+    ])
+    def test_bad_sgd_arguments_rejected(self, epochs, lr, batch_size, n, message):
+        ds = make_task(2, 2, 50, seed=9)
+        spec = ModelSpec(2, 2)
+        shard = ds.train_idx[:n]
+        w = np.zeros(spec.dim)
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=exact):
+            sgd_epochs(w, ds.features[shard], ds.labels[shard], spec, epochs, lr,
+                       batch_size, derived_rng(0))
+        with pytest.raises(ValueError, match=exact):
+            train_local(w, ds, shard, spec, epochs, lr, batch_size, derived_rng(0))
 
 
 class TestClientSelection:
@@ -500,8 +522,9 @@ class TestBatchedStep:
         y = data.integers(0, 4, size=(k, n))
         w = spec.init_params(data) if hidden_units else 0.1 * data.standard_normal(spec.dim)
         lr = 0.3
-        stacked = sim._sgd(spec, w, sim._with_bias(x), y, epochs, lr, batch_size,
-                           [derived_rng(3, 15, 0, c) for c in range(k)])
+        orders = np.stack([sim._draw_orders(derived_rng(3, 15, 0, c), n, epochs)
+                           for c in range(k)])
+        stacked = sim._sgd(spec, w, sim._with_bias(x), y, orders, lr, batch_size)
         assert stacked.shape == (k, spec.dim)
         for c in range(k):
             alone = reference_local_sgd(spec, w, x[c], y[c], epochs, lr, batch_size,
@@ -533,11 +556,11 @@ class TestBatchedStep:
         spec = ModelSpec(3, 4, hidden_units)
         w = spec.init_params(np.random.default_rng(6))
         shards = ds.train_idx[:120].reshape(3, 40)
-        rngs = [derived_rng(5, 15, 0, c) for c in range(3)]
-        cohort = sim._Cohort(sim._with_bias(ds.features[shards]), ds.labels[shards], rngs)
+        orders = [sim._draw_orders(derived_rng(5, 15, 0, c), 40, 2) for c in range(3)]
+        cohort = sim._Cohort(sim._with_bias(ds.features[shards]), ds.labels[shards], orders)
         # Asked out of selection order: each call still gets its own lane.
         for c in (2, 0, 1):
-            delta, n_k = train_local(w, ds, shards[c], spec, 2, 0.1, 16, rngs[c],
+            delta, n_k = train_local(w, ds, shards[c], spec, 2, 0.1, 16, orders[c],
                                      cohort=cohort)
             alone, _ = train_local(w, ds, shards[c], spec, 2, 0.1, 16,
                                    derived_rng(5, 15, 0, c))
@@ -548,16 +571,19 @@ class TestBatchedStep:
         spec = ModelSpec(3, 4)
         w = np.zeros(spec.dim)
         shards = ds.train_idx[:80].reshape(2, 40)
-        rngs = [derived_rng(5, 15, 0, c) for c in range(2)]
-        cohort = sim._Cohort(sim._with_bias(ds.features[shards]), ds.labels[shards], rngs)
-        with pytest.raises(ValueError, match="generators"):
-            train_local(w, ds, shards[0], spec, 1, 0.1, 16, derived_rng(5, 15, 0, 0),
-                        cohort=cohort)
-        with pytest.raises(ValueError, match="shard size"):
-            train_local(w, ds, shards[0][:-1], spec, 1, 0.1, 16, rngs[0], cohort=cohort)
-        train_local(w, ds, shards[0], spec, 1, 0.1, 16, rngs[0], cohort=cohort)
+        orders = [sim._draw_orders(derived_rng(5, 15, 0, c), 40, 1) for c in range(2)]
+        cohort = sim._Cohort(sim._with_bias(ds.features[shards]), ds.labels[shards], orders)
+        # A lane is named by its block itself, not by an equal copy.
+        for foreign in (derived_rng(5, 15, 0, 0), orders[0].copy()):
+            with pytest.raises(ValueError, match="not one of the cohort's order blocks"):
+                train_local(w, ds, shards[0], spec, 1, 0.1, 16, foreign, cohort=cohort)
+        with pytest.raises(ValueError, match="epochs or shard size differ"):
+            train_local(w, ds, shards[0][:-1], spec, 1, 0.1, 16, orders[0], cohort=cohort)
+        with pytest.raises(ValueError, match="epochs or shard size differ"):
+            train_local(w, ds, shards[0], spec, 2, 0.1, 16, orders[0], cohort=cohort)
+        train_local(w, ds, shards[0], spec, 1, 0.1, 16, orders[0], cohort=cohort)
         with pytest.raises(ValueError, match="one setting"):
-            train_local(w, ds, shards[1], spec, 2, 0.1, 16, rngs[1], cohort=cohort)
+            train_local(w, ds, shards[1], spec, 1, 0.2, 16, orders[1], cohort=cohort)
 
     def test_shards_given_as_rows_rejected(self):
         cfg, ds, part = small_setup()
@@ -576,53 +602,78 @@ class TestBatchedStep:
 
 
 class TestDraws:
-    def test_lanes_replay_the_clients_generator_and_keep_read_only_orders(self):
+    def test_orders_are_read_only_blocks_of_the_clients_permutations(self):
         draws = sim._Draws(5)
-        first, second = draws.orders(0, 3, 10), draws.orders(0, 3, 10)
+        block = draws.orders(0, 3, 10, 2)
         alone = derived_rng(5, 15, 0, 3)
-        a = first.permutation(10)
-        assert np.array_equal(a, alone.permutation(10))
-        assert second.permutation(10) is a
-        # The second lane draws the next order on first use; the first reads it.
-        b = second.permutation(10)
-        assert np.array_equal(b, alone.permutation(10))
-        assert first.permutation(10) is b
+        assert block.shape == (2, 10)
+        assert np.array_equal(block, [alone.permutation(10) for _ in range(2)])
+        assert np.array_equal(draws.orders(0, 3, 10, 1), block[:1])
         assert draws.selection(12, 4, 0) is draws.selection(12, 4, 0)
         assert np.array_equal(draws.selection(12, 4, 0), select_clients(12, 4, 0, 5))
-        for kept in (a, b, draws.selection(12, 4, 0)):
+        for kept in (block, draws._orders[0, 3, 10][1], draws.selection(12, 4, 0)):
             assert not kept.flags.writeable
             with pytest.raises(ValueError):
                 kept[0] = 0
-        with pytest.raises(ValueError, match="orders of 10 samples, asked for 9"):
-            first.permutation(9)
+
+    def test_a_longer_request_extends_the_block_from_one_generator(self, monkeypatch):
+        made = []
+
+        def recorded(*keys):
+            made.append(keys)
+            return derived_rng(*keys)
+
+        monkeypatch.setattr(sim, "derived_rng", recorded)
+        draws = sim._Draws(5)
+        first = draws.orders(0, 3, 10, 1)
+        longer = draws.orders(0, 3, 10, 5)
+        alone = derived_rng(5, 15, 0, 3)
+        assert np.array_equal(longer, [alone.permutation(10) for _ in range(5)])
+        assert np.array_equal(longer[:1], first)
+        assert np.array_equal(draws.orders(0, 3, 10, 3), longer[:3])
+        assert made == [(5, 15, 0, 3)]
+        assert len(draws._orders[0, 3, 10][1]) == 5
 
     def test_orders_are_kept_in_the_smallest_index_type(self):
         draws = sim._Draws(5)
         for n, dtype in ((10, np.uint8), (256, np.uint8), (257, np.uint16), (70000, np.uint32)):
-            order = draws.orders(0, 0, n).permutation(n)
-            assert order.dtype == dtype
-            assert np.array_equal(order, derived_rng(5, 15, 0, 0).permutation(n))
+            want = derived_rng(5, 15, 0, 0).permutation(n)
+            for block in (draws.orders(0, 0, n, 1),
+                          sim._draw_orders(derived_rng(5, 15, 0, 0), n, 1)):
+                assert block.dtype == dtype and not block.flags.writeable
+                assert np.array_equal(block[0], want)
 
     @pytest.mark.parametrize("orders_kept", [0, 1, 2])
-    def test_a_full_draws_keeps_nothing_more_and_hands_out_the_same_orders(self, orders_kept):
-        # Room for one generator and orders_kept orders of 10 samples
-        # (uint8, 10 bytes each), and nothing else.
-        budget = sim._GENERATOR_BYTES + orders_kept * (10 + sim._ARRAY_BYTES)
+    def test_a_full_draws_keeps_nothing_more_and_hands_out_the_same_orders(
+            self, orders_kept):
+        # Room for one generator and its block (2048 + 128 bytes) and
+        # orders_kept orders of 10 samples (uint8, 10 bytes each), and
+        # nothing else: with 0 the first request does not fit.
+        budget = sim._GENERATOR_BYTES + sim._ARRAY_BYTES + orders_kept * 10
         draws = sim._Draws(5, keep_bytes=budget)
-        lanes = [draws.orders(0, 3, 10) for _ in range(3)]
+        draws.orders(0, 3, 10, max(orders_kept, 1))
+        kept = draws._orders.get((0, 3, 10))
+        assert (kept is None) == (orders_kept == 0)
+        state = kept and kept[0].bit_generator.state
         alone = derived_rng(5, 15, 0, 3)
-        for _ in range(4):
-            expected = alone.permutation(10)
-            for lane in lanes:
-                assert np.array_equal(lane.permutation(10), expected)
-        assert draws._room == 0
-        assert len(draws._orders[0, 3, 10][1]) == orders_kept
-        # Full: another client gets its own generator and no selection is kept.
-        other = draws.orders(0, 4, 10)
-        assert isinstance(other, np.random.Generator)
-        assert np.array_equal(other.permutation(10), derived_rng(5, 15, 0, 4).permutation(10))
-        assert draws.selection(12, 4, 0) is not draws.selection(12, 4, 0)
-        assert draws._selections == {}
+        want = np.array([alone.permutation(10) for _ in range(5)])
+        # Full: a longer request is drawn afresh and the kept entry stays.
+        for epochs in (5, 5, max(orders_kept, 1)):
+            block = draws.orders(0, 3, 10, epochs)
+            assert np.array_equal(block, want[:epochs]) and not block.flags.writeable
+            assert draws._orders.get((0, 3, 10)) is kept
+        # Another client gets fresh orders.
+        other = draws.orders(0, 4, 10, 2)
+        fresh = derived_rng(5, 15, 0, 4)
+        assert np.array_equal(other, [fresh.permutation(10) for _ in range(2)])
+        assert (0, 4, 10) not in draws._orders
+        if kept:
+            assert kept[0].bit_generator.state == state
+            assert np.array_equal(kept[1], want[:orders_kept])
+            # Not a byte is left, so no selection is kept either.
+            assert draws._room == 0
+            assert draws.selection(12, 4, 0) is not draws.selection(12, 4, 0)
+            assert draws._selections == {}
 
     def test_plain_simulate_keeps_no_draws(self, monkeypatch):
         made = []
