@@ -73,9 +73,24 @@ _STREAM_TRAIN = 15
 
 TRAIN_FRACTION = 0.8
 
+# Rows of the task shifted by their class means at a time: 384 KB of
+# temporaries at 12 features.
+_TASK_BLOCK_ROWS = 4096
+
 
 def derived_rng(*keys: int) -> np.random.Generator:
-    """Deterministic generator for a tuple of integer keys."""
+    """Deterministic generator for a tuple of integer keys.
+
+    The keys seed one SeedSequence.  When every key is a Python int in
+    [0, 2**32) they go in as an array of uint32 words: the words
+    SeedSequence(list(keys)) would split them into, without its list
+    coercion.  Any other keys (larger, negative, numpy or bool values, or
+    none) take the list itself, with its errors; a key of 2**32 or more
+    splits into several words, so no word array can stand in for it.
+    """
+    if keys and all(type(k) is int and 0 <= k < 1 << 32 for k in keys):
+        words = np.array(keys, dtype=np.uint32)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
     return np.random.default_rng(np.random.SeedSequence(list(keys)))
 
 
@@ -106,6 +121,10 @@ def make_task(num_classes: int, num_features: int, n_samples: int, seed: int,
     with fewer features the means are random directions of the same radius
     and pairwise distances only approximate it.  Labels are balanced and
     the 80/20 train/test split is disjoint.
+
+    The features are drawn in place: besides the (n, f) float64 array
+    they hold, the task needs its labels, its split and temporaries of
+    _TASK_BLOCK_ROWS rows, not a second (n, f) block.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -127,19 +146,26 @@ def make_task(num_classes: int, num_features: int, n_samples: int, seed: int,
         means = radius * directions
 
     # Balanced labels: class c gets ceil or floor of n/m.
-    labels = np.arange(n_samples) % num_classes
+    labels = np.arange(n_samples, dtype=np.int64) % num_classes
     rng.shuffle(labels)
-    features = means[labels] + rng.standard_normal((n_samples, num_features))
+    # Shifted by the class means one row block at a time: normal + mean
+    # is mean + normal bit for bit.
+    features = np.empty((n_samples, num_features))
+    rng.standard_normal(out=features)
+    for start in range(0, n_samples, _TASK_BLOCK_ROWS):
+        rows = slice(start, start + _TASK_BLOCK_ROWS)
+        features[rows] += means[labels[rows]]
 
     perm = rng.permutation(n_samples)
     n_train = int(TRAIN_FRACTION * n_samples)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
+    train_idx, test_idx = perm[:n_train], perm[n_train:]
+    train_idx.sort()
+    test_idx.sort()
 
     for arr in (features, labels, train_idx, test_idx):
         arr.setflags(write=False)
-    return SimDataset(features=features, labels=labels.astype(np.int64),
-                      num_classes=num_classes, train_idx=train_idx, test_idx=test_idx)
+    return SimDataset(features=features, labels=labels, num_classes=num_classes,
+                      train_idx=train_idx, test_idx=test_idx)
 
 
 def _with_bias(x: np.ndarray) -> np.ndarray:
@@ -620,6 +646,10 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     K x local_epochs x n order entries of 1 to 4 bytes each.  Their
     deltas are aggregated in selection order, so the result equals
     training them one by one.
+
+    A round that leaves the parameters, or FedAdam's second moment, not
+    finite raises ValueError naming the round; numpy's overflow warnings
+    on the way to it are silenced.
     """
     if partition.num_clients != config.pool_size:
         raise ValueError(
@@ -651,28 +681,37 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
 
     accuracies: list[float] = []
     clients: list[np.ndarray] = []
-    for r in range(config.max_rounds):
-        selected = draws.selection(config.pool_size, config.clients_per_round, r)
-        chosen = [int(cid) for cid in selected]
-        orders = [draws.orders(r, cid, shards.shape[1], config.local_epochs)
-                  for cid in chosen]
-        clients.append(selected)
-        rows = shards[chosen]
-        cohort = _Cohort(_with_bias(dataset.features[rows]),
-                         dataset.labels[rows], orders)
-        updates = [train_local(w, dataset, shards[cid], spec, config.local_epochs,
-                               config.client_lr, config.batch_size, block,
-                               cohort=cohort)
-                   for cid, block in zip(chosen, orders)]
-        if config.strategy == "fedavg":
-            w = fedavg_aggregate(w, updates)
-        else:
-            w, adam = fedadam_aggregate(adam, w, weighted_delta(updates),
-                                        config.server_lr, config.beta1,
-                                        config.beta2, config.tau)
-        accuracies.append(spec.accuracy(w, xb_test, y_test))
-        if accuracies[-1] >= config.target_accuracy:
-            break
+    with np.errstate(all="ignore"):
+        for r in range(config.max_rounds):
+            selected = draws.selection(config.pool_size, config.clients_per_round, r)
+            chosen = [int(cid) for cid in selected]
+            orders = [draws.orders(r, cid, shards.shape[1], config.local_epochs)
+                      for cid in chosen]
+            clients.append(selected)
+            rows = shards[chosen]
+            cohort = _Cohort(_with_bias(dataset.features[rows]),
+                             dataset.labels[rows], orders)
+            updates = [train_local(w, dataset, shards[cid], spec, config.local_epochs,
+                                   config.client_lr, config.batch_size, block,
+                                   cohort=cohort)
+                       for cid, block in zip(chosen, orders)]
+            if config.strategy == "fedavg":
+                w = fedavg_aggregate(w, updates)
+            else:
+                w, adam = fedadam_aggregate(adam, w, weighted_delta(updates),
+                                            config.server_lr, config.beta1,
+                                            config.beta2, config.tau)
+            # Overflow leaves parameters that are not finite: numpy's
+            # warnings on the way are silenced and the run stops here.
+            if not np.isfinite(w).all():
+                raise ValueError(f"round {r + 1}: training diverged: "
+                                 "the parameters are not finite")
+            if not np.isfinite(adam.v).all():
+                raise ValueError(f"round {r + 1}: training diverged: "
+                                 "FedAdam's second moment is not finite")
+            accuracies.append(spec.accuracy(w, xb_test, y_test))
+            if accuracies[-1] >= config.target_accuracy:
+                break
 
     executed = len(accuracies)
     schedule = RoundSchedule._same_device(

@@ -11,6 +11,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,48 @@ class TestSimulate:
         assert "not reached" in err
         # outputs are still written for inspection
         assert (tmp_path / "hard.csv").exists()
+
+    # sha256 of run.csv and run.schedule.json, recorded before the task was
+    # drawn in place and the client generators seeded from uint32 words.
+    # "pool" is the demo config grown to 2 000 clients and 40 000 samples,
+    # a task of several row blocks.
+    @pytest.mark.parametrize("name, exit_code, csv_digest, schedule_digest", [
+        ("demo", 0, "aa4ee5732f37825f3b833121296386a1abc4f7a77050acac6056fd3f54fa3cc9",
+         "7c1b455da6034285e306d50b6a1c4d8a65c1c396558a0c0ca99d65a11b4949f8"),
+        ("pool", 3, "fa3284d4e779ea6f71072ca5d0686d0d427543fc37d93795e09f1b3be95c39a1",
+         "8438e192916fd7ffb2a91ab5c2b4a2221426564c4ac6413f781b43880b89b6e5"),
+    ], ids=["demo", "pool"])
+    def test_output_bytes_are_pinned(self, capsys, tmp_path, name, exit_code,
+                                     csv_digest, schedule_digest):
+        config = FL_DEMO
+        if name == "pool":
+            raw = json.loads(Path(FL_DEMO).read_text())
+            raw["seed"] = 11
+            raw["fl"].update(pool_size=2000, clients_per_round=20, rounds=3,
+                             local_epochs=2)
+            raw["sim"].update(n_samples=40_000, alpha=0.5, target_accuracy=0.99)
+            config = str(tmp_path / "pool.json")
+            Path(config).write_text(json.dumps(raw))
+        base = tmp_path / "run"
+        assert run_cli(capsys, "simulate", "--config", config,
+                       "--out", str(base))[0] == exit_code
+        assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(
+            (tmp_path / "run.schedule.json").read_bytes()).hexdigest() == schedule_digest
+
+    def test_diverged_run_is_validation_error(self, capsys, tmp_path):
+        raw = json.loads(Path(FL_DEMO).read_text())
+        raw["fl"]["rounds"] = 3
+        raw["sim"]["separation"] = 1e300
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                                     "--out", str(tmp_path / "run"))
+        assert code == 1 and out == ""
+        assert err == "error: round 1: training diverged: the parameters are not finite\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
 
     def test_exhaustion_warnings_reported_on_stderr(self, capsys, tmp_path):
         # The demo pool hands out its whole train split, so late clients

@@ -6,9 +6,13 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedcarbon.sim as sim
 from fedcarbon import (
@@ -92,6 +96,27 @@ class TestMakeTask:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 1.0
 
+    # sha256 of the features, recorded before the task was drawn in place:
+    # 20 011 rows cross several row blocks and end on a partial one, with
+    # the means on coordinate axes (12 features) and on random directions
+    # (4 features).
+    @pytest.mark.parametrize("num_features, digest", [
+        (12, "0828a1a9c5e9c47b9d8fa74b4713ca9f46997568bb4aa0cbb0f8d9aad4b5601c"),
+        (4, "b0f86a8b8fd57caa7f5193243baf5a16ae8622b145638cb4f247aa2c721eac7b"),
+    ])
+    def test_features_reproduce_pinned_bits(self, num_features, digest):
+        ds = make_task(10, num_features, 20_011, seed=5)
+        assert hashlib.sha256(ds.features.tobytes()).hexdigest() == digest
+
+    def test_features_are_drawn_in_place(self):
+        tracemalloc.start()
+        try:
+            ds = make_task(10, 12, 200_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * ds.features.nbytes
+
     def test_validation(self):
         with pytest.raises(ValueError, match="num_classes"):
             make_task(1, 3, 100, seed=0)
@@ -99,6 +124,40 @@ class TestMakeTask:
             make_task(2, 3, 5, seed=0)
         with pytest.raises(ValueError, match="separation"):
             make_task(2, 3, 100, seed=0, separation=0.0)
+
+
+def list_path_rng(*keys) -> np.random.Generator:
+    """derived_rng as it was: the keys as a list into SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence(list(keys)))
+
+
+_SEED_KEYS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]),
+    st.integers(0, 2**70),
+    st.booleans(),
+    st.builds(lambda v, t: t(v), st.integers(0, 2**32 - 1),
+              st.sampled_from([np.uint32, np.int64, np.uint64])),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+)
+
+
+class TestDerivedRng:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SEED_KEYS, min_size=1, max_size=6))
+    def test_state_equals_the_list_path(self, keys):
+        assert derived_rng(*keys).bit_generator.state == \
+            list_path_rng(*keys).bit_generator.state
+
+    def test_no_keys_takes_the_list_path(self):
+        assert derived_rng().bit_generator.state == list_path_rng().bit_generator.state
+
+    @pytest.mark.parametrize("keys, error", [((7, -1), ValueError), ((7, 1.5), TypeError)],
+                             ids=["negative", "float"])
+    def test_bad_keys_raise_what_the_list_path_raises(self, keys, error):
+        with pytest.raises(error):
+            list_path_rng(*keys)
+        with pytest.raises(error):
+            derived_rng(*keys)
 
 
 class TestModelSpec:
@@ -414,6 +473,27 @@ class TestSimulateLoop:
                                    np.random.SeedSequence([21, 11]))
         with pytest.raises(ValueError, match="partition covers 5 clients"):
             simulate(cfg, ds, small_part, HW)
+
+    def test_overflowing_parameters_stop_the_run(self):
+        cfg, _, part = small_setup(max_rounds=3)
+        huge = make_task(4, 6, 600, seed=21, separation=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "round 1: training diverged: the parameters are not finite")):
+                simulate(cfg, huge, part, HW)
+
+    def test_overflowing_fedadam_moment_stops_the_run(self):
+        # One step per client from zero: the deltas are finite but their
+        # squares are not, so FedAdam's step is zero and only v shows it.
+        cfg, _, part = small_setup(max_rounds=3, local_epochs=1, batch_size=40,
+                                   strategy="fedadam")
+        huge = make_task(4, 6, 600, seed=21, separation=1e170)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "round 1: training diverged: FedAdam's second moment is not finite")):
+                simulate(cfg, huge, part, HW)
 
     def test_partition_class_count_must_match(self):
         cfg, ds, _ = small_setup()
