@@ -282,6 +282,9 @@ class EnergyBreakdown:
         if training_wh < 0 or communication_wh < 0:
             raise ValueError("energy components must be >= 0")
         total = training_wh + communication_wh
+        for part, wh in (("training", training_wh), ("communication", communication_wh),
+                         ("total", total)):
+            _finite_wh(part, wh)
         fraction = communication_wh / total if total > 0 else 0.0
         return cls(training_wh, communication_wh, total, fraction)
 
@@ -310,6 +313,13 @@ class EmissionReport:
         }
 
 
+def _finite_wh(part: str, wh: float) -> float:
+    """wh, unless it is not finite: then a ValueError naming the part."""
+    if not math.isfinite(wh):
+        raise ValueError(f"{part} energy overflows the float range")
+    return wh
+
+
 def _per_hardware(schedule: RoundSchedule, field: str) -> np.ndarray:
     return np.array([getattr(h, field) for h in schedule.hardware], dtype=np.float64)
 
@@ -319,13 +329,18 @@ def _training_ledger(schedule: RoundSchedule) -> np.ndarray:
 
     Joules are added one entry at a time, round by round and in schedule
     order within a round: one np.cumsum over a stable sort by round, read
-    at the last entry of each round.
+    at the last entry of each round.  Raises ValueError when the total
+    is not finite.
     """
     order = np.argsort(schedule.round, kind="stable")
     active = _per_hardware(schedule, "active_power_w")[schedule.hardware_index[order]]
-    joules = np.cumsum(schedule.wall_time_s[order] * active)
+    with np.errstate(over="ignore"):
+        joules = np.cumsum(schedule.wall_time_s[order] * active)
     ends = np.cumsum(np.bincount(schedule.round, minlength=schedule.rounds))
-    return np.concatenate(([0.0], joules))[ends] / SECONDS_PER_HOUR
+    ledger = np.concatenate(([0.0], joules))[ends] / SECONDS_PER_HOUR
+    if len(ledger):
+        _finite_wh("training", float(ledger[-1]))
+    return ledger
 
 
 def cumulative_training_energy(schedule: RoundSchedule) -> tuple[float, ...]:
@@ -360,14 +375,18 @@ def communication_energy(schedule: RoundSchedule, model_size_mb: float,
     is the model size in megabits and D, U the link rates in Mbps.  That
     window is priced at router power plus the idle draw of the entry's
     device (the device waits while the payload moves).  Joules are summed
-    in schedule order.
+    in schedule order.  Raises ValueError when the sum is not finite.
     """
     if not (math.isfinite(model_size_mb) and model_size_mb >= 0):
         raise ValueError("model_size_mb must be finite and >= 0")
     transfer_s = model_size_mb * (1.0 / network.download_mbps + 1.0 / network.upload_mbps)
-    per_hardware = transfer_s * (network.router_power_w + _per_hardware(schedule, "idle_power_w"))
-    joules = np.cumsum(per_hardware[schedule.hardware_index])
-    return (float(joules[-1]) if len(joules) else 0.0) / SECONDS_PER_HOUR
+    # An infinite transfer time times a draw of 0 W is NaN, which is not finite either.
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_hardware = transfer_s * (network.router_power_w
+                                     + _per_hardware(schedule, "idle_power_w"))
+        joules = np.cumsum(per_hardware[schedule.hardware_index])
+    wh = (float(joules[-1]) if len(joules) else 0.0) / SECONDS_PER_HOUR
+    return _finite_wh("communication", wh)
 
 
 def legacy_transfer_energy(model_size_gb: float, transfers: int) -> float:
@@ -383,11 +402,15 @@ def to_co2e(energy_wh: float, grid: GridIntensity) -> float:
     """Grams of CO2e for energy_wh on the given grid.
 
     The grid rate is kg per kWh, which is numerically g per Wh, so the
-    conversion is a single multiply.
+    conversion is a single multiply.  Raises ValueError when the product
+    is not finite.
     """
     if not (math.isfinite(energy_wh) and energy_wh >= 0):
         raise ValueError("energy_wh must be finite and >= 0")
-    return energy_wh * grid.c_rate_kg_per_kwh
+    co2e_g = energy_wh * grid.c_rate_kg_per_kwh
+    if not math.isfinite(co2e_g):
+        raise ValueError(f"CO2e on grid {grid.region!r} overflows the float range")
+    return co2e_g
 
 
 def _check_schedule_matches(cfg: ExperimentConfig, schedule: RoundSchedule) -> None:
@@ -491,12 +514,27 @@ def _require(obj: Any, keys: frozenset[str], where: str) -> None:
         raise ConfigError(f"{where} has unknown keys: {unknown}")
 
 
-def _unchecked_columns(participation: list, registry: dict[str, Any]) -> tuple | None:
+def _of_types(values: Iterable[Any], allowed: tuple[type, ...]) -> bool:
+    """Whether every value is an instance of a type in `allowed` and none is
+    a bool (the rule of _integer and _finite), checking each distinct type
+    once."""
+    return all(issubclass(t, allowed) and not issubclass(t, bool) for t in {*map(type, values)})
+
+
+def _entry_columns(participation: list, registry: dict[str, Any]) -> tuple | None:
     """The round, client, wall-time and hardware-slot columns of an entry
-    list and the profile each slot names, or None on any doubt that every
-    entry keeps the rules.  Each distinct hardware value is resolved once:
-    a name by itself, an inline object by its items and their types (so 1
-    and true stay apart)."""
+    list and the profile each slot names, or None exactly when some entry
+    breaks a rule that _first_bad_entry names.  Types are checked once per
+    distinct type and numbers as columns; each distinct hardware value is
+    resolved once: a name by itself, an inline object by its items and
+    their types (so 1 and true stay apart)."""
+    kinds = {*map(type, participation)}
+    if kinds - {dict}:
+        # A dict subclass may answer for a key it lacks (__missing__), so its
+        # keys are checked as they are; any other type is no entry object.
+        if not (all(issubclass(kind, dict) for kind in kinds)
+                and all(dict.keys(item) == _ENTRY_KEYS for item in participation)):
+            return None
     rounds, clients, walls, slots = [], [], [], []
     slot_of: dict[Any, int] = {}
     values: list[Any] = []  # the first hardware value of each slot
@@ -506,23 +544,27 @@ def _unchecked_columns(participation: list, registry: dict[str, Any]) -> tuple |
             if len(item) != 4:
                 return None
             # Hardware neither a name nor an object raises while it is keyed.
-            key = hw if type(hw) is str else (*hw, *hw.values(), *map(type, hw.values()))
-            slot = slot_of.setdefault(key, len(values))
-            if slot == len(values):
+            key = hw if isinstance(hw, str) else (*hw, *hw.values(), *map(type, hw.values()))
+            slot = slot_of.get(key)
+            if slot is None:
+                slot = slot_of[key] = len(values)
                 values.append(hw)
             rounds.append(r)
             clients.append(c)
             walls.append(t)
             slots.append(slot)
-        if not ({*map(type, rounds), *map(type, clients)} <= {int}
-                and set(map(type, walls)) <= {int, float}):
+        if not (_of_types(rounds, (int,)) and _of_types(clients, (int,))
+                and _of_types(walls, (int, float))):
             return None
         round_, client, wall = (np.array(rounds, dtype=np.int64),
                                 np.array(clients, dtype=np.int64),
                                 np.array(walls, dtype=np.float64))
-        # wall < _FLOAT_MAX also rejects NaN, and an int that rounds to it.
+        # The compares reject NaN.  An int wall time above the float max
+        # that float64 rounds down to it is checked as written.
         if len(wall) and not (round_.min() >= 0 and client.min() >= 0
-                              and ((wall > 0) & (wall < _FLOAT_MAX)).all()):
+                              and ((wall > 0) & (wall <= _FLOAT_MAX)).all()
+                              and all(walls[i] <= _FLOAT_MAX
+                                      for i in np.flatnonzero(wall == _FLOAT_MAX))):
             return None
         profiles = [_resolve(value, "hw:", registry) for value in values]
     except (TypeError, KeyError, AttributeError, OverflowError, ValueError):
@@ -530,24 +572,24 @@ def _unchecked_columns(participation: list, registry: dict[str, Any]) -> tuple |
     return round_, client, wall, np.array(slots, dtype=np.int64), profiles
 
 
-def _read_entries(participation: list, registry: dict[str, Any]) -> list[ScheduleEntry]:
-    """The entries of an entry list, read left to right: each entry's
-    shape, then its numbers, then its hardware.  A ConfigError names the
-    first entry that breaks a rule."""
-    entries = []
+def _first_bad_entry(participation: list, registry: dict[str, Any]) -> ConfigError:
+    """The error that names the first entry breaking a rule, reading each
+    entry left to right: its shape, then its numbers, then its hardware.
+    Only called on an entry list _entry_columns refused."""
     for i, item in enumerate(participation):
         where = f"participation entry {i}"
-        _require(item, _ENTRY_KEYS, where)
-        numbers = item["round"], item["client"], item["wall_time_s"]
-        problem = _entry_problem(*numbers)
-        if problem:
-            raise ConfigError(f"{where}: {problem}")
         try:
-            hardware = _resolve(item["hardware"], "hw:", registry)
+            _require(item, _ENTRY_KEYS, where)
+        except ConfigError as exc:
+            return exc
+        problem = _entry_problem(item["round"], item["client"], item["wall_time_s"])
+        if problem:
+            return ConfigError(f"{where}: {problem}")
+        try:
+            _resolve(item["hardware"], "hw:", registry)
         except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        entries.append(ScheduleEntry(*numbers, hardware))
-    return entries
+            return ConfigError(f"{where}: {exc}")
+    raise AssertionError("the column reader refused an entry list that breaks no rule")
 
 
 def schedule_from_dict(raw: Any) -> RoundSchedule:
@@ -556,8 +598,9 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
     Two forms are accepted: an explicit "participation" entry list, or the
     compact {"rounds": R, "uniform": {"clients_per_round", "wall_time_s",
     "hardware"}} form that expands to the same clients every round.  The
-    uniform object and each entry take exactly their own keys.  An error
-    in the entry list names the first entry that breaks a rule.
+    uniform object and each entry take exactly their own keys.  A valid
+    entry list is read once, as columns; an error in it names the first
+    entry that breaks a rule.
     """
     if not isinstance(raw, dict) or "rounds" not in raw:
         raise ConfigError("schedule must be an object with a 'rounds' key")
@@ -575,11 +618,11 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
         raise ConfigError("schedule needs either 'participation' or 'uniform'")
     if not isinstance(raw["participation"], list):
         raise ConfigError("schedule 'participation' must be a list")
-    columns = _unchecked_columns(raw["participation"], registry)
+    columns = _entry_columns(raw["participation"], registry)
+    if columns is None:
+        raise _first_bad_entry(raw["participation"], registry)
+    round_, client, wall, slots, profiles = columns
     try:
-        if columns is None:
-            return RoundSchedule(rounds, _read_entries(raw["participation"], registry))
-        round_, client, wall, slots, profiles = columns
         _check_entries(rounds, round_, client)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

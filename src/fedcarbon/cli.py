@@ -72,7 +72,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_text(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # inf and NaN are no JSON: json.dumps raises ValueError, which exits 1.
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load(path: str, seed: int | None) -> ExperimentConfig:

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import enum
 import json
 import math
 import sys
+import types
+from collections import Counter, OrderedDict, defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +124,15 @@ class TestTrainingEnergy:
         with pytest.raises(ValueError, match="pue"):
             training_energy_centralized(100.0, 10.0, 0.99)
 
+    def test_overflowing_sum_is_an_error(self):
+        # Each entry's joules are finite; their sum is not.  Warnings are
+        # errors in CI, so the overflow must also stay silent.
+        schedule = RoundSchedule.uniform(3, 5, 1e307, TX2_CIFAR)
+        with pytest.raises(ValueError, match="^training energy overflows the float range$"):
+            cumulative_training_energy(schedule)
+        with pytest.raises(ValueError, match="^training energy overflows"):
+            training_energy_fl(schedule)
+
 
 class TestCommunicationEnergy:
     NET = NetworkProfile(download_mbps=100.0, upload_mbps=40.0, router_power_w=10.0)
@@ -151,6 +163,16 @@ class TestCommunicationEnergy:
         ratio = (10.0 + 2.25) / (10.0 + 1.35)
         assert e_nx == pytest.approx(e_tx2 * ratio, rel=REL)
 
+    @pytest.mark.parametrize("size_mb, net", [
+        (1e308, NET),
+        (1.0, NetworkProfile(download_mbps=100.0, upload_mbps=40.0, router_power_w=1e308)),
+        (1e308, NetworkProfile(download_mbps=5e-324, upload_mbps=40.0, router_power_w=0.0)),
+    ], ids=["payload", "router", "infinite-transfer-at-0-W"])
+    def test_overflow_is_an_error(self, size_mb, net):
+        schedule = RoundSchedule.uniform(16, 5, 1.0, replace(TX2_CIFAR, idle_power_w=0.0))
+        with pytest.raises(ValueError, match="^communication energy overflows the float range$"):
+            communication_energy(schedule, size_mb, net)
+
 
 class TestLegacyTransferAndConversion:
     def test_flat_rate_per_gb(self):
@@ -176,6 +198,12 @@ class TestLegacyTransferAndConversion:
     def test_to_co2e_rejects_negative_energy(self):
         with pytest.raises(ValueError, match="energy_wh"):
             to_co2e(-1.0, FRANCE)
+
+    def test_to_co2e_rejects_an_overflowing_product(self):
+        grid = replace(FRANCE, region="x", c_rate_kg_per_kwh=1e308)
+        assert to_co2e(1.0, grid) == 1e308
+        with pytest.raises(ValueError, match="^CO2e on grid 'x' overflows the float range$"):
+            to_co2e(11.4, grid)
 
 
 class TestScheduleValidation:
@@ -211,11 +239,13 @@ class TestScheduleValidation:
     @pytest.mark.parametrize("largest", [sys.float_info.max, int(sys.float_info.max)],
                              ids=["float", "int"])
     def test_largest_finite_wall_time_is_valid(self, largest):
-        # The column check doubts a wall time of float max; reading the
-        # entries one by one must still accept it.
-        parsed = schedule_from_dict({"rounds": 1, "participation": [
+        # float64 holds the largest finite float exactly, as a float or as
+        # the equal int, so the column reader takes it like any wall time.
+        raw = {"rounds": 1, "participation": [
             {"round": 0, "client": 0, "wall_time_s": largest, "hardware": "tx2-cifar10"},
-            {"round": 0, "client": 1, "wall_time_s": 2.0, "hardware": _INLINE[0]}]})
+            {"round": 0, "client": 1, "wall_time_s": 2.0, "hardware": _INLINE[0]}]}
+        assert carbon._entry_columns(raw["participation"], active_registry()) is not None
+        parsed = schedule_from_dict(raw)
         assert parsed == RoundSchedule(1, (
             ScheduleEntry(0, 0, sys.float_info.max, TX2_CIFAR),
             ScheduleEntry(0, 1, 2.0, _profile(_INLINE[0]))))
@@ -558,30 +588,58 @@ def _left_to_right(raw, cfg):
 
 # (good values, bad values) of each entry field.
 _FIELDS = {
-    "round": ((0, 1, 2), (-1, True, 2 ** 63, 1.5)),
-    "client": ((0, 1, 2), (-1, False, 2 ** 63, 10 ** 400)),
-    "wall_time_s": ((1.0, 2, 0.5, sys.float_info.max),
-                    (0.0, -1.0, "1", math.inf, math.nan, True, 10 ** 400,
+    "round": ((0, 1, 2, 2 ** 63 - 1), (-1, True, 2 ** 63, 10 ** 400, 1.5)),
+    "client": ((0, 1, 2, 2 ** 63 - 1), (-1, False, 2 ** 63, 10 ** 400)),
+    "wall_time_s": ((1.0, 2, 0.5, 5e-324, sys.float_info.max, int(sys.float_info.max)),
+                    (0.0, -0.0, -1.0, "1", math.inf, math.nan, True, 10 ** 400, 2 ** 1024,
                      int(sys.float_info.max) + 1)),  # an int that rounds to float max
     "hardware": (_HARDWARE, (_INLINE[2],) * 3 + ("nope", 5, None, ["tx2-cifar10"],
                                                 {**_INLINE[0], "name": ["phone"]})),
 }
 
 
+class _Id(enum.IntEnum):
+    SEVEN = 7
+
+
+class _Name(str):
+    pass
+
+
+# _FIELDS plus values only the Python API can pass: numpy scalars (np.float64
+# is a float, np.int64 and np.float32 are no int or float), an IntEnum and a
+# str subclass.
+_API_FIELDS = {
+    "round": (_FIELDS["round"][0] + (_Id.SEVEN,), _FIELDS["round"][1] + (np.int64(1),)),
+    "client": (_FIELDS["client"][0] + (_Id.SEVEN,), _FIELDS["client"][1] + (np.int64(1),)),
+    "wall_time_s": (_FIELDS["wall_time_s"][0] + (np.float64(2.5), _Id.SEVEN),
+                    _FIELDS["wall_time_s"][1] + (np.float32(2.5),)),
+    "hardware": (_FIELDS["hardware"][0] + (_Name("tx2-cifar10"),), _FIELDS["hardware"][1]),
+}
+
+
+# Objects the Python API may pass as an entry: dict subclasses, two of
+# which answer for a missing key, and a mapping that is no dict.
+_API_OBJECTS = (dict, OrderedDict, Counter, lambda item: defaultdict(int, item),
+                types.MappingProxyType)
+
+
 @st.composite
-def _entry_lists(draw):
+def _entry_lists(draw, fields=_FIELDS, objects=(dict,)):
     """A schedule object whose entries mix good and bad values and shapes."""
     items = []
     for _ in range(draw(st.integers(0, 6))):
         item = {key: copy.deepcopy(draw(st.sampled_from(good if draw(st.integers(0, 3)) else bad)))
-                for key, (good, bad) in _FIELDS.items()}
+                for key, (good, bad) in fields.items()}
         shape = draw(st.sampled_from(["ok"] * 6 + ["drop", "add", "list"]))
         if shape == "drop":
             del item[draw(st.sampled_from(sorted(_ENTRY_KEYS)))]
         elif shape == "add":
             item["typo"] = 1
-        elif shape == "list":
+        if shape == "list":
             item = list(item.values())
+        else:
+            item = draw(st.sampled_from(objects))(item)
         items.append(item)
     return {"rounds": draw(st.sampled_from((0, 1, 2, 3, -1, True, "2"))),
             "participation": items}
@@ -633,8 +691,9 @@ class TestScheduleProperties:
         assert report.energy == EnergyBreakdown.from_parts(training, comm)
         assert report.co2e_g == report.energy.total_wh * cfg.grid.c_rate_kg_per_kwh
         assert schedule_from_dict(schedule_to_dict(schedule)) == schedule
-        assert RoundSchedule(raw["rounds"], carbon._read_entries(
-            raw["participation"], active_registry())) == schedule
+        assert RoundSchedule(raw["rounds"], [
+            ScheduleEntry(e["round"], e["client"], e["wall_time_s"], _profile(e["hardware"]))
+            for e in raw["participation"]]) == schedule
 
     @settings(max_examples=500, deadline=None)
     @given(raw=_entry_lists())
@@ -645,6 +704,49 @@ class TestScheduleProperties:
         except ConfigError as exc:
             message = str(exc)
         assert message == _first_error(raw)
+
+    @settings(max_examples=500, deadline=None)
+    @given(raw=_entry_lists(_API_FIELDS, _API_OBJECTS))
+    def test_column_reader_refuses_exactly_the_lists_with_a_bad_entry(self, raw):
+        entries, registry = raw["participation"], active_registry()
+        keys = [list(item) for item in entries]
+        columns = carbon._entry_columns(entries, registry)
+        assert [list(item) for item in entries] == keys  # a defaultdict gains no key
+        if columns is None:
+            assert isinstance(carbon._first_bad_entry(entries, registry), ConfigError)
+        else:
+            with pytest.raises(AssertionError, match="breaks no rule"):
+                carbon._first_bad_entry(entries, registry)
+
+    def test_valid_entries_are_only_read_as_columns(self, monkeypatch):
+        edge = [
+            {"round": 0, "client": 0, "wall_time_s": sys.float_info.max, "hardware": "tx2-cifar10"},
+            {"round": 0, "client": 1, "wall_time_s": int(sys.float_info.max),
+             "hardware": "tx2-cifar10"},
+            {"round": 0, "client": 2, "wall_time_s": np.float64(2.5), "hardware": "tx2-cifar10"},
+            {"round": _Id.SEVEN, "client": _Id.SEVEN, "wall_time_s": 1.0,
+             "hardware": "tx2-cifar10"},
+            {"round": 1, "client": 3, "wall_time_s": 1.0, "hardware": _Name("nx-cifar10")},
+        ]
+        expected = RoundSchedule(8, [
+            ScheduleEntry(e["round"], e["client"], e["wall_time_s"], _profile(e["hardware"]))
+            for e in edge])
+        large = [{"round": r, "client": c, "wall_time_s": 1.0 + c, "hardware": _HARDWARE[c % 5]}
+                 for r in range(500) for c in range(100)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a valid entry list was read entry by entry")
+
+        monkeypatch.setattr(carbon, "ScheduleEntry", refuse)
+        monkeypatch.setattr(carbon.RoundSchedule, "__init__", refuse)
+        assert schedule_from_dict({"rounds": 8, "participation": edge}) == expected
+        parsed = schedule_from_dict({"rounds": 500, "participation": large})
+        clients = np.tile(np.arange(100), 500)
+        assert parsed.round.tolist() == np.repeat(np.arange(500), 100).tolist()
+        assert parsed.client.tolist() == clients.tolist()
+        assert parsed.wall_time_s.tolist() == (1.0 + clients).tolist()
+        assert parsed.hardware_index.tolist() == (clients % 5).tolist()
+        assert parsed.hardware == tuple(map(_profile, _HARDWARE))
 
 
 class TestEnergyBreakdown:
@@ -658,6 +760,13 @@ class TestEnergyBreakdown:
     def test_negative_components_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             EnergyBreakdown.from_parts(-1.0, 0.0)
+
+    @pytest.mark.parametrize("training, communication, part", [
+        (math.inf, 1.0, "training"), (1.0, math.nan, "communication"),
+        (1e308, 1e308, "total")])
+    def test_parts_and_total_must_be_finite(self, training, communication, part):
+        with pytest.raises(ValueError, match=f"^{part} energy overflows the float range$"):
+            EnergyBreakdown.from_parts(training, communication)
 
 
 class TestMeasuredDeviceTable:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from fedcarbon import cli
 from fedcarbon.cli import main
 
 from conftest import FIXTURES_DIR
@@ -435,6 +437,63 @@ class TestCompare:
                                "--fixtures", SCHED_16X5)
         assert code == 1
         assert "grid regions" in err
+
+
+def _merge(raw: dict, patch: dict) -> dict:
+    """raw with patch written over it, object by object."""
+    for key, value in patch.items():
+        if isinstance(value, dict) and isinstance(raw.get(key), dict):
+            _merge(raw[key], value)
+        else:
+            raw[key] = value
+    return raw
+
+
+_HUGE_GRID = {"grid": {"region": "x", "c_rate_kg_per_kwh": 1e308}}
+_SLOW_DEVICE = {"hardware": {"name": "slow", "active_power_w": 4.7, "idle_power_w": 1.35,
+                             "time_per_local_epoch_s": 1e307},
+                "fl": {"rounds": 3}}
+
+
+class TestOverflowingPrice:
+    """Finite inputs whose price overflows the float range exit 1 with one
+    line, print no numpy warning and write no file (inf is no JSON, and
+    plot rejects it in a trace)."""
+
+    @pytest.mark.parametrize("command, config, patch, schedule, message", [
+        ("estimate", FL_DEMO, {"network": {"router_power_w": 1e308}}, None,
+         "communication energy"),
+        ("estimate", FL_DEMO, {"fl": {"model_size_mb": 1e308}}, None, "communication energy"),
+        ("estimate", FL_ADAPTIVE, {}, SCHED_349X10, "training energy"),
+        ("estimate", FL_NOMINAL, {}, SCHED_16X5, "training energy"),
+        ("simulate", FL_DEMO, _SLOW_DEVICE, None, "training energy"),
+        ("estimate", FL_NOMINAL, _HUGE_GRID, None, "CO2e on grid 'x'"),
+        ("compare", FL_NOMINAL, _HUGE_GRID, None, "CO2e on grid 'x'"),
+    ], ids=["router-power", "model-size", "adaptive-schedule", "nominal-schedule",
+            "simulate-slow-device", "estimate-grid-rate", "compare-grid-rate"])
+    def test_exits_1_with_one_line_and_no_file(self, capsys, tmp_path, command, config,
+                                               patch, schedule, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(_merge(json.loads(Path(config).read_text()), patch)))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "compare":
+            argv += ["--config", str(cfg)]
+        if schedule:
+            fixture = tmp_path / "schedule.json"
+            fixture.write_text(json.dumps(_merge(json.loads(Path(schedule).read_text()),
+                                                 {"uniform": {"wall_time_s": 1e308}})))
+            argv += ["--fixtures", str(fixture)]
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message} overflows the float range\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    def test_json_output_refuses_inf_and_nan(self):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                cli._json_text({"co2e_g": value})
 
 
 class TestPlot:
