@@ -39,6 +39,7 @@ from .profiles import (
     active_registry,
     config_digest,
     _as_dict,
+    _check_keys,
     _finite,
     _integer,
     _resolve,
@@ -357,14 +358,15 @@ def training_energy_fl(schedule: RoundSchedule) -> float:
 
 
 def training_energy_centralized(power_w: float, duration_s: float, pue: float) -> float:
-    """PUE-scaled device energy of one centralized run, in Wh."""
+    """PUE-scaled device energy of one centralized run, in Wh.  Raises
+    ValueError when the product is not finite."""
     if not (math.isfinite(power_w) and power_w > 0):
         raise ValueError("power_w must be finite and > 0")
     if not (math.isfinite(duration_s) and duration_s >= 0):
         raise ValueError("duration_s must be finite and >= 0")
     if not (math.isfinite(pue) and pue >= 1.0):
         raise ValueError("pue must be >= 1.0")
-    return pue * power_w * duration_s / SECONDS_PER_HOUR
+    return _finite_wh("training", pue * power_w * duration_s / SECONDS_PER_HOUR)
 
 
 def communication_energy(schedule: RoundSchedule, model_size_mb: float,
@@ -390,12 +392,13 @@ def communication_energy(schedule: RoundSchedule, model_size_mb: float,
 
 
 def legacy_transfer_energy(model_size_gb: float, transfers: int) -> float:
-    """Flat-rate WAN model: 5 kWh per GB per transfer.  Returns kWh."""
+    """Flat-rate WAN model: 5 kWh per GB per transfer.  Returns kWh; raises
+    ValueError when the product is not finite."""
     if not (math.isfinite(model_size_gb) and model_size_gb >= 0):
         raise ValueError("model_size_gb must be finite and >= 0")
     if not (_integer(transfers) and transfers >= 0):
         raise ValueError("transfers must be an integer >= 0")
-    return LEGACY_KWH_PER_GB * model_size_gb * transfers
+    return _finite_wh("communication", LEGACY_KWH_PER_GB * model_size_gb * transfers)
 
 
 def to_co2e(energy_wh: float, grid: GridIntensity) -> float:
@@ -501,17 +504,7 @@ def schedule_to_dict(schedule: RoundSchedule) -> dict[str, Any]:
 
 
 _ENTRY_KEYS = frozenset({"round", "client", "wall_time_s", "hardware"})
-
-
-def _require(obj: Any, keys: frozenset[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    missing = sorted(keys - obj.keys())
-    if missing:
-        raise ConfigError(f"{where} is missing {missing[0]!r}")
-    unknown = sorted(obj.keys() - keys)
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys: {unknown}")
+_UNIFORM_KEYS = frozenset({"clients_per_round", "wall_time_s", "hardware"})
 
 
 def _of_types(values: Iterable[Any], allowed: tuple[type, ...]) -> bool:
@@ -579,7 +572,7 @@ def _first_bad_entry(participation: list, registry: dict[str, Any]) -> ConfigErr
     for i, item in enumerate(participation):
         where = f"participation entry {i}"
         try:
-            _require(item, _ENTRY_KEYS, where)
+            _check_keys(item, _ENTRY_KEYS, sorted(_ENTRY_KEYS), where)
         except ConfigError as exc:
             return exc
         problem = _entry_problem(item["round"], item["client"], item["wall_time_s"])
@@ -610,8 +603,7 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
         if "participation" in raw:
             raise ConfigError("schedule takes 'participation' or 'uniform', not both")
         u = raw["uniform"]
-        _require(u, frozenset({"clients_per_round", "wall_time_s", "hardware"}),
-                 "schedule 'uniform'")
+        _check_keys(u, _UNIFORM_KEYS, sorted(_UNIFORM_KEYS), "schedule 'uniform'")
         hw = _resolve(u["hardware"], "hw:", registry)
         return RoundSchedule.uniform(rounds, u["clients_per_round"], u["wall_time_s"], hw)
     if "participation" not in raw:

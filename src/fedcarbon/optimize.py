@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .carbon import estimate_fl, schedule_prefix
 from .profiles import ConfigError, ExperimentConfig, SimSetup, _finite, _integer
@@ -42,12 +43,16 @@ _REL_TOL = 1e-9
 
 
 def carbon_cost(co2e_g: float, accuracy: float) -> float:
-    """Grams per unit accuracy; accuracy must lie in (0, 1]."""
+    """Grams per unit accuracy; accuracy must lie in (0, 1].  Raises
+    ValueError when the ratio is not finite."""
     if not (math.isfinite(co2e_g) and co2e_g >= 0):
         raise ValueError("co2e_g must be finite and >= 0")
     if not (0.0 < accuracy <= 1.0):
         raise ValueError("accuracy must lie in (0, 1]")
-    return co2e_g / accuracy
+    cost = co2e_g / accuracy
+    if not math.isfinite(cost):
+        raise ValueError("carbon cost overflows the float range")
+    return cost
 
 
 @dataclass(frozen=True)
@@ -148,28 +153,17 @@ def grid_search(cells: Iterable[tuple[int, int, float]], runner: Runner,
     results: list[CellResult] = []
     for n, local_epochs, alpha in cells:
         outcome = runner(n, local_epochs, alpha)
+
+        def point(rounds: int, co2e_g: float, accuracy: float) -> CostPoint:
+            return CostPoint(n, local_epochs, alpha, rounds, co2e_g, accuracy,
+                             carbon_cost(co2e_g, accuracy))
+
         at_target = None
         if outcome.target_rounds is not None:
             if outcome.target_co2e_g is None:
                 raise ValueError("a reached target needs its co2e value")
-            at_target = CostPoint(
-                clients_per_round=n,
-                local_epochs=local_epochs,
-                partition_alpha=alpha,
-                rounds=outcome.target_rounds,
-                co2e_g=outcome.target_co2e_g,
-                accuracy=target_accuracy,
-                carbon_cost=carbon_cost(outcome.target_co2e_g, target_accuracy),
-            )
-        stable = CostPoint(
-            clients_per_round=n,
-            local_epochs=local_epochs,
-            partition_alpha=alpha,
-            rounds=outcome.stable_rounds,
-            co2e_g=outcome.stable_co2e_g,
-            accuracy=outcome.stable_accuracy,
-            carbon_cost=carbon_cost(outcome.stable_co2e_g, outcome.stable_accuracy),
-        )
+            at_target = point(outcome.target_rounds, outcome.target_co2e_g, target_accuracy)
+        stable = point(outcome.stable_rounds, outcome.stable_co2e_g, outcome.stable_accuracy)
         results.append(CellResult(n, local_epochs, alpha, at_target, stable))
 
     def key(cell: CellResult) -> tuple:
@@ -246,9 +240,20 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
     return run
 
 
-def _table_value(obj: Any, key: str, kind: type, where: str) -> Any:
-    """obj[key] as kind (int or float); an integer must be a JSON integer
-    and a float any finite JSON number."""
+# The range of each results-table value, keyed by the words that state it;
+# a point's rounds, co2_g and accuracy follow CostPoint's rules.
+_TABLE_RULES: Mapping[str, Callable[[Any], bool]] = MappingProxyType({
+    "be > 0": lambda v: v > 0,
+    "be >= 0": lambda v: v >= 0,
+    "be >= 1": lambda v: v >= 1,
+    "lie in (0, 1]": lambda v: 0 < v <= 1,
+})
+
+
+def _table_value(obj: Any, key: str, kind: type, where: str, rule: str) -> Any:
+    """obj[key] as kind (int or float), which must obey `rule` (a key of
+    _TABLE_RULES); an integer must be a JSON integer and a float any
+    finite JSON number."""
     if not isinstance(obj, dict) or key not in obj:
         raise ConfigError(f"{where} must be an object with {key!r}")
     value = obj[key]
@@ -256,14 +261,17 @@ def _table_value(obj: Any, key: str, kind: type, where: str) -> Any:
         raise ConfigError(f"{where} {key!r} must be an integer, got {value!r}")
     if not _finite(value):
         raise ConfigError(f"{where} {key!r} must be a finite number, got {value!r}")
-    return kind(value)
+    value = kind(value)
+    if not _TABLE_RULES[rule](value):
+        raise ConfigError(f"{where} {key!r} must {rule}, got {value!r}")
+    return value
 
 
 def _table_rows(table: Any) -> list[tuple[tuple[int, int, float], CellOutcome]]:
     """Each row of a results table in file order, as ((clients,
     local_epochs, alpha), outcome); ConfigError when a block, row or
-    point is missing or not a number, when clients or local_epochs is
-    below 1 or alpha not above 0, or when a cell is repeated."""
+    point is missing or not a number, when a value breaks its rule in
+    _TABLE_RULES, or when a cell is repeated."""
     blocks = table.get("blocks") if isinstance(table, dict) else None
     if not isinstance(blocks, list):
         raise ConfigError("results table must be an object with a 'blocks' list")
@@ -271,19 +279,13 @@ def _table_rows(table: Any) -> list[tuple[tuple[int, int, float], CellOutcome]]:
     first: dict[tuple[int, int, float], str] = {}
     for i, block in enumerate(blocks):
         where = f"results table block {i}"
-        alpha = _table_value(block, "alpha", float, where)
-        if alpha <= 0:
-            raise ConfigError(f"{where} 'alpha' must be > 0, got {alpha!r}")
-        local_epochs = _table_value(block, "local_epochs", int, where)
-        if local_epochs < 1:
-            raise ConfigError(f"{where} 'local_epochs' must be >= 1, got {local_epochs!r}")
+        alpha = _table_value(block, "alpha", float, where, "be > 0")
+        local_epochs = _table_value(block, "local_epochs", int, where, "be >= 1")
         if not isinstance(block.get("rows"), list):
             raise ConfigError(f"{where} must hold a 'rows' list")
         for j, row in enumerate(block["rows"]):
             where = f"results table block {i} row {j}"
-            n = _table_value(row, "clients", int, where)
-            if n < 1:
-                raise ConfigError(f"{where} 'clients' must be >= 1, got {n!r}")
+            n = _table_value(row, "clients", int, where, "be >= 1")
             cell = (n, local_epochs, alpha)
             if cell in first:
                 raise ConfigError(f"{where} repeats the cell of {first[cell]}: "
@@ -294,12 +296,13 @@ def _table_rows(table: Any) -> list[tuple[tuple[int, int, float], CellOutcome]]:
                 raise ConfigError(f"{where} must hold a 'stable' object")
             rows.append((cell, CellOutcome(
                 target_rounds=None if target is None
-                else _table_value(target, "rounds", int, f"{where} target"),
+                else _table_value(target, "rounds", int, f"{where} target", "be >= 0"),
                 target_co2e_g=None if target is None
-                else _table_value(target, "co2_g", float, f"{where} target"),
-                stable_rounds=_table_value(stable, "rounds", int, f"{where} stable"),
-                stable_accuracy=_table_value(stable, "accuracy", float, f"{where} stable"),
-                stable_co2e_g=_table_value(stable, "co2_g", float, f"{where} stable"),
+                else _table_value(target, "co2_g", float, f"{where} target", "be >= 0"),
+                stable_rounds=_table_value(stable, "rounds", int, f"{where} stable", "be >= 0"),
+                stable_accuracy=_table_value(stable, "accuracy", float, f"{where} stable",
+                                             "lie in (0, 1]"),
+                stable_co2e_g=_table_value(stable, "co2_g", float, f"{where} stable", "be >= 0"),
             )))
     return rows
 
@@ -314,8 +317,9 @@ def table_target(table: dict[str, Any],
     """A results table's declared 'target_accuracy', or `default` when it
     declares none (or 0)."""
     declared = table.get("target_accuracy", 0.0)
-    if not _finite(declared):
-        raise ConfigError("results table 'target_accuracy' must be a number")
+    if not (_finite(declared) and 0.0 <= declared <= 1.0):
+        raise ConfigError("results table 'target_accuracy' must be a number in (0, 1], "
+                          "or 0 for none")
     return float(declared) or default
 
 

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any, Collection, Iterable, Mapping
 
 __all__ = [
     "ConfigError",
@@ -201,6 +201,11 @@ class SimSetup:
     alpha: float = 1000.0
 
     def __post_init__(self) -> None:
+        prior_list = isinstance(self.prior, (tuple, list))
+        if prior_list:
+            _check(all(_finite(p) for p in self.prior),
+                   "sim.prior list entries must be finite numbers")
+            object.__setattr__(self, "prior", tuple(float(p) for p in self.prior))
         _check(_integer(self.classes) and self.classes >= 2,
                "sim.classes must be an integer >= 2")
         _check(_integer(self.features) and self.features >= 1,
@@ -228,7 +233,7 @@ class SimSetup:
                "sim.tau must be finite and > 0")
         _check(_integer(self.hidden_units) and self.hidden_units >= 0,
                "sim.hidden_units must be an integer >= 0")
-        if isinstance(self.prior, (tuple, list)):
+        if prior_list:
             _check(len(self.prior) == self.classes,
                    "sim.prior list must have one entry per class")
         else:
@@ -395,6 +400,22 @@ def _fields(cls: type) -> tuple[tuple[str, ...], frozenset[str], tuple[str, ...]
     return names, frozenset(names), required
 
 
+def _check_keys(value: Any, known: Collection[str], required: Iterable[str],
+                where: str) -> None:
+    """ConfigError unless `value` is an object that holds every key of
+    `required` and no key outside `known`.  The first missing key, in
+    `required` order, is named before any unknown key.  `where` names the
+    object in error messages."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    for name in required:
+        if name not in value:
+            raise ConfigError(f"{where} is missing {name!r}")
+    unknown = sorted(set(value).difference(known))
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys: {unknown}")
+
+
 def _from_object(cls: type, value: Any, where: str, **defaults: Any) -> Any:
     """Build the config dataclass `cls` from a JSON object.
 
@@ -402,16 +423,9 @@ def _from_object(cls: type, value: Any, where: str, **defaults: Any) -> Any:
     the object leaves out, and a field with neither a dataclass default nor
     one given here is missing.  `where` names the object in error messages.
     """
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object")
     _, known, required = _fields(cls)
-    if not known.issuperset(value):
-        raise ConfigError(f"{where} has unknown keys: {sorted(set(value) - known)}")
-    defaults.update(value)
-    for name in required:
-        if name not in defaults:
-            raise ConfigError(f"{where} is missing {name!r}")
-    return cls(**defaults)
+    _check_keys(value, known, [name for name in required if name not in defaults], where)
+    return cls(**{**defaults, **value})
 
 
 def _resolve(value: Any, namespace: str, registry: Mapping[str, Any],
@@ -434,23 +448,17 @@ def _resolve(value: Any, namespace: str, registry: Mapping[str, Any],
     return _from_object(cls, value, kind, **defaults, **inline_defaults)
 
 
-def _sim_from_dict(value: Any) -> SimSetup:
-    if isinstance(value, dict) and isinstance(value.get("prior"), list):
-        _check(all(_finite(p) for p in value["prior"]),
-               "sim.prior list entries must be finite numbers")
-        value = {**value, "prior": tuple(float(p) for p in value["prior"])}
-    return _from_object(SimSetup, value, "'sim'")
+def _json_key(name: str) -> str:
+    """The JSON key of a config dataclass field: the tuple `grids` is
+    written as the key `grid`."""
+    return "grid" if name == "grids" else name
 
 
 def config_from_dict(raw: Any, registry: Mapping[str, Any] | None = None) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from parsed JSON."""
     reg = registry if registry is not None else active_registry()
-    _check(isinstance(raw, dict), "config root must be a JSON object")
-    known = {"mode", "hardware", "grid", "network", "pue", "epochs", "fl", "sim", "seed"}
-    extra = set(raw) - known
-    _check(not extra, f"config has unknown top-level keys: {sorted(extra)}")
-    for req in ("mode", "hardware", "grid"):
-        _check(req in raw, f"config is missing {req!r}")
+    names, _, required = _fields(ExperimentConfig)
+    _check_keys(raw, set(map(_json_key, names)), map(_json_key, required), "config")
     mode = raw["mode"]
     default_kind = EDGE if mode == "fl" else DATACENTER
     hardware = _resolve(raw["hardware"], "hw:", reg, kind=default_kind)
@@ -460,7 +468,7 @@ def config_from_dict(raw: Any, registry: Mapping[str, Any] | None = None) -> Exp
     network = _resolve(raw["network"], "net:", reg) if "network" in raw else None
     pue = _resolve(raw["pue"], "pue:", reg) if "pue" in raw else None
     fl = _from_object(FlSetup, raw["fl"], "'fl'") if "fl" in raw else None
-    sim = _sim_from_dict(raw["sim"]) if "sim" in raw else None
+    sim = _from_object(SimSetup, raw["sim"], "'sim'") if "sim" in raw else None
     return ExperimentConfig(mode=mode, hardware=hardware, grids=grids, seed=raw.get("seed", 0),
                             network=network, pue=pue, epochs=raw.get("epochs"), fl=fl, sim=sim)
 
@@ -484,29 +492,20 @@ def _as_dict(obj: Any) -> dict[str, Any]:
     return {name: getattr(obj, name) for name in _fields(type(obj))[0]}
 
 
+def _to_json(value: Any) -> Any:
+    """A config value as JSON data: a config dataclass as an object of its
+    fields that are not None, a tuple as a list, anything else as it is."""
+    if dataclasses.is_dataclass(value):
+        return {_json_key(name): _to_json(field) for name, field in _as_dict(value).items()
+                if field is not None}
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     """Canonical fully resolved dict form; parsing it back compares equal."""
-    out: dict[str, Any] = {
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "hardware": _as_dict(cfg.hardware),
-        "grid": [_as_dict(g) for g in cfg.grids],
-    }
-    if cfg.network is not None:
-        out["network"] = _as_dict(cfg.network)
-    if cfg.pue is not None:
-        out["pue"] = cfg.pue
-    if cfg.epochs is not None:
-        out["epochs"] = cfg.epochs
-    if cfg.fl is not None:
-        out["fl"] = _as_dict(cfg.fl)
-    if cfg.sim is not None:
-        sim = out["sim"] = _as_dict(cfg.sim)
-        if not isinstance(sim["prior"], str):
-            sim["prior"] = list(sim["prior"])
-        if sim["samples_per_client"] is None:
-            del sim["samples_per_client"]
-    return out
+    return _to_json(cfg)
 
 
 def config_digest(cfg: ExperimentConfig) -> str:

@@ -124,6 +124,10 @@ class TestTrainingEnergy:
         with pytest.raises(ValueError, match="pue"):
             training_energy_centralized(100.0, 10.0, 0.99)
 
+    def test_centralized_overflow_is_an_error(self):
+        with pytest.raises(ValueError, match="^training energy overflows the float range$"):
+            training_energy_centralized(1e308, 1e308, 1.0)
+
     def test_overflowing_sum_is_an_error(self):
         # Each entry's joules are finite; their sum is not.  Warnings are
         # errors in CI, so the overflow must also stay silent.
@@ -185,6 +189,10 @@ class TestLegacyTransferAndConversion:
 
     def test_zero_transfers_is_zero(self):
         assert legacy_transfer_energy(3.0, 0) == 0.0
+
+    def test_flat_rate_overflow_is_an_error(self):
+        with pytest.raises(ValueError, match="^communication energy overflows the float range$"):
+            legacy_transfer_energy(1e308, 10)
 
     @pytest.mark.parametrize("transfers", [True, False, 2.0, -1])
     def test_transfers_must_be_an_integer(self, transfers):

@@ -385,6 +385,41 @@ class TestOptimize:
         assert "no grid cell" in err
         assert json.loads(out)["winner"]["at_target"] is None
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"stable": {"accuracy": 0}},
+         "results table block 1 row 2 stable 'accuracy' must lie in (0, 1], got 0.0"),
+        ({"stable": {"accuracy": 1.5}},
+         "results table block 1 row 2 stable 'accuracy' must lie in (0, 1], got 1.5"),
+        ({"target": {"co2_g": -1}},
+         "results table block 1 row 2 target 'co2_g' must be >= 0, got -1.0"),
+        ({"stable": {"rounds": -3}},
+         "results table block 1 row 2 stable 'rounds' must be >= 0, got -3"),
+        ({"target_accuracy": 1.5},
+         "results table 'target_accuracy' must be a number in (0, 1], or 0 for none"),
+        ({"target_accuracy": -0.5},
+         "results table 'target_accuracy' must be a number in (0, 1], or 0 for none"),
+        ({"stable": {"co2_g": 1e308, "accuracy": 1e-10}},
+         "carbon cost overflows the float range"),
+    ], ids=["stable-accuracy-0", "stable-accuracy-1.5", "target-negative-co2",
+            "stable-negative-rounds", "target-accuracy-1.5", "target-accuracy-negative",
+            "carbon-cost-overflow"])
+    def test_bad_table_value_exits_1_with_one_line_and_no_file(self, capsys, tmp_path,
+                                                               edit, message):
+        table = json.loads(Path(GRID_TABLE).read_text())
+        if "target_accuracy" in edit:
+            table.update(edit)
+        else:
+            row = table["blocks"][1]["rows"][2]
+            for point, values in edit.items():
+                row[point].update(values)
+        bad = tmp_path / "table.json"
+        bad.write_text(json.dumps(table))
+        out_path = tmp_path / "grid.json"
+        code, out, err = run_cli(capsys, "optimize", "--config", FL_DEMO,
+                                 "--fixtures", str(bad), "--out", str(out_path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_path.exists()
+
     def test_live_simulation_grid(self, capsys, tmp_path):
         raw = json.loads((CONFIGS / "fl_sim_small_france.json").read_text())
         raw["fl"]["pool_size"] = 4

@@ -29,6 +29,7 @@ from fedcarbon import (
     make_table_runner,
     pareto_front,
     table_cells,
+    table_target,
 )
 
 from conftest import load_fixture
@@ -99,6 +100,11 @@ class TestCarbonCost:
             carbon_cost(1.0, 0.0)
         with pytest.raises(ValueError, match="accuracy"):
             carbon_cost(1.0, 1.2)
+
+    def test_overflowing_ratio_is_an_error(self):
+        assert carbon_cost(1e308, 1.0) == 1e308
+        with pytest.raises(ValueError, match="^carbon cost overflows the float range$"):
+            carbon_cost(1e308, 1e-10)
 
     def test_cost_point_consistency_enforced(self):
         with pytest.raises(ValueError, match="carbon_cost"):
@@ -351,6 +357,35 @@ class TestTableShape:
             with pytest.raises(ConfigError) as info:
                 parse(table)
             assert str(info.value) == f"results table {message}"
+
+    @pytest.mark.parametrize("point, key, value, message", [
+        ("stable", "accuracy", 0, "stable 'accuracy' must lie in (0, 1], got 0.0"),
+        ("stable", "accuracy", 1.5, "stable 'accuracy' must lie in (0, 1], got 1.5"),
+        ("stable", "co2_g", -1, "stable 'co2_g' must be >= 0, got -1.0"),
+        ("target", "co2_g", -1, "target 'co2_g' must be >= 0, got -1.0"),
+        ("stable", "rounds", -3, "stable 'rounds' must be >= 0, got -3"),
+        ("target", "rounds", -3, "target 'rounds' must be >= 0, got -3"),
+    ], ids=["stable-accuracy-0", "stable-accuracy-1.5", "stable-negative-co2",
+            "target-negative-co2", "stable-negative-rounds", "target-negative-rounds"])
+    def test_points_follow_cost_point_rules(self, point, key, value, message):
+        row = {"clients": 2, "target": {"rounds": 3, "co2_g": 1.0},
+               "stable": {"rounds": 4, "accuracy": 0.5, "co2_g": 1.5}}
+        row[point][key] = value
+        table = {"blocks": [{"alpha": 1.0, "local_epochs": 1, "rows": [row]}]}
+        for parse in (make_table_runner, table_cells):
+            with pytest.raises(ConfigError) as info:
+                parse(table)
+            assert str(info.value) == f"results table block 0 row 0 {message}"
+
+    @pytest.mark.parametrize("declared, target", [(0.6, 0.6), (1, 1.0), (0, 0.5)])
+    def test_declared_target(self, declared, target):
+        assert table_target({"target_accuracy": declared, "blocks": []}) == target
+        assert table_target({"blocks": []}, 0.7) == 0.7
+
+    @pytest.mark.parametrize("declared", [1.5, -0.5, math.inf, True])
+    def test_declared_target_outside_the_unit_interval_is_rejected(self, declared):
+        with pytest.raises(ConfigError, match="^results table 'target_accuracy' must be a"):
+            table_target({"target_accuracy": declared, "blocks": []})
 
     def test_repeated_cell_names_both_rows(self):
         row = {"clients": 2, "stable": {"rounds": 4, "accuracy": 0.5, "co2_g": 1.5}}

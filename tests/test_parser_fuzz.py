@@ -6,7 +6,8 @@ ConfigError is a subclass); the CLI turns that into exit code 1.  Random
 trees rarely get past the first key check, so most cases start from a
 valid document and replace, drop or add one node at a random path.  Any
 config the parser accepts must survive config_to_dict and JSON unchanged,
-digest included.
+digest included; the round-trip cases also draw grid lists, prior lists and
+samples_per_client.
 """
 
 from __future__ import annotations
@@ -112,11 +113,36 @@ def _document(data, bases, leaves):
     return doc
 
 
+_GRIDS = st.lists(
+    st.sampled_from(["france", "usa", "grid:china"])
+    | st.fixed_dictionaries({"region": st.text(max_size=4),
+                             "c_rate_kg_per_kwh": st.floats(1e-3, 2.0) | st.integers(1, 3)}),
+    min_size=1, max_size=3)
+
+
+@st.composite
+def _drawn_configs(draw):
+    """A valid federated config with a drawn grid list, sim prior (a name,
+    or a list of JSON integers and floats) and samples_per_client."""
+    classes = draw(st.integers(2, 5))
+    sim = {"classes": classes, "prior": draw(
+        st.sampled_from(["uniform", "empirical"])
+        | st.lists(st.integers(0, 9) | st.floats(0.0, 1e3),
+                   min_size=classes, max_size=classes))}
+    samples = draw(st.none() | st.integers(1, 500))
+    if samples is not None:
+        sim["samples_per_client"] = samples
+    return {"mode": "fl", "seed": draw(st.integers(0, 2 ** 32)), "hardware": "tx2-cifar10",
+            "grid": draw(_GRIDS),
+            "fl": {"pool_size": 8, "clients_per_round": 2, "rounds": 3, "local_epochs": 1},
+            "sim": sim}
+
+
 def _edited(data, bases):
-    """A base with one to three nodes inside its blocks dropped or replaced
-    by a leaf of the same JSON type."""
-    doc = copy.deepcopy(data.draw(st.sampled_from(bases)))
-    for _ in range(data.draw(st.integers(1, 3))):
+    """A base, drawn from `bases`, with up to three nodes inside its blocks
+    dropped or replaced by a leaf of the same JSON type."""
+    doc = copy.deepcopy(data.draw(bases))
+    for _ in range(data.draw(st.integers(0, 3))):
         paths = [p for p in _paths(doc) if len(p) >= 2]
         if not paths:
             break
@@ -159,7 +185,7 @@ def test_schedule_parser_raises_only_value_errors(data):
 @_FUZZ
 @given(data=st.data())
 def test_accepted_configs_round_trip(data):
-    raw = _edited(data, ROUND_TRIP_BASES)
+    raw = _edited(data, st.sampled_from(ROUND_TRIP_BASES) | _drawn_configs())
     try:
         cfg = config_from_dict(raw, registry=REGISTRY)
     except ValueError:

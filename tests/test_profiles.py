@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -20,6 +21,7 @@ from fedcarbon import (
     config_from_dict,
     config_to_dict,
     load_config,
+    schedule_from_dict,
 )
 
 from conftest import FIXTURES_DIR, load_fixture
@@ -176,6 +178,22 @@ class TestProfileValidation:
     def test_sim_prior_must_be_a_name_or_a_list_of_numbers(self, prior):
         with pytest.raises(ConfigError, match="sim.prior"):
             fl_config(sim={"prior": prior})
+
+    @pytest.mark.parametrize("prior", [[math.nan, 1.0], (1.0, math.inf), [1.0, True]],
+                             ids=["nan-list", "inf-tuple", "boolean-entry"])
+    def test_sim_prior_entries_are_checked_at_construction(self, prior):
+        with pytest.raises(ConfigError, match="^sim.prior list entries must be finite numbers$"):
+            SimSetup(classes=2, prior=prior)
+
+    def test_sim_prior_list_is_held_as_a_hashable_tuple_of_floats(self):
+        sim = SimSetup(classes=2, prior=[1, 3])
+        assert sim.prior == (1.0, 3.0)
+        assert all(type(p) is float for p in sim.prior)
+        assert hash(sim) == hash(SimSetup(classes=2, prior=(1.0, 3.0)))
+        again = dataclasses.replace(sim, alpha=0.5)
+        assert again.prior == (1.0, 3.0)
+        assert again == SimSetup(classes=2, prior=[1.0, 3], alpha=0.5)
+        assert hash(again) == hash(SimSetup(classes=2, prior=(1.0, 3.0), alpha=0.5))
 
 
 class TestConfigParsing:
@@ -343,3 +361,108 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             fl_config()
         assert message in str(info.value)
+
+
+# A federated config whose every block the key-check cases below edit.
+_BASE = {"mode": "fl", "hardware": "tx2-cifar10", "grid": "france",
+         "fl": {"pool_size": 10, "clients_per_round": 5, "rounds": 4, "local_epochs": 1}}
+
+
+class TestOneKeyCheck:
+    """Every config object, registry entry and schedule object is checked
+    one way: not an object, then the first missing key, then unknown keys."""
+
+    @pytest.mark.parametrize("source, doc, message", [
+        ("config", {"hardware": "tx2-cifar10", "grid": "france", "typo": 1},
+         "config is missing 'mode'"),
+        ("config", {**_BASE, "fl": {"clients_per_round": 5, "rounds": 4, "local_epochs": 1,
+                                    "typo": 1}},
+         "'fl' is missing 'pool_size'"),
+        # Every 'sim' field has a default, so an unknown key is its only key fault.
+        ("config", {**_BASE, "sim": {"classes": 3, "typo": 1}},
+         "'sim' has unknown keys: ['typo']"),
+        ("config", {**_BASE, "hardware": {"active_power_w": 5.0, "idle_power_w": 1.0,
+                                          "typo": 1}},
+         "hardware is missing 'time_per_local_epoch_s'"),
+        ("config", {**_BASE, "network": {"download_mbps": 100, "router_power_w": 10,
+                                         "typo": 1}},
+         "network is missing 'upload_mbps'"),
+        ("config", {**_BASE, "grid": ["usa", {"c_rate_kg_per_kwh": 0.1, "typo": 1}]},
+         "grid is missing 'region'"),
+        ("registry", {"hw:lab": {"active_power_w": 2.5, "kind": "edge", "typo": 1}},
+         "registry entry 'hw:lab' is missing 'idle_power_w'"),
+        ("registry", {"net:lab": {"download_mbps": 10.0, "upload_mbps": 5.0, "typo": 1}},
+         "registry entry 'net:lab' is missing 'router_power_w'"),
+        ("registry", {"grid:island": {"typo": 1}},
+         "registry entry 'grid:island' is missing 'c_rate_kg_per_kwh'"),
+        ("schedule", {"rounds": 1, "participation": [
+            {"round": 0, "client": 0, "wall_time_s": 1.0, "typo": 1}]},
+         "participation entry 0 is missing 'hardware'"),
+        ("schedule", {"rounds": 1, "uniform": {"clients_per_round": 1,
+                                               "hardware": "tx2-nominal", "typo": 1}},
+         "schedule 'uniform' is missing 'wall_time_s'"),
+    ], ids=["top-level", "fl", "sim", "inline-hardware", "inline-network", "inline-grid",
+            "registry-hw", "registry-net", "registry-grid", "schedule-entry",
+            "schedule-uniform"])
+    def test_missing_key_is_named_before_an_unknown_key(self, tmp_path, monkeypatch,
+                                                        source, doc, message):
+        monkeypatch.delenv("FEDCARBON_REGISTRY", raising=False)
+        with pytest.raises(ConfigError) as info:
+            if source == "config":
+                config_from_dict(doc)
+            elif source == "schedule":
+                schedule_from_dict(doc)
+            else:
+                override = tmp_path / "registry.json"
+                override.write_text(json.dumps(doc))
+                monkeypatch.setenv("FEDCARBON_REGISTRY", str(override))
+                config_from_dict(_BASE)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("raw, message", [
+        ([_BASE], "config must be an object"),
+        ({**_BASE, "typo": 1, "extra": 2}, "config has unknown keys: ['extra', 'typo']"),
+    ], ids=["not-an-object", "unknown-keys"])
+    def test_top_level_wording(self, raw, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert str(info.value) == message
+
+
+# Sets every optional case of the writer: a list prior of JSON integers,
+# samples_per_client, two inline grids, an inline network with a region,
+# the flat-rate WAN model and hidden units.
+ALL_FIELDS = {
+    "mode": "fl", "seed": 5,
+    "hardware": {"name": "board", "active_power_w": 5.0, "idle_power_w": 1.0,
+                 "time_per_local_epoch_s": 0.8},
+    "grid": [{"region": "lab", "c_rate_kg_per_kwh": 0.3},
+             {"region": "hill", "c_rate_kg_per_kwh": 0.05}],
+    "network": {"download_mbps": 50, "upload_mbps": 10, "router_power_w": 6, "region": "lab"},
+    "fl": {"pool_size": 8, "clients_per_round": 2, "rounds": 3, "local_epochs": 2,
+           "model_size_mb": 4, "strategy": "fedadam", "wan_model": "legacy-5kwh-per-gb"},
+    "sim": {"classes": 3, "prior": [2, 1, 1], "samples_per_client": 12, "hidden_units": 4},
+}
+
+
+class TestConfigWriter:
+    def test_every_optional_field_is_written_as_pinned(self):
+        cfg = config_from_dict(ALL_FIELDS, registry=builtin_registry())
+        assert config_to_dict(cfg) == {
+            "mode": "fl", "seed": 5,
+            "hardware": {"name": "board", "active_power_w": 5.0, "idle_power_w": 1.0,
+                         "time_per_local_epoch_s": 0.8, "kind": "edge"},
+            "grid": [{"region": "lab", "c_rate_kg_per_kwh": 0.3},
+                     {"region": "hill", "c_rate_kg_per_kwh": 0.05}],
+            "network": {"download_mbps": 50, "upload_mbps": 10, "router_power_w": 6,
+                        "region": "lab"},
+            "fl": {"pool_size": 8, "clients_per_round": 2, "rounds": 3, "local_epochs": 2,
+                   "model_size_mb": 4, "strategy": "fedadam",
+                   "wan_model": "legacy-5kwh-per-gb"},
+            "sim": {"classes": 3, "features": 32, "n_samples": 5000, "separation": 3.0,
+                    "samples_per_client": 12, "batch_size": 32, "target_accuracy": 0.5,
+                    "client_lr": 0.03162277660168379, "server_lr": 0.1, "beta1": 0.9,
+                    "beta2": 0.99, "tau": 0.001, "hidden_units": 4,
+                    "prior": [2.0, 1.0, 1.0], "alpha": 1000.0},
+        }
+        assert config_digest(cfg) == "3f65abb8c741"
