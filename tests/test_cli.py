@@ -434,6 +434,17 @@ class TestOptimize:
         # pool of 4 caps the client axis: 4 x {1,5} LE x {iid, non-iid}
         assert len(data["cells"]) == 16
 
+    def test_live_grid_bytes_are_pinned(self, capsys, tmp_path):
+        # sha256 of the demo config's live 40-cell grid, recorded with
+        # Python 3.11.7 and numpy 2.4.6 before local SGD took its batches
+        # with one flat row take per epoch.
+        out_path = tmp_path / "grid.json"
+        code, _, _ = run_cli(capsys, "optimize", "--config", FL_DEMO,
+                             "--out", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "4bdad6d6128e49f81918e9984c91d973f5daad880908cbf529630bcbf5d86a51")
+
 
 class TestCompare:
     def test_pue_scenarios_side_by_side(self, capsys):
