@@ -393,12 +393,17 @@ def communication_energy(schedule: RoundSchedule, model_size_mb: float,
 
 def legacy_transfer_energy(model_size_gb: float, transfers: int) -> float:
     """Flat-rate WAN model: 5 kWh per GB per transfer.  Returns kWh; raises
-    ValueError when the product is not finite."""
+    ValueError when the product is not finite or the transfer count lies
+    beyond the float range."""
     if not (math.isfinite(model_size_gb) and model_size_gb >= 0):
         raise ValueError("model_size_gb must be finite and >= 0")
     if not (_integer(transfers) and transfers >= 0):
         raise ValueError("transfers must be an integer >= 0")
-    return _finite_wh("communication", LEGACY_KWH_PER_GB * model_size_gb * transfers)
+    try:
+        kwh = LEGACY_KWH_PER_GB * model_size_gb * transfers
+    except OverflowError:
+        kwh = math.inf
+    return _finite_wh("communication", kwh)
 
 
 def to_co2e(energy_wh: float, grid: GridIntensity) -> float:

@@ -39,6 +39,7 @@ from .profiles import (
     SimSetup,
     _as_dict,
     _fields,
+    _integer,
 )
 
 __all__ = [
@@ -243,9 +244,20 @@ class ModelSpec:
     def _softmax(self, w: np.ndarray,
                  xb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Class probabilities for bias-augmented inputs (built in place on
-        the logits), plus the augmented hidden activations."""
+        the logits), plus the augmented hidden activations.
+
+        Each row's max is reduced across the class rows of a (classes,
+        K*b) copy of the logits: one elementwise np.maximum per class
+        instead of a short inner loop per row.  A max is exact in any
+        order, and a signed zero or NaN it picks gives the same
+        probabilities.  The row sum stays a sum along each row, since
+        numpy adds a row pairwise and a sum across class rows would round
+        differently.
+        """
         probs, hb = self._logits(w, xb)
-        probs -= probs.max(axis=2, keepdims=True)
+        k, b, m = probs.shape
+        by_class = np.ascontiguousarray(probs.transpose(2, 0, 1)).reshape(m, k * b)
+        probs -= np.maximum.reduce(by_class).reshape(k, b, 1)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=2, keepdims=True)
         return probs, hb
@@ -403,6 +415,11 @@ def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
     reorders client k's samples by orders[k, e], then all clients
     step together over full passes, last short batch included.  Returns
     the (K, dim) trained parameters; row k equals client k trained alone.
+
+    The samples and one-hot labels are flattened to (K*n, .) once, and
+    each epoch takes its rows orders[:, e] + k*n with one np.take per
+    array.  That per-epoch index is K x n int64; the orders block stays
+    at its 1 to 4 bytes per entry.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError("lr must be finite and > 0")
@@ -411,14 +428,18 @@ def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
     k, n = y.shape
     if n == 0:
         raise ValueError("cannot train on an empty shard")
-    clients = np.arange(k)[:, np.newaxis]
-    onehot = spec._onehot(y)
-    out = np.tile(w, (k, 1))
-    for order in orders.swapaxes(0, 1):
-        xe, ye = xb[clients, order], onehot[clients, order]
+    flat_xb = xb.reshape(k * n, -1)
+    flat_onehot = spec._onehot(y.reshape(-1))
+    first_row = np.arange(0, k * n, n)[:, np.newaxis]
+    out = np.repeat(w[np.newaxis], k, axis=0)
+    for e in range(orders.shape[1]):
+        rows = orders[:, e] + first_row
+        xe, ye = np.take(flat_xb, rows, axis=0), np.take(flat_onehot, rows, axis=0)
         for start in range(0, n, batch_size):
             batch = slice(start, start + batch_size)
-            out -= lr * spec._grad(out, xe[:, batch], ye[:, batch])
+            step = spec._grad(out, xe[:, batch], ye[:, batch])
+            step *= lr
+            out -= step
     return out
 
 
@@ -501,7 +522,14 @@ def select_clients(pool_size: int, clients_per_round: int, round_index: int,
 
 
 def weighted_delta(updates: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
-    """Sample-weighted mean of client deltas, accumulated in list order."""
+    """Sample-weighted mean of client deltas, added strictly in list order.
+
+    Each sample count is an int or numpy integer >= 1, not a bool.  Each
+    (n_k / total) * delta_k is added in turn into zeros, so the mean
+    starts from +0.0 (0.0 + -0.0 is +0.0).  One (K+1, *shape) block
+    summed by np.add.accumulate gives the same bits but was measured
+    slower at every K from 1 to 100, so the loop stays.
+    """
     if not updates:
         raise ValueError("need at least one update")
     dim = updates[0][0].shape
@@ -509,7 +537,7 @@ def weighted_delta(updates: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
     for delta, n_k in updates:
         if delta.shape != dim:
             raise ValueError("all deltas must share one shape")
-        if not (isinstance(n_k, (int, np.integer)) and n_k >= 1):
+        if not ((_integer(n_k) or isinstance(n_k, np.integer)) and n_k >= 1):
             raise ValueError("every update needs a sample count >= 1")
         total += int(n_k)
     acc = np.zeros(dim)

@@ -194,6 +194,10 @@ class TestLegacyTransferAndConversion:
         with pytest.raises(ValueError, match="^communication energy overflows the float range$"):
             legacy_transfer_energy(1e308, 10)
 
+    def test_transfers_beyond_the_float_range_overflow(self):
+        with pytest.raises(ValueError, match="^communication energy overflows the float range$"):
+            legacy_transfer_energy(1.0, 10**400)
+
     @pytest.mark.parametrize("transfers", [True, False, 2.0, -1])
     def test_transfers_must_be_an_integer(self, transfers):
         with pytest.raises(ValueError, match="transfers must be an integer >= 0"):

@@ -363,6 +363,33 @@ class TestAggregation:
         with pytest.raises(ValueError, match="count"):
             weighted_delta([(np.zeros(2), 0)])
 
+    @pytest.mark.parametrize("count", [True, np.True_, 2.0])
+    def test_a_bool_or_float_is_no_sample_count(self, count):
+        with pytest.raises(ValueError, match="^every update needs a sample count >= 1$"):
+            weighted_delta([(np.ones(2), count)])
+
+    @pytest.mark.parametrize("updates", [
+        [(np.array([0.3, -1.7, 2.0]), 7)],
+        [(np.array([-0.0, 0.0, -0.0]), 1)],
+        [(np.array([-0.0, 1.0]), 2), (np.array([-0.0, -1.0]), 3)],
+        [(np.array([5e-324, -5e-324, 1e-310]), 3), (np.array([5e-324, 0.0, -1e-310]), 1)],
+        [(np.array([1.0, 2.0]), np.int64(3)), (np.array([0.1, 0.7]), np.int32(5)),
+         (np.array([1e308, -3.0]), np.uint8(1))],
+        [(np.arange(6.0).reshape(2, 3) / 7, 4), (-np.ones((2, 3)) / 3, 9),
+         (np.full((2, 3), 0.1), 2)],
+    ], ids=["one-update", "negative-zero", "zero-sum", "subnormal", "numpy-counts", "2-d"])
+    def test_weighted_delta_equals_the_left_to_right_loop(self, updates):
+        assert weighted_delta(updates).tobytes() == reference_weighted_delta(updates).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (37,), (3, 4)])
+    @pytest.mark.parametrize("k", [1, 2, 10, 100])
+    def test_random_weighted_delta_equals_the_left_to_right_loop(self, k, shape):
+        # One-entry deltas catch a pairwise sum over the updates.
+        rng = np.random.default_rng([k, *shape])
+        updates = [(rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape),
+                    int(rng.integers(1, 1000))) for _ in range(k)]
+        assert weighted_delta(updates).tobytes() == reference_weighted_delta(updates).tobytes()
+
     def test_fedadam_two_step_hand_unroll(self):
         lr, b1, b2, tau = 0.1, 0.9, 0.99, 0.001
         w = np.array([0.0])
@@ -570,6 +597,24 @@ def reference_grad(spec: ModelSpec, w: np.ndarray, xb: np.ndarray,
     return np.concatenate([g1.ravel(), g2.ravel()])
 
 
+def reference_weighted_delta(updates: list[tuple[np.ndarray, int]]) -> np.ndarray:
+    """The sample-weighted mean, added into zeros one update at a time."""
+    total = sum(int(n_k) for _, n_k in updates)
+    acc = np.zeros(updates[0][0].shape)
+    for delta, n_k in updates:
+        acc += (n_k / total) * delta
+    return acc
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    """Class probabilities of (K, b, m) logits with each row's own max."""
+    probs = logits.copy()
+    probs -= probs.max(axis=2, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=2, keepdims=True)
+    return probs
+
+
 def reference_local_sgd(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray,
                         epochs: int, lr: float, batch_size: int,
                         rng: np.random.Generator) -> np.ndarray:
@@ -610,6 +655,48 @@ class TestBatchedStep:
             alone = reference_local_sgd(spec, w, x[c], y[c], epochs, lr, batch_size,
                                         derived_rng(3, 15, 0, c))
             assert np.array_equal(stacked[c], alone)
+
+    @pytest.mark.parametrize("n, index_type", [(200, np.uint8), (300, np.uint16),
+                                               (65_537, np.uint32)])
+    def test_narrow_orders_select_the_same_rows(self, n, index_type):
+        spec = ModelSpec(3, 4)
+        data = np.random.default_rng(n)
+        k, epochs, lr, batch_size = 3, 2, 0.2, 64 if n < 1000 else 8192
+        x = data.standard_normal((k, n, 4))
+        y = data.integers(0, 3, size=(k, n))
+        w = 0.1 * data.standard_normal(spec.dim)
+        orders = np.stack([sim._draw_orders(derived_rng(4, 15, 0, c), n, epochs)
+                           for c in range(k)])
+        assert orders.dtype == index_type
+        stacked = sim._sgd(spec, w, sim._with_bias(x), y, orders, lr, batch_size)
+        for c in range(k):
+            alone = reference_local_sgd(spec, w, x[c], y[c], epochs, lr, batch_size,
+                                        derived_rng(4, 15, 0, c))
+            assert np.array_equal(stacked[c], alone)
+
+    _EDGE_LOGITS = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308, -1e308,
+                             math.inf, -math.inf, math.nan])
+
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("k, b", [(1, 1), (1, 16), (5, 7), (10, 16)])
+    def test_softmax_equals_the_per_row_max_form(self, monkeypatch, classes, k, b):
+        # Rows mixing ties, signed zeros, +-inf, +-1e308 and NaN, with the
+        # logits handed straight to _softmax.
+        data = np.random.default_rng([classes, k, b])
+        picks = data.integers(0, len(self._EDGE_LOGITS) + 3, size=(20, k, b, classes))
+        for pick in picks:
+            logits = np.where(pick < len(self._EDGE_LOGITS),
+                              self._EDGE_LOGITS[np.minimum(pick, len(self._EDGE_LOGITS) - 1)],
+                              data.standard_normal(pick.shape))
+            logits[0, 0] = logits[0, 0, 0]  # one row of ties
+            monkeypatch.setattr(ModelSpec, "_logits",
+                                lambda self, w, xb, logits=logits: (logits.copy(), None))
+            with np.errstate(all="ignore"):
+                got, _ = ModelSpec(classes, 1)._softmax(None, None)
+                want = reference_softmax(logits)
+            assert np.array_equal(got, want, equal_nan=True)
+            numbers = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
 
     @pytest.mark.parametrize("hidden_units", [0, 32])
     def test_one_client_sgd_epochs_equals_per_client_loop(self, hidden_units):
