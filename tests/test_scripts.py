@@ -3,6 +3,7 @@ the current API."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -28,6 +29,13 @@ def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
     return run_python(str(REPO_ROOT / "scripts" / name), *argv)
 
 
+# sha256 of a script's stdout, recorded with Python 3.11.7 and numpy 2.4.6.
+PINNED_STDOUT = {
+    "compare_iid_vs_noniid.py":
+        "52fb30e4c78932c68ffd5a315307c6e2fe5779c2782b78469d0096021396bf1b",
+}
+
+
 @pytest.mark.parametrize("script", [
     ["reproduce_emission_tables.py"],
     ["run_grid_search.py"],
@@ -37,6 +45,8 @@ def test_script_exits_zero(script):
     proc = run_script(*script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if script[0] in PINNED_STDOUT:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == PINNED_STDOUT[script[0]]
 
 
 def test_grid_search_table_without_target_falls_back_to_the_sim_default(tmp_path):
