@@ -17,8 +17,9 @@ import argparse
 import math
 
 from fedcarbon import (
-    SimConfig,
+    ExperimentConfig,
     builtin_registry,
+    config_from_dict,
     lda_partition,
     make_task,
     rounds_to_target,
@@ -29,17 +30,30 @@ from fedcarbon import (
 )
 
 
-def rounds_and_emissions(alpha: float, seed: int, target: float,
-                         hardware, grid) -> tuple[int | None, float, float]:
-    task = make_task(10, 12, 5000, seed=seed, separation=4.5)
-    partition = lda_partition(uniform_prior(10), alpha, num_clients=100,
-                              samples_per_client=40, seed=seed)
-    cfg = SimConfig(pool_size=100, clients_per_round=10, max_rounds=60,
-                    local_epochs=1, target_accuracy=target, seed=seed)
-    trace, schedule, _ = simulate(cfg, task, partition, hardware)
-    hit = rounds_to_target(trace, target)
+def experiment(args: argparse.Namespace, alpha: float, seed: int,
+               registry) -> ExperimentConfig:
+    """One arm of one seed: 100 clients, 10 per round, up to 60 rounds."""
+    return config_from_dict({
+        "mode": "fl", "hardware": args.hardware, "grid": args.grid, "seed": seed,
+        "fl": {"pool_size": 100, "clients_per_round": 10, "rounds": 60,
+               "local_epochs": 1},
+        "sim": {"classes": 10, "features": 12, "n_samples": 5000, "separation": 4.5,
+                "samples_per_client": 40, "target_accuracy": args.target,
+                "alpha": alpha},
+    }, registry)
+
+
+def rounds_and_emissions(cfg: ExperimentConfig) -> tuple[int | None, float, float]:
+    fl, sim = cfg.fl, cfg.sim
+    task = make_task(sim.classes, sim.features, sim.n_samples, seed=cfg.seed,
+                     separation=sim.separation)
+    partition = lda_partition(uniform_prior(sim.classes), sim.alpha,
+                              num_clients=fl.pool_size,
+                              samples_per_client=sim.samples_per_client, seed=cfg.seed)
+    trace, schedule, _ = simulate(cfg, task, partition)
+    hit = rounds_to_target(trace, sim.target_accuracy)
     wh = training_energy_fl(schedule)
-    return hit, wh, to_co2e(wh, grid)
+    return hit, wh, to_co2e(wh, cfg.grid)
 
 
 def main() -> None:
@@ -71,17 +85,14 @@ def main() -> None:
         if not (math.isfinite(alpha) and alpha > 0):
             parser.error(f"{flag} must be finite and > 0")
 
-    hardware = registry[f"hw:{args.hardware}"]
-    grid = registry[f"grid:{args.grid}"]
-
     print(f"{'seed':<6}{'iid rounds':<12}{'noniid rounds':<15}"
           f"{'iid g CO2e':<12}{'noniid g CO2e':<15}")
     iid_wins = 0
     for seed in range(args.seeds):
         iid_hit, _, iid_g = rounds_and_emissions(
-            args.alpha_iid, seed, args.target, hardware, grid)
+            experiment(args, args.alpha_iid, seed, registry))
         non_hit, _, non_g = rounds_and_emissions(
-            args.alpha_noniid, seed, args.target, hardware, grid)
+            experiment(args, args.alpha_noniid, seed, registry))
         if iid_hit is not None and (non_hit is None or iid_hit <= non_hit):
             iid_wins += 1
         show = lambda r: "never" if r is None else str(r)

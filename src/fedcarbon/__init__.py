@@ -67,7 +67,6 @@ from .sim import (
     AdamState,
     Federation,
     ModelSpec,
-    SimConfig,
     SimDataset,
     build_federation,
     centralized_sgd,

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: estimate, simulate, partition, optimize, compare, plot.
-Exit codes: 0 success, 1 validation problem, 2 I/O problem, 3 the run
-never reached its accuracy target.  Output files are written atomically
+Exit codes: 0 success, 1 validation problem or out of memory, 2 I/O
+problem, 3 the run never reached its accuracy target.  Output files are written atomically
 (temp file then rename) and contain no timestamps, so reruns with the
 same config and seed are byte-identical.
 """
@@ -392,6 +392,12 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ConfigError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # numpy names the array it could not allocate; a bare MemoryError
+        # names nothing.
+        sys.stderr.write(f"error: out of memory: {exc}\n" if str(exc)
+                         else "error: out of memory\n")
         return EXIT_VALIDATION
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")

@@ -192,7 +192,7 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
     them.  All of it lives in the runner and goes with it; two runners
     share nothing.
     """
-    from .sim import (Federation, SimConfig, SimDataset, _Draws, _fl_and_sim,
+    from .sim import (Federation, SimDataset, _Draws, _fl_and_sim,
                       build_federation, rounds_to_target, simulate)
 
     fl, sim = _fl_and_sim(base)
@@ -216,9 +216,8 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
             sim=replace(sim, alpha=alpha, target_accuracy=1.0),
         )
         fed = federation(alpha)
-        trace, schedule, _ = simulate(SimConfig.from_experiment(cfg), fed.dataset,
-                                      fed.partition, cfg.hardware, shards=fed.shards,
-                                      draws=draws)
+        trace, schedule, _ = simulate(cfg, fed.dataset, fed.partition,
+                                      shards=fed.shards, draws=draws)
         if trace.rounds == 0:
             raise ValueError("cell produced an empty run; increase fl.rounds")
 

@@ -35,10 +35,7 @@ from .profiles import (
     DEFAULT_CLIENT_LR,  # re-exported: callers import it from fedcarbon.sim
     ExperimentConfig,
     FlSetup,
-    HardwareProfile,
     SimSetup,
-    _as_dict,
-    _fields,
     _integer,
 )
 
@@ -46,7 +43,6 @@ __all__ = [
     "derived_rng",
     "SimDataset",
     "ModelSpec",
-    "SimConfig",
     "AccuracyTrace",
     "AdamState",
     "make_task",
@@ -590,50 +586,10 @@ def fedadam_aggregate(state: AdamState, w: np.ndarray, delta: np.ndarray,
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Everything one federated run needs besides data and hardware."""
-
-    pool_size: int
-    clients_per_round: int
-    max_rounds: int
-    local_epochs: int
-    strategy: str = FlSetup.strategy
-    client_lr: float = SimSetup.client_lr
-    server_lr: float = SimSetup.server_lr
-    beta1: float = SimSetup.beta1
-    beta2: float = SimSetup.beta2
-    tau: float = SimSetup.tau
-    batch_size: int = SimSetup.batch_size
-    target_accuracy: float = SimSetup.target_accuracy
-    seed: int = ExperimentConfig.seed
-    hidden_units: int = SimSetup.hidden_units
-
-    def __post_init__(self) -> None:
-        # The 'fl' and 'sim' blocks state the rules for the fields they share.
-        FlSetup(self.pool_size, self.clients_per_round, self.max_rounds,
-                self.local_epochs, strategy=self.strategy)
-        SimSetup(**{name: getattr(self, name) for name in _fields(SimSetup)[0]
-                    if name in _fields(SimConfig)[1]})
-
-    @classmethod
-    def from_experiment(cls, cfg: ExperimentConfig) -> "SimConfig":
-        """The run described by a federated config's 'fl' and 'sim' blocks.
-
-        Every field that shares its name with an 'fl' or 'sim' field is
-        copied from it; max_rounds is fl.rounds and seed the config seed.
-        """
-        fl, sim = _fl_and_sim(cfg)
-        blocks = {**_as_dict(fl), **_as_dict(sim)}
-        return cls(max_rounds=fl.rounds, seed=cfg.seed,
-                   **{name: blocks[name] for name in _fields(cls)[0] if name in blocks})
-
-
-@dataclass(frozen=True)
 class AccuracyTrace:
-    """Per-round test accuracy plus the uniform per-round wall time."""
+    """Per-round test accuracy."""
 
     accuracies: tuple[float, ...]
-    round_time_s: float
 
     @property
     def rounds(self) -> int:
@@ -651,12 +607,14 @@ def _assign(dataset: SimDataset, partition: Partition,
     return assignment, shards
 
 
-def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
-             hardware: HardwareProfile, *,
+def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *,
              shards: np.ndarray | None = None, draws: _Draws | None = None,
              ) -> tuple[AccuracyTrace, RoundSchedule, np.ndarray]:
     """Run federated rounds until the accuracy target or the round cap.
 
+    The run is the config's: its 'fl' and 'sim' blocks (fl.rounds is the
+    round cap), its seed and its hardware.  dataset and partition are the
+    task it trains on, usually the ones build_federation(cfg) draws.
     Wall time per round is local_epochs times the profiled epoch time.
     The returned schedule lists exactly the clients that trained, so it
     can be priced directly; the third element is the final parameter
@@ -679,56 +637,57 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
     finite raises ValueError naming the round; numpy's overflow warnings
     on the way to it are silenced.
     """
-    if partition.num_clients != config.pool_size:
+    fl, sim = _fl_and_sim(cfg)
+    if partition.num_clients != fl.pool_size:
         raise ValueError(
             f"partition covers {partition.num_clients} clients, "
-            f"config declares {config.pool_size}")
+            f"config declares {fl.pool_size}")
     if partition.num_classes != dataset.num_classes:
         raise ValueError("partition and dataset disagree on the class count")
     if shards is None:
-        _, shards = _assign(dataset, partition, config.seed)
+        _, shards = _assign(dataset, partition, cfg.seed)
     elif not (isinstance(shards, np.ndarray) and shards.ndim == 2):
         raise ValueError("shards must be a 2-d (clients, samples) array")
-    elif len(shards) != config.pool_size:
+    elif len(shards) != fl.pool_size:
         raise ValueError(
-            f"{len(shards)} shards given, config declares {config.pool_size} clients")
+            f"{len(shards)} shards given, config declares {fl.pool_size} clients")
     if draws is None:
-        draws = _Draws(config.seed, keep_bytes=0)
-    elif draws.seed != config.seed:
-        raise ValueError(f"draws are for seed {draws.seed}, config seed is {config.seed}")
+        draws = _Draws(cfg.seed, keep_bytes=0)
+    elif draws.seed != cfg.seed:
+        raise ValueError(f"draws are for seed {draws.seed}, config seed is {cfg.seed}")
 
-    spec = ModelSpec(dataset.num_classes, dataset.num_features, config.hidden_units)
-    w = spec.init_params(derived_rng(config.seed, _STREAM_INIT))
+    spec = ModelSpec(dataset.num_classes, dataset.num_features, sim.hidden_units)
+    w = spec.init_params(derived_rng(cfg.seed, _STREAM_INIT))
     adam = AdamState.zeros(spec.dim)
 
     xb_test = _with_bias(dataset.features[dataset.test_idx])
     y_test = dataset.labels[dataset.test_idx]
-    round_time = config.local_epochs * hardware.time_per_local_epoch_s
+    round_time = fl.local_epochs * cfg.hardware.time_per_local_epoch_s
     if not (math.isfinite(round_time) and round_time > 0):
         raise ValueError("wall_time_s must be finite and > 0")
 
     accuracies: list[float] = []
     clients: list[np.ndarray] = []
     with np.errstate(all="ignore"):
-        for r in range(config.max_rounds):
-            selected = draws.selection(config.pool_size, config.clients_per_round, r)
+        for r in range(fl.rounds):
+            selected = draws.selection(fl.pool_size, fl.clients_per_round, r)
             chosen = [int(cid) for cid in selected]
-            orders = [draws.orders(r, cid, shards.shape[1], config.local_epochs)
+            orders = [draws.orders(r, cid, shards.shape[1], fl.local_epochs)
                       for cid in chosen]
             clients.append(selected)
             rows = shards[chosen]
             cohort = _Cohort(_with_bias(dataset.features[rows]),
                              dataset.labels[rows], orders)
-            updates = [train_local(w, dataset, shards[cid], spec, config.local_epochs,
-                                   config.client_lr, config.batch_size, block,
+            updates = [train_local(w, dataset, shards[cid], spec, fl.local_epochs,
+                                   sim.client_lr, sim.batch_size, block,
                                    cohort=cohort)
                        for cid, block in zip(chosen, orders)]
-            if config.strategy == "fedavg":
+            if fl.strategy == "fedavg":
                 w = fedavg_aggregate(w, updates)
             else:
                 w, adam = fedadam_aggregate(adam, w, weighted_delta(updates),
-                                            config.server_lr, config.beta1,
-                                            config.beta2, config.tau)
+                                            sim.server_lr, sim.beta1,
+                                            sim.beta2, sim.tau)
             # Overflow leaves parameters that are not finite: numpy's
             # warnings on the way are silenced and the run stops here.
             if not np.isfinite(w).all():
@@ -738,14 +697,14 @@ def simulate(config: SimConfig, dataset: SimDataset, partition: Partition,
                 raise ValueError(f"round {r + 1}: training diverged: "
                                  "FedAdam's second moment is not finite")
             accuracies.append(spec.accuracy(w, xb_test, y_test))
-            if accuracies[-1] >= config.target_accuracy:
+            if accuracies[-1] >= sim.target_accuracy:
                 break
 
     executed = len(accuracies)
     schedule = RoundSchedule._same_device(
-        executed, np.reshape(clients, (executed, config.clients_per_round)),
-        round_time, hardware)
-    return AccuracyTrace(tuple(accuracies), round_time), schedule, w
+        executed, np.reshape(clients, (executed, fl.clients_per_round)),
+        round_time, cfg.hardware)
+    return AccuracyTrace(tuple(accuracies)), schedule, w
 
 
 def centralized_sgd(dataset: SimDataset, periods: int, epochs_per_period: int,
@@ -847,6 +806,5 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[AccuracyTrace, RoundSchedule,
     exhaustion warnings without drawing them again.
     """
     fed = build_federation(cfg)
-    trace, schedule, _ = simulate(SimConfig.from_experiment(cfg), fed.dataset,
-                                  fed.partition, cfg.hardware, shards=fed.shards)
+    trace, schedule, _ = simulate(cfg, fed.dataset, fed.partition, shards=fed.shards)
     return trace, schedule, fed

@@ -25,7 +25,6 @@ from fedcarbon import (
     ModelSpec,
     RoundSchedule,
     ScheduleEntry,
-    SimConfig,
     builtin_registry,
     carbon_cost,
     centralized_sgd,
@@ -270,9 +269,14 @@ class TestSingleClientDegeneracy:
         partition = lda_partition(uniform_prior(3), 1000.0, num_clients=1,
                                   samples_per_client=len(task.train_idx),
                                   seed=11)
-        cfg = SimConfig(pool_size=1, clients_per_round=1, max_rounds=20,
-                        local_epochs=2, target_accuracy=1.0, seed=11)
-        trace, _, w_fl = simulate(cfg, task, partition, HW["hw:tx2-nominal"])
+        cfg = config_from_dict({
+            "mode": "fl", "hardware": "tx2-nominal", "grid": "france", "seed": 11,
+            "fl": {"pool_size": 1, "clients_per_round": 1, "rounds": 20,
+                   "local_epochs": 2},
+            "sim": {"classes": 3, "features": 4, "n_samples": 600, "separation": 1.2,
+                    "samples_per_client": len(task.train_idx), "target_accuracy": 1.0},
+        }, HW)
+        trace, _, w_fl = simulate(cfg, task, partition)
         w_sgd, acc_sgd = centralized_sgd(task, periods=20, epochs_per_period=2,
                                          lr=DEFAULT_CLIENT_LR, batch_size=32,
                                          seed=11)
@@ -297,7 +301,6 @@ class TestSingleClientDegeneracy:
 
 class TestPartitionSkewSlowsLearning:
     def test_iid_reaches_target_no_later_than_noniid(self):
-        hw = HW["hw:tx2-nominal"]
         t0 = time.perf_counter()
         wins = 0
         outcomes = []
@@ -308,10 +311,16 @@ class TestPartitionSkewSlowsLearning:
                 partition = lda_partition(uniform_prior(10), alpha,
                                           num_clients=100,
                                           samples_per_client=40, seed=seed)
-                cfg = SimConfig(pool_size=100, clients_per_round=10,
-                                max_rounds=60, local_epochs=1,
-                                target_accuracy=0.9, seed=seed)
-                trace, _, _ = simulate(cfg, task, partition, hw)
+                cfg = config_from_dict({
+                    "mode": "fl", "hardware": "tx2-nominal", "grid": "france",
+                    "seed": seed,
+                    "fl": {"pool_size": 100, "clients_per_round": 10, "rounds": 60,
+                           "local_epochs": 1},
+                    "sim": {"classes": 10, "features": 12, "n_samples": 5000,
+                            "separation": 4.5, "samples_per_client": 40,
+                            "target_accuracy": 0.9, "alpha": alpha},
+                }, HW)
+                trace, _, _ = simulate(cfg, task, partition)
                 rounds[label] = rounds_to_target(trace, 0.9)
             iid_r, non_r = rounds["iid"], rounds["noniid"]
             if iid_r is not None and (non_r is None or iid_r <= non_r):

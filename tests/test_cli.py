@@ -839,6 +839,25 @@ class TestExitCodes:
         assert err == "error: simulation needs a federated config with 'fl' and 'sim' objects\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+         "and data type int64",
+         "error: out of memory: Unable to allocate 7.28 TiB for an array with shape "
+         "(1000000000000,) and data type int64\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy-wording", "no-message"])
+    def test_out_of_memory_is_validation_error(self, capsys, tmp_path, monkeypatch,
+                                               message, line):
+        # The allocation failure is raised, never provoked.
+        def run_experiment(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        code, out, err = run_cli(capsys, "simulate", "--config", FL_DEMO,
+                                 "--out", str(tmp_path / "run"))
+        assert (code, out, err) == (1, "", line)
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_json_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

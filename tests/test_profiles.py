@@ -53,6 +53,10 @@ CENTRALIZED = {"mode": "centralized", "hardware": "v100-cifar10", "grid": "franc
                "pue": "world-2019", "epochs": 2}
 
 
+# A valid 'fl' block of 12 clients, 4 per round.
+FL_RUN = dict(pool_size=12, clients_per_round=4, rounds=8, local_epochs=2)
+
+
 def fl_config(**overrides) -> ExperimentConfig:
     base = {
         "mode": "fl",
@@ -163,6 +167,23 @@ class TestProfileValidation:
         SimSetup(target_accuracy=1.0)
         with pytest.raises(ConfigError, match="target_accuracy"):
             SimSetup(target_accuracy=1.5)
+
+    @pytest.mark.parametrize("block, fields, message", [
+        (FlSetup, {**FL_RUN, "pool_size": 12.0}, "fl.pool_size must be an integer >= 1"),
+        (FlSetup, {**FL_RUN, "clients_per_round": 13},
+         "fl.clients_per_round must be <= fl.pool_size"),
+        (FlSetup, {**FL_RUN, "rounds": -1}, "fl.rounds must be an integer >= 0"),
+        (FlSetup, {**FL_RUN, "strategy": "fedsgd"},
+         "fl.strategy must be one of ('fedavg', 'fedadam')"),
+        (SimSetup, {"client_lr": 0.0}, "sim.client_lr must be finite and > 0"),
+        (SimSetup, {"beta2": 1.0}, "sim.beta2 must lie in [0, 1)"),
+        (SimSetup, {"target_accuracy": 1.5}, "sim.target_accuracy must lie in [0, 1]"),
+    ], ids=["float-pool", "clients-above-pool", "negative-rounds", "unknown-strategy",
+            "zero-client-lr", "beta2-one", "target-above-one"])
+    def test_fl_and_sim_rules_name_the_field(self, block, fields, message):
+        with pytest.raises(ConfigError) as info:
+            block(**fields)
+        assert str(info.value) == message
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(ConfigError, match="active_power_w"):

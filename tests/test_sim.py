@@ -18,8 +18,10 @@ import fedcarbon.sim as sim
 from fedcarbon import (
     AccuracyTrace,
     AdamState,
+    ExperimentConfig,
+    FlSetup,
     ModelSpec,
-    SimConfig,
+    SimSetup,
     build_federation,
     builtin_registry,
     centralized_sgd,
@@ -40,6 +42,7 @@ from fedcarbon import (
 )
 
 HW = builtin_registry()["hw:tx2-cifar10"]
+FRANCE = builtin_registry()["grid:france"]
 
 
 def finite_difference_grad(spec: ModelSpec, w: np.ndarray, x: np.ndarray,
@@ -437,25 +440,71 @@ class TestAggregation:
                               0.1, 0.9, 0.99, 0.0)
 
 
-def small_setup(alpha: float = 1000.0, **cfg_kwargs):
+FL_FIELDS = {f.name for f in dataclasses.fields(FlSetup)}
+
+
+def small_setup(alpha: float = 1000.0, seed: int = 21, **settings):
+    """A 12-client run of 8 rounds on a 4-class task, its task and its
+    partition.  settings overrides any 'fl' or 'sim' field."""
     ds = make_task(4, 6, 600, seed=21, separation=3.5)
     part = lda_partition(uniform_prior(4), alpha, 12, 40,
                          np.random.SeedSequence([21, 11]))
-    defaults = dict(pool_size=12, clients_per_round=4, max_rounds=8,
-                    local_epochs=2, target_accuracy=1.0, seed=21)
-    defaults.update(cfg_kwargs)
-    return SimConfig(**defaults), ds, part
+    fl = dict(pool_size=12, clients_per_round=4, rounds=8, local_epochs=2)
+    run = dict(classes=4, features=6, n_samples=600, separation=3.5,
+               samples_per_client=40, alpha=alpha, target_accuracy=1.0)
+    for name, value in settings.items():
+        (fl if name in FL_FIELDS else run)[name] = value
+    cfg = ExperimentConfig(mode="fl", hardware=HW, grids=(FRANCE,), seed=seed,
+                           fl=FlSetup(**fl), sim=SimSetup(**run))
+    return cfg, ds, part
+
+
+# (settings it is changed under, setting, new value): every setting of a
+# run that simulate reads from the config.
+RUN_SETTINGS = [
+    ({}, "local_epochs", 1),
+    ({}, "strategy", "fedadam"),
+    ({}, "client_lr", 0.05),
+    ({}, "batch_size", 7),
+    ({}, "hidden_units", 3),
+    ({}, "seed", 22),
+    ({"strategy": "fedadam"}, "server_lr", 0.2),
+    ({"strategy": "fedadam"}, "beta1", 0.8),
+    ({"strategy": "fedadam"}, "beta2", 0.95),
+    ({"strategy": "fedadam"}, "tau", 0.01),
+    ({}, "rounds", 2),
+    ({}, "target_accuracy", 0.0),
+]
 
 
 class TestSimulateLoop:
+    @pytest.mark.parametrize("under, name, value", RUN_SETTINGS,
+                             ids=[name for _, name, _ in RUN_SETTINGS])
+    def test_every_run_setting_reaches_simulate(self, under, name, value):
+        cfg, ds, part = small_setup(**{"rounds": 3, **under})
+        changed, _, _ = small_setup(**{"rounds": 3, **under, name: value})
+        # One assignment for both runs, so a seed shows through its draws.
+        _, shards = sim._assign(ds, part, cfg.seed)
+        trace, _, w = simulate(cfg, ds, part, shards=shards)
+        changed_trace, _, changed_w = simulate(changed, ds, part, shards=shards)
+        if name in ("rounds", "target_accuracy"):
+            assert changed_trace.rounds != trace.rounds
+        else:
+            assert not np.array_equal(changed_w, w)
+
+    def test_a_config_without_sim_is_not_simulated(self):
+        cfg, ds, part = small_setup()
+        with pytest.raises(ValueError, match=re.escape(
+                "simulation needs a federated config with 'fl' and 'sim' objects")):
+            simulate(dataclasses.replace(cfg, sim=None), ds, part)
+
     def test_trace_and_schedule_are_consistent(self):
         cfg, ds, part = small_setup()
-        trace, schedule, _ = simulate(cfg, ds, part, HW)
+        trace, schedule, _ = simulate(cfg, ds, part)
         assert trace.rounds == schedule.rounds == 8
-        assert trace.round_time_s == pytest.approx(2 * 0.8, rel=1e-12)
         assert len(schedule.participation) == 8 * 4
         for e in schedule.participation:
-            assert e.wall_time_s == trace.round_time_s
+            assert e.wall_time_s == 2 * HW.time_per_local_epoch_s
             assert e.hardware == HW
         for r in range(8):
             in_round = sorted(e.client_id for e in schedule.participation
@@ -464,20 +513,20 @@ class TestSimulateLoop:
 
     def test_bitwise_deterministic(self):
         cfg, ds, part = small_setup()
-        t1, s1, w1 = simulate(cfg, ds, part, HW)
-        t2, s2, w2 = simulate(cfg, ds, part, HW)
+        t1, s1, w1 = simulate(cfg, ds, part)
+        t2, s2, w2 = simulate(cfg, ds, part)
         assert t1.accuracies == t2.accuracies
         assert s1 == s2
         assert np.array_equal(w1, w2)
 
     def test_zero_target_stops_after_first_round(self):
         cfg, ds, part = small_setup(target_accuracy=0.0)
-        trace, schedule, _ = simulate(cfg, ds, part, HW)
+        trace, schedule, _ = simulate(cfg, ds, part)
         assert trace.rounds == 1 and schedule.rounds == 1
 
     def test_zero_round_budget(self):
-        cfg, ds, part = small_setup(max_rounds=0)
-        trace, schedule, _ = simulate(cfg, ds, part, HW)
+        cfg, ds, part = small_setup(rounds=0)
+        trace, schedule, _ = simulate(cfg, ds, part)
         assert trace.accuracies == () and schedule.participation == ()
 
     def test_round_time_overflow_is_rejected(self):
@@ -485,13 +534,13 @@ class TestSimulateLoop:
         cfg, ds, part = small_setup(local_epochs=2)
         slow = dataclasses.replace(HW, time_per_local_epoch_s=1e308)
         with pytest.raises(ValueError, match="wall_time_s must be finite and > 0"):
-            simulate(cfg, ds, part, slow)
+            simulate(dataclasses.replace(cfg, hardware=slow), ds, part)
 
     def test_strategies_diverge(self):
         cfg_avg, ds, part = small_setup(strategy="fedavg")
         cfg_adam, _, _ = small_setup(strategy="fedadam")
-        t_avg, _, w_avg = simulate(cfg_avg, ds, part, HW)
-        t_adam, _, w_adam = simulate(cfg_adam, ds, part, HW)
+        t_avg, _, w_avg = simulate(cfg_avg, ds, part)
+        t_adam, _, w_adam = simulate(cfg_adam, ds, part)
         assert not np.array_equal(w_avg, w_adam)
 
     def test_partition_must_cover_pool(self):
@@ -499,35 +548,35 @@ class TestSimulateLoop:
         small_part = lda_partition(uniform_prior(4), 1000.0, 5, 40,
                                    np.random.SeedSequence([21, 11]))
         with pytest.raises(ValueError, match="partition covers 5 clients"):
-            simulate(cfg, ds, small_part, HW)
+            simulate(cfg, ds, small_part)
 
     def test_overflowing_parameters_stop_the_run(self):
-        cfg, _, part = small_setup(max_rounds=3)
+        cfg, _, part = small_setup(rounds=3)
         huge = make_task(4, 6, 600, seed=21, separation=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(
                     "round 1: training diverged: the parameters are not finite")):
-                simulate(cfg, huge, part, HW)
+                simulate(cfg, huge, part)
 
     def test_overflowing_fedadam_moment_stops_the_run(self):
         # One step per client from zero: the deltas are finite but their
         # squares are not, so FedAdam's step is zero and only v shows it.
-        cfg, _, part = small_setup(max_rounds=3, local_epochs=1, batch_size=40,
+        cfg, _, part = small_setup(rounds=3, local_epochs=1, batch_size=40,
                                    strategy="fedadam")
         huge = make_task(4, 6, 600, seed=21, separation=1e170)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(
                     "round 1: training diverged: FedAdam's second moment is not finite")):
-                simulate(cfg, huge, part, HW)
+                simulate(cfg, huge, part)
 
     def test_partition_class_count_must_match(self):
         cfg, ds, _ = small_setup()
         wrong = lda_partition(uniform_prior(3), 1000.0, 12, 40,
                               np.random.SeedSequence([21, 11]))
         with pytest.raises(ValueError, match="class count"):
-            simulate(cfg, ds, wrong, HW)
+            simulate(cfg, ds, wrong)
 
 
 # sha256 of the final weights and the accuracy trace of small_setup runs
@@ -563,9 +612,9 @@ PINNED_RUNS = {
 
 @pytest.mark.parametrize("strategy, hidden_units, alpha", sorted(PINNED_RUNS))
 def test_simulate_reproduces_pinned_bits(strategy, hidden_units, alpha):
-    cfg, ds, part = small_setup(alpha, max_rounds=6, batch_size=16,
+    cfg, ds, part = small_setup(alpha, rounds=6, batch_size=16,
                                 strategy=strategy, hidden_units=hidden_units)
-    trace, _, w = simulate(cfg, ds, part, HW)
+    trace, _, w = simulate(cfg, ds, part)
     digest, accuracies = PINNED_RUNS[(strategy, hidden_units, alpha)]
     assert hashlib.sha256(w.tobytes()).hexdigest() == digest
     assert trace.accuracies == accuracies
@@ -756,7 +805,7 @@ class TestBatchedStep:
         cfg, ds, part = small_setup()
         _, shards = sim._assign(ds, part, cfg.seed)
         with pytest.raises(ValueError, match="2-d"):
-            simulate(cfg, ds, part, HW, shards=list(shards))
+            simulate(cfg, ds, part, shards=list(shards))
 
     def test_federation_shards_are_a_read_only_block(self):
         cfg = config_from_dict(TestRunExperiment.BASE)
@@ -852,28 +901,28 @@ class TestDraws:
 
         monkeypatch.setattr(sim, "_Draws", Recorded)
         cfg, ds, part = small_setup()
-        simulate(cfg, ds, part, HW)
+        simulate(cfg, ds, part)
         assert [(d._room, d._selections, d._orders) for d in made] == [(0, {}, {})]
 
     def test_draws_of_another_seed_rejected(self):
         cfg, ds, part = small_setup()
         with pytest.raises(ValueError, match="draws are for seed 22, config seed is 21"):
-            simulate(cfg, ds, part, HW, draws=sim._Draws(22))
+            simulate(cfg, ds, part, draws=sim._Draws(22))
 
 
 class TestRoundsToTarget:
     def test_first_crossing_is_one_based(self):
-        trace = AccuracyTrace(accuracies=(0.2, 0.5, 0.7, 0.71), round_time_s=1.0)
+        trace = AccuracyTrace(accuracies=(0.2, 0.5, 0.7, 0.71))
         assert rounds_to_target(trace, 0.6) == 3
         assert rounds_to_target(trace, 0.2) == 1
         assert rounds_to_target(trace, 0.0) == 1
 
     def test_never_reached_is_none(self):
-        trace = AccuracyTrace(accuracies=(0.2, 0.5), round_time_s=1.0)
+        trace = AccuracyTrace(accuracies=(0.2, 0.5))
         assert rounds_to_target(trace, 0.9) is None
 
     def test_target_out_of_range_rejected(self):
-        trace = AccuracyTrace(accuracies=(0.2,), round_time_s=1.0)
+        trace = AccuracyTrace(accuracies=(0.2,))
         with pytest.raises(ValueError, match="target"):
             rounds_to_target(trace, 1.5)
 
@@ -927,16 +976,15 @@ class TestRunExperiment:
     def test_given_shards_match_the_seeds_own_assignment(self):
         cfg = config_from_dict({**self.BASE, "sim": {**self.BASE["sim"], "alpha": 0.1}})
         fed = build_federation(cfg)
-        sim_cfg = SimConfig.from_experiment(cfg)
         assert [len(s) for s in fed.shards] == [32] * 10
         assert all(np.array_equal(s, fed.dataset.train_idx[pos])
                    for s, pos in zip(fed.shards, fed.assignment.per_client))
-        t1, s1, w1 = simulate(sim_cfg, fed.dataset, fed.partition, HW)
-        t2, s2, w2 = simulate(sim_cfg, fed.dataset, fed.partition, HW,
+        t1, s1, w1 = simulate(cfg, fed.dataset, fed.partition)
+        t2, s2, w2 = simulate(cfg, fed.dataset, fed.partition,
                               shards=fed.shards)
         assert (t1, s1) == (t2, s2) and np.array_equal(w1, w2)
         with pytest.raises(ValueError, match="9 shards given"):
-            simulate(sim_cfg, fed.dataset, fed.partition, HW, shards=fed.shards[:9])
+            simulate(cfg, fed.dataset, fed.partition, shards=fed.shards[:9])
 
     def test_shards_are_the_train_split_indexed_by_the_assignment_block(self):
         fed = build_federation(config_from_dict(self.BASE))
@@ -949,44 +997,6 @@ class TestRunExperiment:
         assert again.dataset is fed.dataset
         assert np.array_equal(again.partition.per_client, fed.partition.per_client)
         assert all(np.array_equal(a, b) for a, b in zip(again.shards, fed.shards))
-
-    def test_sim_config_copies_every_run_setting(self):
-        cfg = config_from_dict({
-            **self.BASE,
-            "fl": {**self.BASE["fl"], "local_epochs": 2, "strategy": "fedadam"},
-            "sim": {**self.BASE["sim"], "client_lr": 0.05, "server_lr": 0.2,
-                    "beta1": 0.8, "beta2": 0.95, "tau": 0.01, "batch_size": 7,
-                    "target_accuracy": 0.6, "hidden_units": 3},
-        })
-        assert SimConfig.from_experiment(cfg) == SimConfig(
-            pool_size=10, clients_per_round=3, max_rounds=6, local_epochs=2,
-            strategy="fedadam", client_lr=0.05, server_lr=0.2, beta1=0.8, beta2=0.95,
-            tau=0.01, batch_size=7, target_accuracy=0.6, seed=5, hidden_units=3)
-
-    def test_sim_config_defaults_are_the_config_defaults(self):
-        raw = {**self.BASE, "fl": {k: v for k, v in self.BASE["fl"].items()
-                                   if k in ("pool_size", "clients_per_round",
-                                            "rounds", "local_epochs")},
-               "sim": {}}
-        del raw["seed"]
-        assert SimConfig.from_experiment(config_from_dict(raw)) == SimConfig(
-            pool_size=10, clients_per_round=3, max_rounds=6, local_epochs=1)
-
-    @pytest.mark.parametrize("change, message", [
-        ({"pool_size": 12.0}, "fl.pool_size must be an integer >= 1"),
-        ({"clients_per_round": 13}, "fl.clients_per_round must be <= fl.pool_size"),
-        ({"max_rounds": -1}, "fl.rounds must be an integer >= 0"),
-        ({"strategy": "fedsgd"}, "fl.strategy must be one of ('fedavg', 'fedadam')"),
-        ({"client_lr": 0.0}, "sim.client_lr must be finite and > 0"),
-        ({"beta2": 1.0}, "sim.beta2 must lie in [0, 1)"),
-        ({"target_accuracy": 1.5}, "sim.target_accuracy must lie in [0, 1]"),
-    ], ids=["float-pool", "clients-above-pool", "negative-rounds", "unknown-strategy",
-            "zero-client-lr", "beta2-one", "target-above-one"])
-    def test_sim_config_keeps_the_rules_of_the_fl_and_sim_blocks(self, change, message):
-        run = dict(pool_size=12, clients_per_round=4, max_rounds=8, local_epochs=2)
-        with pytest.raises(ValueError) as info:
-            SimConfig(**{**run, **change})
-        assert str(info.value) == message
 
     def test_federation_needs_fl_and_sim(self):
         cfg = config_from_dict({k: v for k, v in self.BASE.items() if k != "sim"})
