@@ -54,8 +54,8 @@ EXIT_NOT_REACHED = 3
 def _atomic_write(path: str | Path, text: str) -> None:
     p = Path(path)
     tmp = p.with_name(p.name + ".tmp")
-    tmp.write_text(text)
     try:
+        tmp.write_text(text)
         os.replace(tmp, p)
     except OSError:
         tmp.unlink(missing_ok=True)
@@ -74,6 +74,37 @@ def _emit(text: str, out: str | None) -> None:
 def _json_text(obj: Any) -> str:
     # inf and NaN are no JSON: json.dumps raises ValueError, which exits 1.
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _schedule_text(doc: dict[str, Any]) -> str:
+    """_json_text(doc) for a document schedule_to_dict returns, written
+    without json's pure-Python encoder (which `indent` selects).
+
+    Each distinct hardware object is rendered once by _json_text,
+    re-indented to entry depth, and looked up by its items and their value
+    types (so 1, 1.0 and true stay apart; a schedule lists each distinct
+    profile once, so equal items are one profile).  Each entry is one
+    f-string: int.__repr__ and float.__repr__ are the text json writes for
+    an int and a finite float, and a schedule's wall times are finite.
+    """
+    entries = doc["participation"]
+    if not entries:
+        return _json_text(doc)
+    hardware_text: dict[tuple, str] = {}
+    int_text, float_text = int.__repr__, float.__repr__
+    parts = []
+    for entry in entries:
+        hw = entry["hardware"]
+        key = (*hw.items(), *map(type, hw.values()))
+        hw_text = hardware_text.get(key)
+        if hw_text is None:
+            hw_text = hardware_text[key] = _json_text(hw)[:-1].replace("\n", "\n      ")
+        parts.append(f'    {{\n      "client": {int_text(entry["client"])},\n'
+                     f'      "hardware": {hw_text},\n'
+                     f'      "round": {int_text(entry["round"])},\n'
+                     f'      "wall_time_s": {float_text(entry["wall_time_s"])}\n    }}')
+    return ('{\n  "participation": [\n' + ",\n".join(parts)
+            + f'\n  ],\n  "rounds": {int_text(doc["rounds"])}\n}}\n')
 
 
 def _load(path: str, seed: int | None) -> ExperimentConfig:
@@ -128,8 +159,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                           "<out>.csv and <out>.schedule.json")
     cfg = _load(args.config, args.seed)
     trace, schedule, fed = run_experiment(cfg)
-    _atomic_write(f"{base}.csv", _trace_csv(cfg, trace, schedule))
-    _atomic_write(f"{base}.schedule.json", _json_text(schedule_to_dict(schedule)))
+    # Both texts are rendered before either file is written, so a text that
+    # fails to render leaves neither file.
+    trace_text = _trace_csv(cfg, trace, schedule)
+    schedule_text = _schedule_text(schedule_to_dict(schedule))
+    _atomic_write(f"{base}.csv", trace_text)
+    _atomic_write(f"{base}.schedule.json", schedule_text)
     assert cfg.sim is not None
     spilled = fed.assignment.exhaustion_warnings
     if spilled:

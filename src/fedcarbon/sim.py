@@ -614,7 +614,9 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
 
     The run is the config's: its 'fl' and 'sim' blocks (fl.rounds is the
     round cap), its seed and its hardware.  dataset and partition are the
-    task it trains on, usually the ones build_federation(cfg) draws.
+    task it trains on, usually the ones build_federation(cfg) draws; a
+    'sim' block whose classes, features or set samples_per_client differ
+    from that task raises ValueError naming the field.
     Wall time per round is local_epochs times the profiled epoch time.
     The returned schedule lists exactly the clients that trained, so it
     can be priced directly; the third element is the final parameter
@@ -644,6 +646,10 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
             f"config declares {fl.pool_size}")
     if partition.num_classes != dataset.num_classes:
         raise ValueError("partition and dataset disagree on the class count")
+    _check_declared(sim, "classes", dataset.num_classes, "the dataset's class count")
+    _check_declared(sim, "features", dataset.num_features, "the dataset's feature count")
+    _check_declared(sim, "samples_per_client", partition.samples_per_client,
+                    "the partition's samples per client")
     if shards is None:
         _, shards = _assign(dataset, partition, cfg.seed)
     elif not (isinstance(shards, np.ndarray) and shards.ndim == 2):
@@ -651,6 +657,7 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
     elif len(shards) != fl.pool_size:
         raise ValueError(
             f"{len(shards)} shards given, config declares {fl.pool_size} clients")
+    _check_declared(sim, "samples_per_client", shards.shape[1], "the shard width")
     if draws is None:
         draws = _Draws(cfg.seed, keep_bytes=0)
     elif draws.seed != cfg.seed:
@@ -705,6 +712,14 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
         executed, np.reshape(clients, (executed, fl.clients_per_round)),
         round_time, cfg.hardware)
     return AccuracyTrace(tuple(accuracies)), schedule, w
+
+
+def _check_declared(sim: SimSetup, field: str, value: int, what: str) -> None:
+    """ValueError naming sim.<field> unless that field is unset (None) or
+    equals `value`, which `what` names."""
+    declared = getattr(sim, field)
+    if declared is not None and declared != value:
+        raise ValueError(f"sim.{field} is {declared}, but {what} is {value}")
 
 
 def centralized_sgd(dataset: SimDataset, periods: int, epochs_per_period: int,

@@ -7,6 +7,7 @@ to assert; one test runs the real `python -m fedcarbon` entry point.
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -15,10 +16,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcarbon import cli
+from fedcarbon.carbon import RoundSchedule, ScheduleEntry, schedule_from_dict, schedule_to_dict
 from fedcarbon.cli import main
+from fedcarbon.profiles import DATACENTER, EDGE, _resolve, builtin_registry
 
 from conftest import FIXTURES_DIR
 
@@ -93,6 +99,22 @@ class TestEstimate:
         assert code == 2 and stdout == ""
         assert err.startswith("i/o error: ") and err.count("\n") == 1
         assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("command, config", [
+        ("estimate", FL_NOMINAL), ("simulate", FL_DEMO)], ids=["estimate", "simulate"])
+    def test_failed_write_leaves_no_file(self, capsys, tmp_path, monkeypatch,
+                                         command, config):
+        def fill_disk(path, text):
+            with open(path, "w") as f:
+                f.write(text[:10])
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, "write_text", fill_disk)
+        code, stdout, err = run_cli(capsys, command, "--config", config,
+                                    "--out", str(tmp_path / "out"))
+        assert code == 2 and stdout == ""
+        assert err.startswith("i/o error: [Errno 28] No space left on device")
+        assert list(tmp_path.iterdir()) == []
 
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -283,6 +305,18 @@ class TestSimulate:
         assert err == "error: round 1: training diverged: the parameters are not finite\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
 
+    def test_a_schedule_that_cannot_be_rendered_leaves_no_file(self, capsys, tmp_path,
+                                                               monkeypatch):
+        def unrenderable(doc):
+            raise ValueError("Out of range float values are not JSON compliant")
+
+        monkeypatch.setattr(cli, "_schedule_text", unrenderable)
+        code, out, err = run_cli(capsys, "simulate", "--config", FL_DEMO,
+                                 "--out", str(tmp_path / "run"))
+        assert code == 1 and out == ""
+        assert err == "error: Out of range float values are not JSON compliant\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_exhaustion_warnings_reported_on_stderr(self, capsys, tmp_path):
         # The demo pool hands out its whole train split, so late clients
         # find classes dry; partition reports the same count in its JSON.
@@ -295,6 +329,71 @@ class TestSimulate:
         assert err == (f"warning: alpha=1000.0: {count} exhaustion warnings while "
                        "assigning samples (a client's class mix was re-spread "
                        "over the classes with samples left)\n")
+
+
+_REGISTRY_HARDWARE = sorted(key[3:] for key in builtin_registry() if key.startswith("hw:"))
+_FLOAT_MAX = sys.float_info.max
+_WALL_TIMES = (st.sampled_from([5e-324, _FLOAT_MAX, 0.8, 2])
+               | st.floats(min_value=5e-324, allow_infinity=False))
+_IDS = st.sampled_from([0, 1, 2 ** 63 - 1]) | st.integers(0, 2 ** 63 - 1)
+
+
+@st.composite
+def _inline_hardware(draw):
+    """An inline hardware object: a name that may need escapes, int or
+    float fields and a signed zero idle draw."""
+    return {
+        "name": draw(st.sampled_from(["phone", 'say "hi"', "a\nb\\c", "caf\u00e9 \u2615",
+                                      "\x00\u2028"]) | st.text(max_size=6)),
+        "active_power_w": draw(st.sampled_from([2, 2.0, 4.7, 10 ** 300, _FLOAT_MAX])
+                               | st.floats(2.0, 1e6)),
+        "idle_power_w": draw(st.sampled_from([0, 0.0, -0.0, 1, 1.35, 5e-324])),
+        "time_per_local_epoch_s": draw(_WALL_TIMES),
+        "kind": draw(st.sampled_from([EDGE, DATACENTER])),
+    }
+
+
+@st.composite
+def _schedules(draw):
+    """A schedule built through RoundSchedule(rounds, entries),
+    schedule_from_dict or RoundSchedule._same_device, over registry and
+    inline hardware."""
+    hardware = draw(st.lists(st.sampled_from(_REGISTRY_HARDWARE) | _inline_hardware(),
+                             min_size=1, max_size=4))
+    how = draw(st.sampled_from(["entries", "dict", "same_device"]))
+    if how == "same_device":
+        width = draw(st.integers(0, 4))
+        rows = [draw(st.lists(_IDS, min_size=width, max_size=width, unique=True))
+                for _ in range(draw(st.integers(0, 3)))]
+        clients = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+        profile = _resolve(hardware[0], "hw:", builtin_registry())
+        return RoundSchedule._same_device(len(rows) + draw(st.integers(0, 2)), clients,
+                                          draw(_WALL_TIMES), profile)
+    pairs = draw(st.lists(st.tuples(_IDS, _IDS), max_size=8, unique=True))
+    rounds = max((r for r, _ in pairs), default=-1) + 1 + draw(st.integers(0, 2))
+    entries = [{"round": r, "client": c, "wall_time_s": draw(_WALL_TIMES),
+                "hardware": draw(st.sampled_from(hardware))} for r, c in pairs]
+    if how == "dict":
+        return schedule_from_dict({"rounds": rounds, "participation": entries})
+    return RoundSchedule(rounds, [
+        ScheduleEntry(e["round"], e["client"], e["wall_time_s"],
+                      _resolve(e["hardware"], "hw:", builtin_registry()))
+        for e in entries])
+
+
+class TestScheduleText:
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=_schedules())
+    def test_equals_the_json_module(self, schedule):
+        doc = schedule_to_dict(schedule)
+        assert cli._schedule_text(doc) == cli._json_text(doc)
+
+    def test_hardware_values_of_other_types_stay_apart(self):
+        hardware = [{"name": "x", "active_power_w": value} for value in (1, 1.0, True)]
+        doc = {"rounds": 1, "participation": [
+            {"round": 0, "client": c, "wall_time_s": 1.0, "hardware": hw}
+            for c, hw in enumerate(hardware)]}
+        assert cli._schedule_text(doc) == cli._json_text(doc)
 
 
 class TestPartition:

@@ -578,6 +578,30 @@ class TestSimulateLoop:
         with pytest.raises(ValueError, match="class count"):
             simulate(cfg, ds, wrong)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("classes", 5, "sim.classes is 5, but the dataset's class count is 4"),
+        ("features", 7, "sim.features is 7, but the dataset's feature count is 6"),
+        ("samples_per_client", 39,
+         "sim.samples_per_client is 39, but the partition's samples per client is 40"),
+    ], ids=["classes", "features", "samples_per_client"])
+    def test_the_sim_block_must_describe_the_task(self, field, value, message):
+        cfg, ds, part = small_setup(**{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate(cfg, ds, part)
+
+    def test_the_shard_width_must_match_a_set_samples_per_client(self):
+        cfg, ds, part = small_setup(rounds=2)
+        _, shards = sim._assign(ds, part, cfg.seed)
+        with pytest.raises(ValueError, match=re.escape(
+                "sim.samples_per_client is 40, but the shard width is 39")):
+            simulate(cfg, ds, part, shards=shards[:, :39])
+        # Unset, it leaves the width to the partition: the run is the same.
+        unset = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim,
+                                                                 samples_per_client=None))
+        t1, s1, w1 = simulate(cfg, ds, part, shards=shards)
+        t2, s2, w2 = simulate(unset, ds, part, shards=shards)
+        assert (t1, s1) == (t2, s2) and np.array_equal(w1, w2)
+
 
 # sha256 of the final weights and the accuracy trace of small_setup runs
 # (6 rounds, batch 16), recorded before the local step was rewritten; the
