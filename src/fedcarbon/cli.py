@@ -51,14 +51,27 @@ EXIT_IO = 2
 EXIT_NOT_REACHED = 3
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
-    p = Path(path)
-    tmp = p.with_name(p.name + ".tmp")
+def _write_all(texts: dict[str, str]) -> None:
+    """Write each text to its path: every <path>.tmp first, then the renames.
+
+    A write that fails unlinks every temp file written and re-raises, so
+    no target changes.  Renames run in order only once all writes
+    succeeded; one that fails (rarely, within one directory) unlinks the
+    temp files left and re-raises, so the targets renamed before it hold
+    the new texts and the rest what they held.
+    """
+    written: list[tuple[Path, Path]] = []
     try:
-        tmp.write_text(text)
-        os.replace(tmp, p)
+        for path, text in texts.items():
+            target = Path(path)
+            tmp = target.with_name(target.name + ".tmp")
+            written.append((tmp, target))
+            tmp.write_text(text)
+        for tmp, target in written:
+            os.replace(tmp, target)
     except OSError:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in written:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -68,7 +81,7 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        _atomic_write(out, text)
+        _write_all({out: text})
 
 
 def _json_text(obj: Any) -> str:
@@ -159,12 +172,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                           "<out>.csv and <out>.schedule.json")
     cfg = _load(args.config, args.seed)
     trace, schedule, fed = run_experiment(cfg)
-    # Both texts are rendered before either file is written, so a text that
-    # fails to render leaves neither file.
-    trace_text = _trace_csv(cfg, trace, schedule)
-    schedule_text = _schedule_text(schedule_to_dict(schedule))
-    _atomic_write(f"{base}.csv", trace_text)
-    _atomic_write(f"{base}.schedule.json", schedule_text)
+    # Both texts are rendered before either file is written, and both are
+    # written before either is renamed into place: a failure leaves neither.
+    _write_all({f"{base}.csv": _trace_csv(cfg, trace, schedule),
+                f"{base}.schedule.json": _schedule_text(schedule_to_dict(schedule))})
     assert cfg.sim is not None
     spilled = fed.assignment.exhaustion_warnings
     if spilled:

@@ -75,6 +75,11 @@ TRAIN_FRACTION = 0.8
 _TASK_BLOCK_ROWS = 4096
 
 
+def _word_keys(keys: Sequence[object]) -> bool:
+    """Whether every key is a Python int in [0, 2**32): a uint32 word each."""
+    return all(type(k) is int and 0 <= k < 1 << 32 for k in keys)
+
+
 def derived_rng(*keys: int) -> np.random.Generator:
     """Deterministic generator for a tuple of integer keys.
 
@@ -84,11 +89,80 @@ def derived_rng(*keys: int) -> np.random.Generator:
     coercion.  Any other keys (larger, negative, numpy or bool values, or
     none) take the list itself, with its errors; a key of 2**32 or more
     splits into several words, so no word array can stand in for it.
+    _Draws seeds a round's batch orders from the same words in one pass
+    (see _pcg64_starts), so those generators start where this one does.
     """
-    if keys and all(type(k) is int and 0 <= k < 1 << 32 for k in keys):
+    if keys and _word_keys(keys):
         words = np.array(keys, dtype=np.uint32)
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
     return np.random.default_rng(np.random.SeedSequence(list(keys)))
+
+
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
+# 128-bit LCG multiplier, for _pcg64_starts.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `count` (xor, multiply) constant pairs of a SeedSequence
+    hash chain, each as a (count, 1) uint32 column."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    column = np.array(chain, np.uint32)[:, np.newaxis]
+    return column[:-1], column[1:]
+
+
+# mix_entropy hashes the 4 entropy words (the first 4 links of hash A),
+# then, for each source word in turn, hashes it once per other word (the
+# next 3 links) and mixes it into that word.  generate_state(4, np.uint64)
+# takes 8 links of hash B.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+_ENTROPY_LINKS = (_HASH_A[0][:4], _HASH_A[1][:4])
+_MIX_LINKS = tuple((src, np.array([d for d in range(4) if d != src]),
+                    _HASH_A[0][4 + 3 * src:7 + 3 * src], _HASH_A[1][4 + 3 * src:7 + 3 * src])
+                   for src in range(4))
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    value ^= value >> 16
+    return value
+
+
+def _pcg64_starts(words: np.ndarray) -> list[tuple[int, int]]:
+    """Each row's PCG64 start (state, inc), as
+    PCG64(SeedSequence(words[k])).state['state'] holds it.
+
+    words is a (K, 4) uint32 array.  SeedSequence's pool and
+    generate_state(4, np.uint64) run once over all K rows in uint32
+    arithmetic, which wraps as numpy's uint32_t arithmetic does.  Then
+    PCG64's seeding runs per row in Python ints mod 2**128: s is the first
+    two uint64 words and i the last two, high word first, inc = 2i + 1 and
+    state = (inc + s) x MULT + inc.  This restates numpy's seeding
+    (numpy/random/bit_generator.pyx and pcg64.c); the tests check it
+    against numpy.
+    """
+    pool = _hashmix(words.T, *_ENTROPY_LINKS)
+    for src, into, xor, mult in _MIX_LINKS:
+        hashed = _hashmix(pool[src], xor, mult)
+        mixed = _MIX_MULT_L * pool[into] - _MIX_MULT_R * hashed
+        mixed ^= mixed >> 16
+        pool[into] = mixed
+    state = _hashmix(np.concatenate([pool, pool]), *_HASH_B)
+    # Little-endian pairs of uint32 words are the uint64 words, as numpy
+    # forms them.
+    starts = []
+    for s_high, s_low, i_high, i_low in (
+            np.ascontiguousarray(state.T, "<u4").view("<u8").tolist()):
+        inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK_128
+        starts.append((((s_high << 64 | s_low) + inc) * _PCG64_MULT + inc & _MASK_128, inc))
+    return starts
 
 
 @dataclass(frozen=True)
@@ -312,14 +386,21 @@ class ModelSpec:
 
 
 # What a _Draws may keep, in bytes: its read-only selections and order
-# blocks (their data plus about 128 bytes each) and about 2 KB per training
-# generator.  Once full it keeps nothing more, so a long or large grid
-# search holds at most this much, and a _Draws of 0 bytes keeps nothing.
-# A 40-cell grid of 10 rounds keeps under 1 MB; with large shards local
-# SGD, not drawing, dominates, so the rest buys little.
+# blocks (their data plus about 128 bytes each) and about 544 bytes per
+# client's generator state (a bit_generator.state dict).  Once full it keeps
+# nothing more, so a long or large grid search holds at most this much, and
+# a _Draws of 0 bytes keeps nothing.  A 40-cell grid of 10 rounds keeps
+# under 1 MB; with large shards local SGD, not drawing, dominates, so the
+# rest buys little.
 _KEEP_BYTES = 16 << 20
 _ARRAY_BYTES = 128
-_GENERATOR_BYTES = 2048
+_GENERATOR_BYTES = 544
+
+# Fewest fresh clients whose start states _Draws computes in one
+# _pcg64_starts pass.  On a 2-vCPU Xeon VM (numpy 2.4.6) the pass took
+# 40-60 us for up to 16 clients and 160 us for 100, and derived_rng with
+# its state 12-14 us per client: even at 4 clients.
+_PASS_MIN_CLIENTS = 5
 
 
 def _draw_orders(rng: np.random.Generator, n: int, epochs: int) -> np.ndarray:
@@ -342,21 +423,24 @@ class _Draws:
     Round r's clients depend only on (seed, pool size, clients per round,
     r) and client c's batch orders only on (seed, r, c, shard size), so
     runs with one seed that differ in alpha, local epochs or clients per
-    round can share them.  Per (r, c, shard size) it keeps the client's
-    generator and the block of orders drawn so far: a run with more local
-    epochs extends the block from the kept generator, which stands at its
-    next row.  The live optimize runner keeps one for its grid search and
-    passes it to simulate (draws=).  It keeps at most keep_bytes (see
-    _KEEP_BYTES); past that it hands out fresh draws, the same bits at the
-    cost of drawing them again.
+    round can share them.  Client c's orders in round r are those of
+    derived_rng(seed, _STREAM_TRAIN, r, c), drawn by one PCG64 of the
+    _Draws set to each client's state in turn; a round's start states come
+    from one _pcg64_starts pass (see _starts).  Per (r, c, shard size) it
+    keeps the generator state after the orders drawn so far, and their
+    block: a run with more local epochs extends the block from that state.
+    The live optimize runner keeps one for its grid search and passes it
+    to simulate (draws=).  It keeps at most keep_bytes (see _KEEP_BYTES);
+    past that it hands out fresh draws, the same bits at the cost of
+    drawing them again.
     """
 
     def __init__(self, seed: int, keep_bytes: int = _KEEP_BYTES):
         self.seed = seed
         self._room = keep_bytes
         self._selections: dict[tuple[int, int, int], np.ndarray] = {}
-        self._orders: dict[tuple[int, int, int],
-                           tuple[np.random.Generator, np.ndarray]] = {}
+        self._orders: dict[tuple[int, int, int], tuple[dict, np.ndarray]] = {}
+        self._rng = np.random.Generator(np.random.PCG64(0))
 
     def _take(self, nbytes: int) -> bool:
         """Reserve nbytes of the budget; False, reserving nothing, if full."""
@@ -377,29 +461,65 @@ class _Draws:
                 self._selections[key] = chosen
         return chosen
 
-    def orders(self, round_index: int, client: int, n: int,
-               epochs: int) -> np.ndarray:
-        """The client's first `epochs` batch orders of n samples, a
-        read-only (epochs, n) block (see _draw_orders)."""
-        key = (round_index, client, n)
-        kept = self._orders.get(key)
-        if kept is None:
-            rng = derived_rng(self.seed, _STREAM_TRAIN, round_index, client)
-            block = _draw_orders(rng, n, epochs)
-            if self._take(block.nbytes + _ARRAY_BYTES + _GENERATOR_BYTES):
-                self._orders[key] = (rng, block)
-            return block
-        rng, block = kept
-        if epochs > len(block):
-            if not self._take((epochs - len(block)) * n * block.itemsize):
-                # Full: a fresh generator draws the same orders again, and
-                # the kept entry stays as it is.
-                return _draw_orders(derived_rng(self.seed, _STREAM_TRAIN,
-                                                round_index, client), n, epochs)
-            block = np.concatenate([block, _draw_orders(rng, n, epochs - len(block))])
-            block.setflags(write=False)
-            self._orders[key] = (rng, block)
-        return block[:epochs]
+    def _starts(self, round_index: int, clients: Sequence[int]) -> list[dict]:
+        """Each client's fresh generator state for the round, as
+        derived_rng(seed, _STREAM_TRAIN, round_index, c).bit_generator.state:
+        one _pcg64_starts pass for _PASS_MIN_CLIENTS or more clients whose
+        keys are all uint32 words, else derived_rng itself (for a seed of
+        2**32 or more, say)."""
+        if (len(clients) < _PASS_MIN_CLIENTS
+                or not _word_keys((self.seed, round_index, *clients))):
+            return [derived_rng(self.seed, _STREAM_TRAIN, round_index, c).bit_generator.state
+                    for c in clients]
+        words = np.empty((len(clients), 4), np.uint32)
+        words[:] = (self.seed, _STREAM_TRAIN, round_index, 0)
+        words[:, 3] = clients
+        return [{"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                 "has_uint32": 0, "uinteger": 0}
+                for state, inc in _pcg64_starts(words)]
+
+    def round_orders(self, round_index: int, clients: Sequence[int], n: int,
+                     epochs: int) -> np.ndarray:
+        """The clients' first `epochs` batch orders of n samples, a
+        read-only (K, epochs, n) block in selection order; row k is
+        _draw_orders of client k's generator (the smallest index type).
+
+        A client whose orders are kept reads its kept rows and draws any
+        more from its kept state; the others draw from their start state.
+        A kept entry grows only while the budget has room; when full, the
+        same rows are drawn and the entry stays as it is.
+        """
+        if epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        block = np.empty((len(clients), epochs, n), np.min_scalar_type(n - 1))
+        fresh_bytes = epochs * n * block.itemsize + _ARRAY_BYTES + _GENERATOR_BYTES
+        # (lane, first epoch to draw, state to draw it from or None for the
+        # start state, whether to keep the result)
+        draws: list[tuple[int, int, dict | None, bool]] = []
+        for k, client in enumerate(clients):
+            kept = self._orders.get((round_index, client, n))
+            if kept is None:
+                draws.append((k, 0, None, self._take(fresh_bytes)))
+                continue
+            state, rows = kept
+            have = min(len(rows), epochs)
+            block[k, :have] = rows[:have]
+            if have < epochs:
+                more = (epochs - have) * n * block.itemsize
+                draws.append((k, have, state, self._take(more)))
+        starts = iter(self._starts(
+            round_index, [clients[k] for k, _, state, _ in draws if state is None]))
+        rng = self._rng
+        for k, first, state, keep in draws:
+            rng.bit_generator.state = next(starts) if state is None else state
+            for e in range(first, epochs):
+                block[k, e] = rng.permutation(n)
+            if keep:
+                rows = block[k].copy()
+                rows.setflags(write=False)
+                self._orders[round_index, clients[k], n] = (rng.bit_generator.state, rows)
+        block.setflags(write=False)
+        return block
 
 
 def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
@@ -452,16 +572,17 @@ class _Cohort:
     """A round's selected clients, trained as one stack by one _sgd call.
 
     Holds the clients' bias-augmented samples (K, n, f+1), their labels
-    (K, n) and their (epochs, n) order blocks, stacked once as (K, epochs,
-    n), in selection order.  A client's own block is its lane token.  The
-    first train_local call on any of them trains the whole stack with
-    that call's parameters; every call returns its own client's row.
+    (K, n) and their (K, epochs, n) batch orders, in selection order.  The
+    row views `lanes[k]` of the orders are the lane tokens: they share the
+    block's data, so a round holds its orders once.  The first
+    train_local call on any of them trains the whole stack with that
+    call's parameters; every call returns its own client's row.
     """
 
-    def __init__(self, xb: np.ndarray, y: np.ndarray, orders: Sequence[np.ndarray]):
-        self._xb, self._y, self._blocks = xb, y, tuple(orders)
-        self._orders = np.array(self._blocks)
-        self._lane = {id(block): k for k, block in enumerate(self._blocks)}
+    def __init__(self, xb: np.ndarray, y: np.ndarray, orders: np.ndarray):
+        self._xb, self._y, self._orders = xb, y, orders
+        self.lanes = tuple(orders)
+        self._lane = {id(block): k for k, block in enumerate(self.lanes)}
         self._key: tuple | None = None
         self._trained: np.ndarray | None = None
 
@@ -490,8 +611,8 @@ def train_local(w: np.ndarray, dataset: SimDataset, shard: np.ndarray,
 
     rng draws each epoch's batch order (see sgd_epochs).  With `cohort`
     (simulate builds one per round), rng is instead the client's
-    (epochs, n) block of batch orders, which names its lane of the
-    round's stack: the round's first call trains every lane in one
+    (epochs, n) row of the cohort's batch orders (cohort.lanes[k]), which
+    names its lane of the round's stack: the round's first call trains every lane in one
     batched _sgd call and later calls read their row, so the result
     equals the client trained alone.
     """
@@ -629,11 +750,13 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
     keeps nothing.
 
     A round's clients train as one stack (see _sgd), through one
-    train_local call per client on the round's _Cohort.  Each client
-    brings its (local_epochs, n) block of batch orders, so a round holds
-    K x local_epochs x n order entries of 1 to 4 bytes each.  Their
-    deltas are aggregated in selection order, so the result equals
-    training them one by one.
+    train_local call per client on the round's _Cohort.  Their batch
+    orders are drawn as one (K, local_epochs, n) block (see
+    _Draws.round_orders), seeded in one pass from each client's
+    (seed, round, client) words, so a round holds K x local_epochs x n
+    order entries of 1 to 4 bytes each, once.  Their deltas are
+    aggregated in selection order, so the result equals training them one
+    by one.
 
     A round that leaves the parameters, or FedAdam's second moment, not
     finite raises ValueError naming the round; numpy's overflow warnings
@@ -679,16 +802,15 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
         for r in range(fl.rounds):
             selected = draws.selection(fl.pool_size, fl.clients_per_round, r)
             chosen = [int(cid) for cid in selected]
-            orders = [draws.orders(r, cid, shards.shape[1], fl.local_epochs)
-                      for cid in chosen]
             clients.append(selected)
             rows = shards[chosen]
-            cohort = _Cohort(_with_bias(dataset.features[rows]),
-                             dataset.labels[rows], orders)
+            cohort = _Cohort(_with_bias(dataset.features[rows]), dataset.labels[rows],
+                             draws.round_orders(r, chosen, shards.shape[1],
+                                                fl.local_epochs))
             updates = [train_local(w, dataset, shards[cid], spec, fl.local_epochs,
-                                   sim.client_lr, sim.batch_size, block,
+                                   sim.client_lr, sim.batch_size, lane,
                                    cohort=cohort)
-                       for cid, block in zip(chosen, orders)]
+                       for cid, lane in zip(chosen, cohort.lanes)]
             if fl.strategy == "fedavg":
                 w = fedavg_aggregate(w, updates)
             else:

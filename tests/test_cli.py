@@ -317,6 +317,51 @@ class TestSimulate:
         assert err == "error: Out of range float values are not JSON compliant\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("before", ["absent", "earlier run"])
+    @pytest.mark.parametrize("failing", ["run.csv", "run.schedule.json"])
+    def test_a_failed_write_of_either_file_leaves_both_as_they_were(
+            self, capsys, tmp_path, monkeypatch, failing, before):
+        names = ("run.csv", "run.schedule.json")
+        if before == "earlier run":
+            for name in names:
+                (tmp_path / name).write_text(f"an earlier {name}\n")
+        write_text = Path.write_text
+
+        def fill_disk(path, text):
+            if path.name != failing + ".tmp":
+                return write_text(path, text)
+            write_text(path, text[:10])
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, "write_text", fill_disk)
+        code, out, err = run_cli(capsys, "simulate", "--config", FL_DEMO,
+                                 "--out", str(tmp_path / "run"))
+        assert code == 2 and out == ""
+        assert err.startswith("i/o error: [Errno 28] No space left on device")
+        if before == "absent":
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+            for name in names:
+                assert (tmp_path / name).read_text() == f"an earlier {name}\n"
+
+    def test_a_failed_second_rename_leaves_the_new_trace_only(self, capsys, tmp_path):
+        # As the README says: <out>.csv is renamed first, so it holds the
+        # new trace; <out>.schedule.json holds what it held; no temp file
+        # is left.  A directory in the schedule's place stops its rename.
+        code, _, _ = run_cli(capsys, "simulate", "--config", FL_DEMO,
+                             "--out", str(tmp_path / "want"))
+        assert code == 0
+        (tmp_path / "run.csv").write_text("an earlier trace\n")
+        (tmp_path / "run.schedule.json").mkdir()
+        code, out, err = run_cli(capsys, "simulate", "--config", FL_DEMO,
+                                 "--out", str(tmp_path / "run"))
+        assert code == 2 and out == ""
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert list((tmp_path / "run.schedule.json").iterdir()) == []
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_exhaustion_warnings_reported_on_stderr(self, capsys, tmp_path):
         # The demo pool hands out its whole train split, so late clients
         # find classes dry; partition reports the same count in its JSON.

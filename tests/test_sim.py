@@ -163,6 +163,33 @@ class TestDerivedRng:
             derived_rng(*keys)
 
 
+_WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+class TestPcg64Starts:
+    """_pcg64_starts restates numpy's SeedSequence and PCG64 seeding; these
+    check it against numpy itself."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_WORD, _WORD, _WORD, _WORD), min_size=1, max_size=8))
+    def test_starts_equal_derived_rng_states(self, keys):
+        starts = sim._pcg64_starts(np.array(keys, np.uint32))
+        for key, (state, inc) in zip(keys, starts, strict=True):
+            assert derived_rng(*key).bit_generator.state == {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+
+    def test_edge_words(self):
+        keys = [(0, 0, 0, 0), (2**32 - 1,) * 4, (2**32 - 1, 15, 2**32 - 1, 2**32 - 1),
+                (61, 15, 0, 9999)]
+        starts = sim._pcg64_starts(np.array(keys, np.uint32))
+        assert [derived_rng(*key).bit_generator.state["state"] for key in keys] == \
+            [{"state": state, "inc": inc} for state, inc in starts]
+
+    def test_no_keys_give_no_starts(self):
+        assert sim._pcg64_starts(np.empty((0, 4), np.uint32)) == []
+
+
 class TestModelSpec:
     def test_dim_formula(self):
         assert ModelSpec(3, 4).dim == 3 * 5
@@ -796,11 +823,13 @@ class TestBatchedStep:
         spec = ModelSpec(3, 4, hidden_units)
         w = spec.init_params(np.random.default_rng(6))
         shards = ds.train_idx[:120].reshape(3, 40)
-        orders = [sim._draw_orders(derived_rng(5, 15, 0, c), 40, 2) for c in range(3)]
+        orders = np.stack([sim._draw_orders(derived_rng(5, 15, 0, c), 40, 2)
+                           for c in range(3)])
         cohort = sim._Cohort(sim._with_bias(ds.features[shards]), ds.labels[shards], orders)
+        assert all(np.shares_memory(lane, orders) for lane in cohort.lanes)
         # Asked out of selection order: each call still gets its own lane.
         for c in (2, 0, 1):
-            delta, n_k = train_local(w, ds, shards[c], spec, 2, 0.1, 16, orders[c],
+            delta, n_k = train_local(w, ds, shards[c], spec, 2, 0.1, 16, cohort.lanes[c],
                                      cohort=cohort)
             alone, _ = train_local(w, ds, shards[c], spec, 2, 0.1, 16,
                                    derived_rng(5, 15, 0, c))
@@ -811,19 +840,22 @@ class TestBatchedStep:
         spec = ModelSpec(3, 4)
         w = np.zeros(spec.dim)
         shards = ds.train_idx[:80].reshape(2, 40)
-        orders = [sim._draw_orders(derived_rng(5, 15, 0, c), 40, 1) for c in range(2)]
+        orders = np.stack([sim._draw_orders(derived_rng(5, 15, 0, c), 40, 1)
+                           for c in range(2)])
         cohort = sim._Cohort(sim._with_bias(ds.features[shards]), ds.labels[shards], orders)
-        # A lane is named by its block itself, not by an equal copy.
-        for foreign in (derived_rng(5, 15, 0, 0), orders[0].copy()):
+        lanes = cohort.lanes
+        # A lane is named by its row view itself, not by an equal copy or
+        # another view of the same row.
+        for foreign in (derived_rng(5, 15, 0, 0), lanes[0].copy(), orders[0]):
             with pytest.raises(ValueError, match="not one of the cohort's order blocks"):
                 train_local(w, ds, shards[0], spec, 1, 0.1, 16, foreign, cohort=cohort)
         with pytest.raises(ValueError, match="epochs or shard size differ"):
-            train_local(w, ds, shards[0][:-1], spec, 1, 0.1, 16, orders[0], cohort=cohort)
+            train_local(w, ds, shards[0][:-1], spec, 1, 0.1, 16, lanes[0], cohort=cohort)
         with pytest.raises(ValueError, match="epochs or shard size differ"):
-            train_local(w, ds, shards[0], spec, 2, 0.1, 16, orders[0], cohort=cohort)
-        train_local(w, ds, shards[0], spec, 1, 0.1, 16, orders[0], cohort=cohort)
+            train_local(w, ds, shards[0], spec, 2, 0.1, 16, lanes[0], cohort=cohort)
+        train_local(w, ds, shards[0], spec, 1, 0.1, 16, lanes[0], cohort=cohort)
         with pytest.raises(ValueError, match="one setting"):
-            train_local(w, ds, shards[1], spec, 1, 0.2, 16, orders[1], cohort=cohort)
+            train_local(w, ds, shards[1], spec, 1, 0.2, 16, lanes[1], cohort=cohort)
 
     def test_shards_given_as_rows_rejected(self):
         cfg, ds, part = small_setup()
@@ -841,14 +873,39 @@ class TestBatchedStep:
             fed.shards[0, 0] = 0
 
 
+def per_client_orders(seed, round_index, clients, n, epochs):
+    """Each client's orders drawn alone from its own derived_rng."""
+    return np.stack([sim._draw_orders(derived_rng(seed, 15, round_index, c), n, epochs)
+                     for c in clients])
+
+
+def recorded_seedings(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+    """Each batch-order seeding as (path, (seed, stream, round, client)):
+    a row of a _pcg64_starts pass, or a derived_rng call."""
+    made: list[tuple[str, tuple[int, ...]]] = []
+    starts, derived = sim._pcg64_starts, sim.derived_rng
+
+    def recorded_starts(words):
+        made.extend(("pass", tuple(key)) for key in words.tolist())
+        return starts(words)
+
+    def recorded_rng(*keys):
+        made.append(("derived_rng", keys))
+        return derived(*keys)
+
+    monkeypatch.setattr(sim, "_pcg64_starts", recorded_starts)
+    monkeypatch.setattr(sim, "derived_rng", recorded_rng)
+    return made
+
+
 class TestDraws:
     def test_orders_are_read_only_blocks_of_the_clients_permutations(self):
         draws = sim._Draws(5)
-        block = draws.orders(0, 3, 10, 2)
+        block = draws.round_orders(0, [3], 10, 2)
         alone = derived_rng(5, 15, 0, 3)
-        assert block.shape == (2, 10)
-        assert np.array_equal(block, [alone.permutation(10) for _ in range(2)])
-        assert np.array_equal(draws.orders(0, 3, 10, 1), block[:1])
+        assert block.shape == (1, 2, 10)
+        assert np.array_equal(block[0], [alone.permutation(10) for _ in range(2)])
+        assert np.array_equal(draws.round_orders(0, [3], 10, 1), block[:, :1])
         assert draws.selection(12, 4, 0) is draws.selection(12, 4, 0)
         assert np.array_equal(draws.selection(12, 4, 0), select_clients(12, 4, 0, 5))
         for kept in (block, draws._orders[0, 3, 10][1], draws.selection(12, 4, 0)):
@@ -856,29 +913,69 @@ class TestDraws:
             with pytest.raises(ValueError):
                 kept[0] = 0
 
+    @pytest.mark.parametrize("epochs", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+    @pytest.mark.parametrize("keep", ["nothing", "some", "full"])
+    def test_round_orders_equal_per_client_draws(self, n, epochs, keep):
+        clients = [0, 3, 4, 8, 11, 12, 2**32 - 1]
+        draws = sim._Draws(5, keep_bytes=0 if keep == "nothing" else sim._KEEP_BYTES)
+        if keep != "nothing":
+            # Clients 3 and 8 are kept one epoch in, and extended below;
+            # client 8's state holds a buffered half word but at n = 1.
+            draws.round_orders(2, [3, 8], n, 1)
+            assert draws._orders[2, 8, n][0]["has_uint32"] == (n > 1)
+        if keep == "full":
+            draws._room = 0
+        kept = dict(draws._orders)
+        block = draws.round_orders(2, clients, n, epochs)
+        assert block.dtype == np.min_scalar_type(n - 1) and not block.flags.writeable
+        assert np.array_equal(block, per_client_orders(5, 2, clients, n, epochs))
+        if keep == "full":
+            assert draws._orders == kept
+        elif keep == "some":
+            assert sorted(c for _, c, _ in draws._orders) == clients
+            for (_, c, _), (state, rows) in draws._orders.items():
+                rng = derived_rng(5, 15, 2, c)
+                assert np.array_equal(rows, sim._draw_orders(rng, n, epochs))
+                assert state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("fresh", [1, sim._PASS_MIN_CLIENTS - 1, sim._PASS_MIN_CLIENTS, 30])
+    def test_fresh_clients_are_seeded_once_each_in_one_pass_from_the_minimum(
+            self, monkeypatch, fresh):
+        made = recorded_seedings(monkeypatch)
+        clients = list(range(2, 2 + 3 * fresh, 3))
+        block = sim._Draws(5, keep_bytes=0).round_orders(1, clients, 10, 2)
+        assert np.array_equal(block, per_client_orders(5, 1, clients, 10, 2))
+        path = "pass" if fresh >= sim._PASS_MIN_CLIENTS else "derived_rng"
+        assert made == [(path, (5, 15, 1, c)) for c in clients]
+
+    def test_a_seed_beyond_the_words_takes_derived_rng(self, monkeypatch):
+        made = recorded_seedings(monkeypatch)
+        seed, clients = 2**32 + 5, list(range(sim._PASS_MIN_CLIENTS + 1))
+        block = sim._Draws(seed, keep_bytes=0).round_orders(1, clients, 10, 2)
+        assert np.array_equal(block, per_client_orders(seed, 1, clients, 10, 2))
+        assert made == [("derived_rng", (seed, 15, 1, c)) for c in clients]
+
     def test_a_longer_request_extends_the_block_from_one_generator(self, monkeypatch):
-        made = []
-
-        def recorded(*keys):
-            made.append(keys)
-            return derived_rng(*keys)
-
-        monkeypatch.setattr(sim, "derived_rng", recorded)
+        made = recorded_seedings(monkeypatch)
         draws = sim._Draws(5)
-        first = draws.orders(0, 3, 10, 1)
-        longer = draws.orders(0, 3, 10, 5)
-        alone = derived_rng(5, 15, 0, 3)
-        assert np.array_equal(longer, [alone.permutation(10) for _ in range(5)])
-        assert np.array_equal(longer[:1], first)
-        assert np.array_equal(draws.orders(0, 3, 10, 3), longer[:3])
-        assert made == [(5, 15, 0, 3)]
-        assert len(draws._orders[0, 3, 10][1]) == 5
+        first = draws.round_orders(0, [4], 10, 1)
+        # Here permutation(10) leaves half a 64-bit word buffered: the kept
+        # state carries it, so the next row resumes from it.
+        assert draws._orders[0, 4, 10][0]["has_uint32"] == 1
+        longer = draws.round_orders(0, [4], 10, 5)
+        alone = derived_rng(5, 15, 0, 4)
+        assert np.array_equal(longer[0], [alone.permutation(10) for _ in range(5)])
+        assert np.array_equal(longer[:, :1], first)
+        assert np.array_equal(draws.round_orders(0, [4], 10, 3), longer[:, :3])
+        assert made == [("derived_rng", (5, 15, 0, 4))]
+        assert len(draws._orders[0, 4, 10][1]) == 5
 
     def test_orders_are_kept_in_the_smallest_index_type(self):
         draws = sim._Draws(5)
         for n, dtype in ((10, np.uint8), (256, np.uint8), (257, np.uint16), (70000, np.uint32)):
             want = derived_rng(5, 15, 0, 0).permutation(n)
-            for block in (draws.orders(0, 0, n, 1),
+            for block in (draws.round_orders(0, [0], n, 1)[0],
                           sim._draw_orders(derived_rng(5, 15, 0, 0), n, 1)):
                 assert block.dtype == dtype and not block.flags.writeable
                 assert np.array_equal(block[0], want)
@@ -886,34 +983,38 @@ class TestDraws:
     @pytest.mark.parametrize("orders_kept", [0, 1, 2])
     def test_a_full_draws_keeps_nothing_more_and_hands_out_the_same_orders(
             self, orders_kept):
-        # Room for one generator and its block (2048 + 128 bytes) and
+        # Room for one generator state and its block (544 + 128 bytes) and
         # orders_kept orders of 10 samples (uint8, 10 bytes each), and
         # nothing else: with 0 the first request does not fit.
         budget = sim._GENERATOR_BYTES + sim._ARRAY_BYTES + orders_kept * 10
         draws = sim._Draws(5, keep_bytes=budget)
-        draws.orders(0, 3, 10, max(orders_kept, 1))
+        draws.round_orders(0, [3], 10, max(orders_kept, 1))
         kept = draws._orders.get((0, 3, 10))
         assert (kept is None) == (orders_kept == 0)
-        state = kept and kept[0].bit_generator.state
+        state = kept and dict(kept[0])
         alone = derived_rng(5, 15, 0, 3)
         want = np.array([alone.permutation(10) for _ in range(5)])
-        # Full: a longer request is drawn afresh and the kept entry stays.
+        # Full: a longer request is drawn again and the kept entry stays.
         for epochs in (5, 5, max(orders_kept, 1)):
-            block = draws.orders(0, 3, 10, epochs)
+            block = draws.round_orders(0, [3], 10, epochs)[0]
             assert np.array_equal(block, want[:epochs]) and not block.flags.writeable
             assert draws._orders.get((0, 3, 10)) is kept
         # Another client gets fresh orders.
-        other = draws.orders(0, 4, 10, 2)
+        other = draws.round_orders(0, [4], 10, 2)[0]
         fresh = derived_rng(5, 15, 0, 4)
         assert np.array_equal(other, [fresh.permutation(10) for _ in range(2)])
         assert (0, 4, 10) not in draws._orders
         if kept:
-            assert kept[0].bit_generator.state == state
+            assert kept[0] == state
             assert np.array_equal(kept[1], want[:orders_kept])
             # Not a byte is left, so no selection is kept either.
             assert draws._room == 0
             assert draws.selection(12, 4, 0) is not draws.selection(12, 4, 0)
             assert draws._selections == {}
+
+    def test_round_orders_reject_no_epochs(self):
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            sim._Draws(5).round_orders(0, [1], 10, 0)
 
     def test_plain_simulate_keeps_no_draws(self, monkeypatch):
         made = []
