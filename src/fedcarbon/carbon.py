@@ -325,36 +325,44 @@ def _per_hardware(schedule: RoundSchedule, field: str) -> np.ndarray:
     return np.array([getattr(h, field) for h in schedule.hardware], dtype=np.float64)
 
 
+def _round_ends(schedule: RoundSchedule) -> np.ndarray:
+    """For each executed round r, the number of entries of rounds 0..r."""
+    return np.cumsum(np.bincount(schedule.round, minlength=schedule.rounds))
+
+
 def _training_ledger(schedule: RoundSchedule) -> np.ndarray:
-    """Training Wh of rounds 0..r for each executed round r (float64).
+    """Training Wh of rounds 0..r for each executed round r (float64),
+    unchecked: a row beyond the float range is inf.
 
     Joules are added one entry at a time, round by round and in schedule
     order within a round: one np.cumsum over a stable sort by round, read
-    at the last entry of each round.  Raises ValueError when the total
-    is not finite.
+    at the last entry of each round.
     """
     order = np.argsort(schedule.round, kind="stable")
     active = _per_hardware(schedule, "active_power_w")[schedule.hardware_index[order]]
     with np.errstate(over="ignore"):
         joules = np.cumsum(schedule.wall_time_s[order] * active)
-    ends = np.cumsum(np.bincount(schedule.round, minlength=schedule.rounds))
-    ledger = np.concatenate(([0.0], joules))[ends] / SECONDS_PER_HOUR
-    if len(ledger):
-        _finite_wh("training", float(ledger[-1]))
-    return ledger
+    return np.concatenate(([0.0], joules))[_round_ends(schedule)] / SECONDS_PER_HOUR
 
 
 def cumulative_training_energy(schedule: RoundSchedule) -> tuple[float, ...]:
     """Training Wh of rounds 0..r for each executed round r; the last is the total.
 
     Joules are summed entry by entry, round by round, in schedule order.
+    Raises ValueError when the total is not finite.
     """
-    return tuple(_training_ledger(schedule).tolist())
+    ledger = _training_ledger(schedule)
+    if len(ledger):
+        _finite_wh("training", float(ledger[-1]))
+    return tuple(ledger.tolist())
 
 
 def training_energy_fl(schedule: RoundSchedule) -> float:
-    """Training energy of every entry of the schedule, in Wh."""
-    return float(_training_ledger(schedule)[-1]) if len(schedule.round) else 0.0
+    """Training energy of every entry of the schedule, in Wh.  Raises
+    ValueError when it is not finite."""
+    if not len(schedule.round):
+        return 0.0
+    return _finite_wh("training", float(_training_ledger(schedule)[-1]))
 
 
 def training_energy_centralized(power_w: float, duration_s: float, pue: float) -> float:
@@ -369,26 +377,42 @@ def training_energy_centralized(power_w: float, duration_s: float, pue: float) -
     return _finite_wh("training", pue * power_w * duration_s / SECONDS_PER_HOUR)
 
 
-def communication_energy(schedule: RoundSchedule, model_size_mb: float,
-                         network: NetworkProfile) -> float:
-    """WAN energy of exchanging the model each participation entry, in Wh.
+def _transfer_joules(schedule: RoundSchedule, model_size_mb: float,
+                     network: NetworkProfile) -> np.ndarray:
+    """Running sum of the WAN joules of each entry's model exchange, in
+    schedule order (float64, inf or NaN past the float range).
 
     One exchange keeps the link busy for S * (1/D + 1/U) seconds, where S
     is the model size in megabits and D, U the link rates in Mbps.  That
     window is priced at router power plus the idle draw of the entry's
-    device (the device waits while the payload moves).  Joules are summed
-    in schedule order.  Raises ValueError when the sum is not finite.
+    device (the device waits while the payload moves).
     """
-    if not (math.isfinite(model_size_mb) and model_size_mb >= 0):
-        raise ValueError("model_size_mb must be finite and >= 0")
     transfer_s = model_size_mb * (1.0 / network.download_mbps + 1.0 / network.upload_mbps)
     # An infinite transfer time times a draw of 0 W is NaN, which is not finite either.
     with np.errstate(over="ignore", invalid="ignore"):
         per_hardware = transfer_s * (network.router_power_w
                                      + _per_hardware(schedule, "idle_power_w"))
-        joules = np.cumsum(per_hardware[schedule.hardware_index])
+        return np.cumsum(per_hardware[schedule.hardware_index])
+
+
+def communication_energy(schedule: RoundSchedule, model_size_mb: float,
+                         network: NetworkProfile) -> float:
+    """WAN energy of exchanging the model each participation entry, in Wh.
+
+    Each exchange is priced as _transfer_joules states; joules are summed
+    in schedule order.  Raises ValueError when the sum is not finite.
+    """
+    if not (math.isfinite(model_size_mb) and model_size_mb >= 0):
+        raise ValueError("model_size_mb must be finite and >= 0")
+    joules = _transfer_joules(schedule, model_size_mb, network)
     wh = (float(joules[-1]) if len(joules) else 0.0) / SECONDS_PER_HOUR
     return _finite_wh("communication", wh)
+
+
+def _legacy_kwh(model_size_gb: float, transfers: Any) -> Any:
+    """The flat-rate kWh of `transfers` transfers (an int, or an int64
+    array of counts)."""
+    return LEGACY_KWH_PER_GB * model_size_gb * transfers
 
 
 def legacy_transfer_energy(model_size_gb: float, transfers: int) -> float:
@@ -400,7 +424,7 @@ def legacy_transfer_energy(model_size_gb: float, transfers: int) -> float:
     if not (_integer(transfers) and transfers >= 0):
         raise ValueError("transfers must be an integer >= 0")
     try:
-        kwh = LEGACY_KWH_PER_GB * model_size_gb * transfers
+        kwh = _legacy_kwh(model_size_gb, transfers)
     except OverflowError:
         kwh = math.inf
     return _finite_wh("communication", kwh)
@@ -444,10 +468,48 @@ def _check_schedule_matches(cfg: ExperimentConfig, schedule: RoundSchedule) -> N
                          f"{fl.clients_per_round} per round")
 
 
+def _round_ledger(cfg: ExperimentConfig,
+                  schedule: RoundSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Training Wh and communication Wh of rounds 0..r, for each executed
+    round r of a schedule the config may price (float64 rows, unchecked:
+    a row beyond the float range is inf or NaN, and pricing it raises).
+
+    The schedule is checked once.  Training rows are _training_ledger's.
+    Communication rows are the running sum of each entry's transfer
+    joules in schedule order, read at the entry count of rounds 0..r;
+    under the flat-rate model, row r prices that many transfers, and with
+    no model size every row is 0.  The last rows price the whole
+    schedule.  When the schedule lists its entries round by round, as
+    simulate's does, every row r - 1 is what pricing the schedule's first
+    r rounds alone gives, to the last bit.
+    """
+    fl = cfg.fl
+    assert fl is not None
+    _check_schedule_matches(cfg, schedule)
+    training = _training_ledger(schedule)
+    size_mb = fl.model_size_mb
+    if size_mb <= 0:
+        return training, np.zeros(len(training))
+    ends = _round_ends(schedule)
+    if fl.wan_model == "router":
+        assert cfg.network is not None  # ExperimentConfig requires it here
+        joules = _transfer_joules(schedule, size_mb, cfg.network)
+        return training, np.concatenate(([0.0], joules))[ends] / SECONDS_PER_HOUR
+    with np.errstate(over="ignore"):
+        return training, _legacy_kwh(size_mb / MEGABITS_PER_GB, ends) * 1000.0
+
+
+def _priced(cfg: ExperimentConfig, training_wh: float,
+            communication_wh: float) -> tuple[EnergyBreakdown, float]:
+    """The energy breakdown and its grams CO2e on the config's grid;
+    ValueError naming the first part, or the grid, that is not finite."""
+    energy = EnergyBreakdown.from_parts(training_wh, communication_wh)
+    return energy, to_co2e(energy.total_wh, cfg.grid)
+
+
 def _report(cfg: ExperimentConfig, training_wh: float,
             communication_wh: float) -> EmissionReport:
-    energy = EnergyBreakdown.from_parts(training_wh, communication_wh)
-    return EmissionReport(energy, to_co2e(energy.total_wh, cfg.grid), cfg.grid,
+    return EmissionReport(*_priced(cfg, training_wh, communication_wh), cfg.grid,
                           cfg.mode, config_digest(cfg))
 
 
@@ -455,22 +517,14 @@ def estimate_fl(cfg: ExperimentConfig, schedule: RoundSchedule) -> EmissionRepor
     """Price a federated schedule under the config's WAN model and grid.
 
     fl.rounds caps a run: the schedule may hold 1 to fl.rounds rounds, or 0 if it is 0.
+    The price is the last row of the schedule's per-round ledger.
     """
     if cfg.mode != "fl":
         raise ValueError(f"estimate_fl requires mode 'fl', got {cfg.mode!r}")
-    assert cfg.fl is not None
-    _check_schedule_matches(cfg, schedule)
-    training = training_energy_fl(schedule)
-    size_mb = cfg.fl.model_size_mb
-    if size_mb <= 0:
-        comm = 0.0
-    elif cfg.fl.wan_model == "router":
-        assert cfg.network is not None  # ExperimentConfig requires it here
-        comm = communication_energy(schedule, size_mb, cfg.network)
-    else:
-        kwh = legacy_transfer_energy(size_mb / MEGABITS_PER_GB, len(schedule.round))
-        comm = kwh * 1000.0
-    return _report(cfg, training, comm)
+    training, communication = _round_ledger(cfg, schedule)
+    if not len(training):
+        return _report(cfg, 0.0, 0.0)
+    return _report(cfg, float(training[-1]), float(communication[-1]))
 
 
 def estimate_centralized(cfg: ExperimentConfig) -> EmissionReport:

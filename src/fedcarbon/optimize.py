@@ -22,7 +22,9 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .carbon import estimate_fl, schedule_prefix
+from .carbon import _priced, _round_ledger
+# perfbench/spans.py TARGETS still looks these two up here; ROADMAP item 1 drops them.
+from .carbon import estimate_fl, schedule_prefix  # noqa: F401
 from .profiles import ConfigError, ExperimentConfig, SimSetup, _finite, _integer
 
 __all__ = [
@@ -181,7 +183,14 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
 
     The run always uses the full round budget (no early stop), then reads
     the fixed-target crossing and the best-accuracy round off the trace.
-    Emissions come from pricing the schedule prefix up to each round.
+    Emissions come from the run's per-round ledger (carbon._round_ledger),
+    built once per cell: the price through round r is row r - 1, put
+    through the same EnergyBreakdown.from_parts and to_co2e calls as
+    estimate_fl.  simulate lists a schedule's entries round by round, so
+    that is the same bits as estimate_fl of the schedule's first r rounds
+    (schedule_prefix), and a row that overflows raises the same error.
+    Rounds after the priced ones are not priced, so their overflow is no
+    error.
 
     A cell's task depends only on the seed and the 'sim' block, and its
     partition and sample shards only on alpha besides, so the runner
@@ -221,8 +230,11 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
         if trace.rounds == 0:
             raise ValueError("cell produced an empty run; increase fl.rounds")
 
+        training, communication = _round_ledger(cfg, schedule)
+
         def co2_through(rounds: int) -> float:
-            return estimate_fl(cfg, schedule_prefix(schedule, rounds)).co2e_g
+            return _priced(cfg, float(training[rounds - 1]),
+                           float(communication[rounds - 1]))[1]
 
         hit = rounds_to_target(trace, rule_target)
         target_co2 = co2_through(hit) if hit is not None else None

@@ -371,8 +371,16 @@ class ModelSpec:
         return logits[0].argmax(axis=1)
 
     def _accuracy(self, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy on bias-augmented inputs."""
-        return float(np.mean(self._predict(w, xb) == y))
+        """Accuracy on bias-augmented inputs: the share of the n rows of xb
+        predicted as y, which holds one label per row.  Raises ValueError,
+        before predicting, when y is not n labels or n is 0."""
+        if np.shape(y) != (len(xb),):
+            raise ValueError(f"labels have shape {np.shape(y)}, "
+                             f"but the inputs have {len(xb)} rows")
+        if not len(xb):
+            raise ValueError("accuracy needs at least one row")
+        # The count over n is np.mean's float for any n under 2**53.
+        return int(np.count_nonzero(self._predict(w, xb) == y)) / len(xb)
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         return self._predict(w, _with_bias(x))
@@ -386,15 +394,16 @@ class ModelSpec:
 
 
 # What a _Draws may keep, in bytes: its read-only selections and order
-# blocks (their data plus about 128 bytes each) and about 544 bytes per
-# client's generator state (a bit_generator.state dict).  Once full it keeps
+# blocks (their data plus about 128 bytes each) and 952 bytes per client's
+# generator (its derived_rng Generator, PCG64 and SeedSequence, as
+# tracemalloc measured them with numpy 2.4.6).  Once full it keeps
 # nothing more, so a long or large grid search holds at most this much, and
 # a _Draws of 0 bytes keeps nothing.  A 40-cell grid of 10 rounds keeps
 # under 1 MB; with large shards local SGD, not drawing, dominates, so the
 # rest buys little.
 _KEEP_BYTES = 16 << 20
 _ARRAY_BYTES = 128
-_GENERATOR_BYTES = 544
+_GENERATOR_BYTES = 952
 
 # Fewest fresh clients whose start states _Draws computes in one
 # _pcg64_starts pass.  On a 2-vCPU Xeon VM (numpy 2.4.6) the pass took
@@ -424,11 +433,11 @@ class _Draws:
     r) and client c's batch orders only on (seed, r, c, shard size), so
     runs with one seed that differ in alpha, local epochs or clients per
     round can share them.  Client c's orders in round r are those of
-    derived_rng(seed, _STREAM_TRAIN, r, c), drawn by one PCG64 of the
-    _Draws set to each client's state in turn; a round's start states come
-    from one _pcg64_starts pass (see _starts).  Per (r, c, shard size) it
-    keeps the generator state after the orders drawn so far, and their
-    block: a run with more local epochs extends the block from that state.
+    derived_rng(seed, _STREAM_TRAIN, r, c).  Per (r, c, shard size) it
+    keeps that generator, past the orders drawn so far, and their block:
+    a run with more local epochs extends the block from the generator.
+    Clients it does not keep draw through one PCG64 of the _Draws, set to
+    each client's state in turn, from one _pcg64_starts pass (see _starts).
     The live optimize runner keeps one for its grid search and passes it
     to simulate (draws=).  It keeps at most keep_bytes (see _KEEP_BYTES);
     past that it hands out fresh draws, the same bits at the cost of
@@ -439,7 +448,8 @@ class _Draws:
         self.seed = seed
         self._room = keep_bytes
         self._selections: dict[tuple[int, int, int], np.ndarray] = {}
-        self._orders: dict[tuple[int, int, int], tuple[dict, np.ndarray]] = {}
+        self._orders: dict[tuple[int, int, int],
+                           tuple[np.random.Generator, np.ndarray]] = {}
         self._rng = np.random.Generator(np.random.PCG64(0))
 
     def _take(self, nbytes: int) -> bool:
@@ -485,39 +495,45 @@ class _Draws:
         _draw_orders of client k's generator (the smallest index type).
 
         A client whose orders are kept reads its kept rows and draws any
-        more from its kept state; the others draw from their start state.
-        A kept entry grows only while the budget has room; when full, the
-        same rows are drawn and the entry stays as it is.
+        more from its kept generator.  A fresh client that is kept draws
+        from its own derived_rng; the others draw through the shared
+        PCG64, set to their start state.  A kept entry grows only while
+        the budget has room; when full, the same rows are drawn from a
+        copy of the kept state and the entry stays as it is.
         """
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         block = np.empty((len(clients), epochs, n), np.min_scalar_type(n - 1))
         fresh_bytes = epochs * n * block.itemsize + _ARRAY_BYTES + _GENERATOR_BYTES
-        # (lane, first epoch to draw, state to draw it from or None for the
-        # start state, whether to keep the result)
-        draws: list[tuple[int, int, dict | None, bool]] = []
+        # (lane, first epoch to draw, kept generator or None, whether to
+        # keep the result)
+        draws: list[tuple[int, int, np.random.Generator | None, bool]] = []
         for k, client in enumerate(clients):
             kept = self._orders.get((round_index, client, n))
             if kept is None:
                 draws.append((k, 0, None, self._take(fresh_bytes)))
                 continue
-            state, rows = kept
+            rng, rows = kept
             have = min(len(rows), epochs)
             block[k, :have] = rows[:have]
             if have < epochs:
                 more = (epochs - have) * n * block.itemsize
-                draws.append((k, have, state, self._take(more)))
+                draws.append((k, have, rng, self._take(more)))
         starts = iter(self._starts(
-            round_index, [clients[k] for k, _, state, _ in draws if state is None]))
-        rng = self._rng
-        for k, first, state, keep in draws:
-            rng.bit_generator.state = next(starts) if state is None else state
+            round_index, [clients[k] for k, _, rng, keep in draws if rng is None and not keep]))
+        for k, first, rng, keep in draws:
+            if rng is None and keep:
+                rng = derived_rng(self.seed, _STREAM_TRAIN, round_index, clients[k])
+            elif rng is None or not keep:
+                state = next(starts) if rng is None else rng.bit_generator.state
+                rng = self._rng
+                rng.bit_generator.state = state
             for e in range(first, epochs):
                 block[k, e] = rng.permutation(n)
             if keep:
                 rows = block[k].copy()
                 rows.setflags(write=False)
-                self._orders[round_index, clients[k], n] = (rng.bit_generator.state, rows)
+                self._orders[round_index, clients[k], n] = (rng, rows)
         block.setflags(write=False)
         return block
 

@@ -923,21 +923,24 @@ class TestDraws:
             # Clients 3 and 8 are kept one epoch in, and extended below;
             # client 8's state holds a buffered half word but at n = 1.
             draws.round_orders(2, [3, 8], n, 1)
-            assert draws._orders[2, 8, n][0]["has_uint32"] == (n > 1)
+            assert draws._orders[2, 8, n][0].bit_generator.state["has_uint32"] == (n > 1)
         if keep == "full":
             draws._room = 0
         kept = dict(draws._orders)
+        states = {key: rng.bit_generator.state for key, (rng, _) in kept.items()}
         block = draws.round_orders(2, clients, n, epochs)
         assert block.dtype == np.min_scalar_type(n - 1) and not block.flags.writeable
         assert np.array_equal(block, per_client_orders(5, 2, clients, n, epochs))
         if keep == "full":
             assert draws._orders == kept
+            assert {key: rng.bit_generator.state
+                    for key, (rng, _) in draws._orders.items()} == states
         elif keep == "some":
             assert sorted(c for _, c, _ in draws._orders) == clients
-            for (_, c, _), (state, rows) in draws._orders.items():
+            for (_, c, _), (kept_rng, rows) in draws._orders.items():
                 rng = derived_rng(5, 15, 2, c)
                 assert np.array_equal(rows, sim._draw_orders(rng, n, epochs))
-                assert state == rng.bit_generator.state
+                assert kept_rng.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("fresh", [1, sim._PASS_MIN_CLIENTS - 1, sim._PASS_MIN_CLIENTS, 30])
     def test_fresh_clients_are_seeded_once_each_in_one_pass_from_the_minimum(
@@ -962,7 +965,7 @@ class TestDraws:
         first = draws.round_orders(0, [4], 10, 1)
         # Here permutation(10) leaves half a 64-bit word buffered: the kept
         # state carries it, so the next row resumes from it.
-        assert draws._orders[0, 4, 10][0]["has_uint32"] == 1
+        assert draws._orders[0, 4, 10][0].bit_generator.state["has_uint32"] == 1
         longer = draws.round_orders(0, [4], 10, 5)
         alone = derived_rng(5, 15, 0, 4)
         assert np.array_equal(longer[0], [alone.permutation(10) for _ in range(5)])
@@ -983,7 +986,7 @@ class TestDraws:
     @pytest.mark.parametrize("orders_kept", [0, 1, 2])
     def test_a_full_draws_keeps_nothing_more_and_hands_out_the_same_orders(
             self, orders_kept):
-        # Room for one generator state and its block (544 + 128 bytes) and
+        # Room for one generator and its block (_GENERATOR_BYTES + 128) and
         # orders_kept orders of 10 samples (uint8, 10 bytes each), and
         # nothing else: with 0 the first request does not fit.
         budget = sim._GENERATOR_BYTES + sim._ARRAY_BYTES + orders_kept * 10
@@ -991,7 +994,7 @@ class TestDraws:
         draws.round_orders(0, [3], 10, max(orders_kept, 1))
         kept = draws._orders.get((0, 3, 10))
         assert (kept is None) == (orders_kept == 0)
-        state = kept and dict(kept[0])
+        state = kept and kept[0].bit_generator.state
         alone = derived_rng(5, 15, 0, 3)
         want = np.array([alone.permutation(10) for _ in range(5)])
         # Full: a longer request is drawn again and the kept entry stays.
@@ -1005,7 +1008,7 @@ class TestDraws:
         assert np.array_equal(other, [fresh.permutation(10) for _ in range(2)])
         assert (0, 4, 10) not in draws._orders
         if kept:
-            assert kept[0] == state
+            assert kept[0].bit_generator.state == state
             assert np.array_equal(kept[1], want[:orders_kept])
             # Not a byte is left, so no selection is kept either.
             assert draws._room == 0
