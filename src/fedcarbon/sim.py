@@ -406,9 +406,10 @@ _ARRAY_BYTES = 128
 _GENERATOR_BYTES = 952
 
 # Fewest fresh clients whose start states _Draws computes in one
-# _pcg64_starts pass.  On a 2-vCPU Xeon VM (numpy 2.4.6) the pass took
-# 40-60 us for up to 16 clients and 160 us for 100, and derived_rng with
-# its state 12-14 us per client: even at 4 clients.
+# _pcg64_starts pass, counting only clients it does not keep (a kept
+# client keeps its own derived_rng).  On a 2-vCPU Xeon VM (numpy 2.4.6)
+# the pass took 40-60 us for up to 16 clients and 160 us for 100, and
+# derived_rng with its state 12-14 us per client: even at 4 clients.
 _PASS_MIN_CLIENTS = 5
 
 

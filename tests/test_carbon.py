@@ -552,27 +552,48 @@ def _profile(value) -> HardwareProfile:
 
 
 @st.composite
-def _priced_schedules(draw):
-    """A schedule object in any entry order, and a config that prices it."""
+def _priced_schedules(draw, ordered=False):
+    """A schedule object in any entry order, and a config that prices it.
+
+    With ordered=True the entries come round by round, all of them may
+    share one profile, and a wall time, the model size or the grid rate
+    may be large enough for some prices to overflow."""
     rounds = draw(st.integers(0, 5))
     per_round = draw(st.integers(1, 5))
     pool = per_round + draw(st.integers(0, 3))
+    walls = st.floats(1e-3, 1e4) | st.integers(1, 10 ** 6)
+    hardware = st.sampled_from(_HARDWARE)
+    sizes, grid = [0.0, 1.5, 357.0], "france"
+    if ordered:
+        walls |= st.just(1e307)
+        if draw(st.booleans()):
+            hardware = st.just(draw(hardware))
+        sizes.append(1e308)
+        grid = draw(st.sampled_from([grid] * 3 + [{"region": "x", "c_rate_kg_per_kwh": 1e305}]))
     entries = [
-        {"round": r, "client": c,
-         "wall_time_s": draw(st.floats(1e-3, 1e4) | st.integers(1, 10 ** 6)),
-         "hardware": copy.deepcopy(draw(st.sampled_from(_HARDWARE)))}
+        {"round": r, "client": c, "wall_time_s": draw(walls),
+         "hardware": copy.deepcopy(draw(hardware))}
         for r in range(rounds)
         for c in draw(st.permutations(range(pool)))[:per_round]]
     cfg = config_from_dict({
-        "mode": "fl", "hardware": "tx2-cifar10", "grid": "france",
+        "mode": "fl", "hardware": "tx2-cifar10", "grid": grid,
         "network": {"download_mbps": 100.0, "upload_mbps": 40.0, "router_power_w": 10.0},
         "fl": {"pool_size": pool, "clients_per_round": per_round,
                "rounds": rounds + draw(st.integers(0, 2)) if rounds else 0,
                "local_epochs": 1,
-               "model_size_mb": draw(st.sampled_from([0.0, 1.5, 357.0])),
+               "model_size_mb": draw(st.sampled_from(sizes)),
                "wan_model": draw(st.sampled_from(["router", "legacy-5kwh-per-gb"]))},
     }, registry=REG)
-    return {"rounds": rounds, "participation": draw(st.permutations(entries))}, cfg
+    return {"rounds": rounds,
+            "participation": entries if ordered else draw(st.permutations(entries))}, cfg
+
+
+def _outcome(price):
+    """The bits of the float price() returns, or the error it raises."""
+    try:
+        return price().hex()
+    except ValueError as exc:
+        return f"error: {exc}"
 
 
 def _left_to_right(raw, cfg):
@@ -759,6 +780,23 @@ class TestScheduleProperties:
         assert parsed.wall_time_s.tolist() == (1.0 + clients).tolist()
         assert parsed.hardware_index.tolist() == (clients % 5).tolist()
         assert parsed.hardware == tuple(map(_profile, _HARDWARE))
+
+
+class TestRoundLedger:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_priced_schedules(ordered=True))
+    def test_each_row_prices_its_prefix_to_the_bit(self, case):
+        # Row r - 1 put through from_parts and to_co2e, as the live optimize
+        # runner prices a cell, is estimate_fl of the first r rounds, or
+        # raises its error.
+        raw, cfg = case
+        schedule = schedule_from_dict(raw)
+        training, communication = carbon._round_ledger(cfg, schedule)
+        assert len(training) == len(communication) == schedule.rounds
+        for r in range(1, schedule.rounds + 1):
+            row = _outcome(lambda: carbon._priced(cfg, float(training[r - 1]),
+                                                  float(communication[r - 1]))[1])
+            assert row == _outcome(lambda: estimate_fl(cfg, schedule_prefix(schedule, r)).co2e_g)
 
 
 class TestEnergyBreakdown:

@@ -657,10 +657,12 @@ class TestOverflowingPrice:
         ("estimate", FL_ADAPTIVE, {}, SCHED_349X10, "training energy"),
         ("estimate", FL_NOMINAL, {}, SCHED_16X5, "training energy"),
         ("simulate", FL_DEMO, _SLOW_DEVICE, None, "training energy"),
+        ("optimize", FL_DEMO, _SLOW_DEVICE, None, "training energy"),
         ("estimate", FL_NOMINAL, _HUGE_GRID, None, "CO2e on grid 'x'"),
         ("compare", FL_NOMINAL, _HUGE_GRID, None, "CO2e on grid 'x'"),
     ], ids=["router-power", "model-size", "adaptive-schedule", "nominal-schedule",
-            "simulate-slow-device", "estimate-grid-rate", "compare-grid-rate"])
+            "simulate-slow-device", "optimize-slow-device", "estimate-grid-rate",
+            "compare-grid-rate"])
     def test_exits_1_with_one_line_and_no_file(self, capsys, tmp_path, command, config,
                                                patch, schedule, message):
         cfg = tmp_path / "config.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from functools import partial
@@ -28,6 +29,7 @@ from fedcarbon import (
     make_simulation_runner,
     make_table_runner,
     pareto_front,
+    schedule_prefix,
     table_cells,
     table_target,
 )
@@ -431,6 +433,82 @@ class TestSimulationRunner:
         per_round_g = 3 * 0.8 * 4.7 / 3600.0 * 0.0790
         assert out.stable_co2e_g == pytest.approx(out.stable_rounds * per_round_g,
                                                   rel=1e-9)
+
+    def test_a_cell_is_priced_from_its_ledger_as_each_prefix_would_be(self, monkeypatch):
+        import fedcarbon.carbon as carbon
+        import fedcarbon.optimize as optimize
+        import fedcarbon.sim as sim
+
+        raw = copy.deepcopy(self.BASE)
+        raw["network"] = {"download_mbps": 100.0, "upload_mbps": 40.0, "router_power_w": 10.0}
+        raw["fl"].update(model_size_mb=357.0, wan_model="router")
+        simulate, check = sim.simulate, carbon._check_schedule_matches
+        runs, checked = [], []
+
+        # The target (0.6) is first reached in round 2 and the best
+        # accuracy in round 4, so the runner prices two inner rows.
+        def recorded(cfg, *args, **kwargs):
+            _, schedule, w = simulate(cfg, *args, **kwargs)
+            runs.append((cfg, schedule))
+            return sim.AccuracyTrace((0.1, 0.7, 0.65, 0.8, 0.3)), schedule, w
+
+        def refuse(*args):
+            raise AssertionError("the runner priced a schedule again")
+
+        monkeypatch.setattr(sim, "simulate", recorded)
+        monkeypatch.setattr(carbon, "_check_schedule_matches",
+                            lambda cfg, schedule: checked.append(schedule) or check(cfg, schedule))
+        for module in (carbon, optimize):
+            monkeypatch.setattr(module, "estimate_fl", refuse)
+            monkeypatch.setattr(module, "schedule_prefix", refuse)
+        out = make_simulation_runner(config_from_dict(raw))(3, 2, 0.1)
+        monkeypatch.undo()
+
+        (cfg, schedule), = runs
+        assert len(checked) == 1 and checked[0] is schedule
+        assert (schedule.rounds, out.target_rounds, out.stable_rounds) == (5, 2, 4)
+        for rounds, co2e_g in ((out.target_rounds, out.target_co2e_g),
+                               (out.stable_rounds, out.stable_co2e_g)):
+            assert co2e_g == estimate_fl(cfg, schedule_prefix(schedule, rounds)).co2e_g
+
+    @pytest.mark.parametrize("best_round", [1, 2, 3])
+    def test_only_the_priced_rounds_may_overflow(self, monkeypatch, best_round):
+        # One client-epoch draws 7e307 J: the cumulative training energy
+        # of rounds 1 and 2 is finite and that of round 3 overflows.  A cell
+        # prices its target and best rounds only, so it fails only when one
+        # of them overflows.
+        import fedcarbon.sim as sim
+
+        simulate = sim.simulate
+        runs = []
+
+        def best_at(cfg, *args, **kwargs):
+            _, schedule, w = simulate(cfg, *args, **kwargs)
+            runs.append((cfg, schedule))
+            accuracies = [0.5] * schedule.rounds
+            accuracies[best_round - 1] = 0.9
+            return sim.AccuracyTrace(tuple(accuracies)), schedule, w
+
+        monkeypatch.setattr(sim, "simulate", best_at)
+        raw = copy.deepcopy(self.BASE)
+        raw["hardware"] = {"name": "slow", "active_power_w": 1.0, "idle_power_w": 0.0,
+                           "time_per_local_epoch_s": 7e307}
+        raw["fl"]["rounds"] = 3
+        raw["sim"]["separation"] = 1.0
+        runner = make_simulation_runner(config_from_dict(raw))
+        if best_round == 3:
+            with pytest.raises(ValueError, match="^training energy overflows the float range$"):
+                runner(1, 1, 1000.0)
+            return
+        out = runner(1, 1, 1000.0)
+        (cfg, schedule), = runs
+        assert schedule.rounds == 3
+        with pytest.raises(ValueError, match="^training energy overflows the float range$"):
+            estimate_fl(cfg, schedule)
+        want = estimate_fl(cfg, schedule_prefix(schedule, best_round)).co2e_g
+        assert (out.target_rounds, out.stable_rounds) == (best_round, best_round)
+        assert out.target_co2e_g == out.stable_co2e_g == want
+        assert want == best_round * 7e307 / 3600.0 * cfg.grid.c_rate_kg_per_kwh
 
     def test_grid_search_end_to_end(self):
         cfg = config_from_dict(self.BASE)

@@ -243,6 +243,28 @@ class TestModelSpec:
         assert list(spec.predict(w, x)) == [0, 1, 1]
         assert spec.accuracy(w, x, np.array([0, 1, 1])) == 1.0
 
+    @pytest.mark.parametrize("rows, labels, message", [
+        (0, (0,), "accuracy needs at least one row"),
+        (3, (1,), r"labels have shape \(1,\), but the inputs have 3 rows"),
+        (3, (), r"labels have shape \(\), but the inputs have 3 rows"),
+        (3, (3, 1), r"labels have shape \(3, 1\), but the inputs have 3 rows"),
+        (0, (1,), r"labels have shape \(1,\), but the inputs have 0 rows"),
+    ])
+    def test_accuracy_rejects_labels_that_are_not_one_per_row(self, monkeypatch, rows,
+                                                             labels, message):
+        # Zero rows once gave nan with a RuntimeWarning, and a single label
+        # broadcast against every prediction.  Both fail before predicting.
+        spec = ModelSpec(2, 1)
+        x, y = np.zeros((rows, 1)), np.zeros(labels, dtype=np.int64)
+
+        def refuse(*args):
+            raise AssertionError("predicted before checking the labels")
+
+        monkeypatch.setattr(ModelSpec, "_logits", refuse)
+        for accuracy, inputs in ((spec.accuracy, x), (spec._accuracy, sim._with_bias(x))):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                accuracy(np.zeros(spec.dim), inputs, y)
+
     def test_wrong_parameter_shape_rejected(self):
         spec = ModelSpec(2, 2)
         with pytest.raises(ValueError, match="shape"):
