@@ -108,7 +108,21 @@ class ScheduleEntry:
 
 def _first_repeat(round_: np.ndarray, client: np.ndarray) -> tuple[int, int] | None:
     """The first entry whose (round, client) pair an earlier entry holds,
-    and the earliest entry holding it; None when no pair repeats."""
+    and the earliest entry holding it; None when no pair repeats.
+
+    Each pair is first packed into one int64 key, round * (largest client
+    + 1) + client, and the keys are sorted; equal pairs give equal keys, so
+    a list whose sorted keys hold no two equal neighbours has no repeat.
+    Only a list with a repeat, or whose keys would not fit in int64, is
+    sorted by (round, client) to name it."""
+    if not len(round_):
+        return None
+    width = int(client.max()) + 1
+    if (int(round_.max()) + 1) * width < _INDEX_LIMIT:
+        key = round_ * width + client
+        key.sort()
+        if not (key[1:] == key[:-1]).any():
+            return None
     # A stable sort by (round, client) puts each repeat right after the
     # earliest entry with its pair; the first repeat of all is the second
     # entry of its pair's group.
@@ -142,7 +156,9 @@ def _check_entries(rounds: Any, round_: np.ndarray, client: np.ndarray) -> None:
 def _distinct(index: np.ndarray, profiles: Sequence[HardwareProfile],
               ) -> tuple[np.ndarray, tuple[HardwareProfile, ...]]:
     """index re-pointed at each distinct profile it uses, listed once in
-    order of first use (so equal schedules hold equal columns)."""
+    order of first use (so equal schedules hold equal columns).  Only
+    schedule_prefix needs it: the entries a prefix keeps may use only some
+    of the profiles, and not in slot order."""
     used, first = np.unique(index, return_index=True)
     slot: dict[HardwareProfile, int] = {}
     remap = np.zeros(len(profiles), dtype=np.int64)
@@ -574,12 +590,14 @@ def _of_types(values: Iterable[Any], allowed: tuple[type, ...]) -> bool:
 
 
 def _entry_columns(participation: list, registry: dict[str, Any]) -> tuple | None:
-    """The round, client, wall-time and hardware-slot columns of an entry
-    list and the profile each slot names, or None exactly when some entry
-    breaks a rule that _first_bad_entry names.  Types are checked once per
-    distinct type and numbers as columns; each distinct hardware value is
-    resolved once: a name by itself, an inline object by its items and
-    their types (so 1 and true stay apart)."""
+    """The round, client, wall-time and hardware-index columns of an entry
+    list and its distinct profiles in order of first use, or None exactly
+    when some entry breaks a rule that _first_bad_entry names.  Types are
+    checked once per distinct type and numbers as columns; each distinct
+    hardware value is resolved once: a name by itself, an inline object by
+    its items and their types (so 1 and true stay apart).  Values that
+    resolve to equal profiles ("tx2-cifar10" and "hw:tx2-cifar10") share
+    one index."""
     kinds = {*map(type, participation)}
     if kinds - {dict}:
         # A dict subclass may answer for a key it lacks (__missing__), so its
@@ -621,7 +639,11 @@ def _entry_columns(participation: list, registry: dict[str, Any]) -> tuple | Non
         profiles = [_resolve(value, "hw:", registry) for value in values]
     except (TypeError, KeyError, AttributeError, OverflowError, ValueError):
         return None
-    return round_, client, wall, np.array(slots, dtype=np.int64), profiles
+    # Slots are numbered in order of first use, so the first slot holding a
+    # profile is that profile's first use.
+    distinct: dict[HardwareProfile, int] = {}
+    index = np.array([distinct.setdefault(p, len(distinct)) for p in profiles], dtype=np.int64)
+    return round_, client, wall, index[np.array(slots, dtype=np.int64)], tuple(distinct)
 
 
 def _first_bad_entry(participation: list, registry: dict[str, Any]) -> ConfigError:
@@ -672,10 +694,9 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
     columns = _entry_columns(raw["participation"], registry)
     if columns is None:
         raise _first_bad_entry(raw["participation"], registry)
-    round_, client, wall, slots, profiles = columns
+    round_, client, wall, index, hardware = columns
     try:
         _check_entries(rounds, round_, client)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    index, hardware = _distinct(slots, profiles)
     return RoundSchedule._from_columns(rounds, round_, client, wall, index, hardware)

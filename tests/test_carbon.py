@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedcarbon import (
@@ -218,6 +218,22 @@ class TestLegacyTransferAndConversion:
             to_co2e(11.4, grid)
 
 
+_INT64_MAX = 2 ** 63 - 1
+
+
+@st.composite
+def _pair_lists(draw):
+    """(round, client) pairs: from small ranges, where repeats are common,
+    up to 2**63 - 1, where round * (largest client + 1) + client would not
+    fit in int64."""
+    def ids():
+        return draw(st.sampled_from([
+            st.integers(0, 2), st.integers(0, 40), st.integers(0, _INT64_MAX),
+            st.sampled_from([0, 1, 2 ** 31, 2 ** 62 - 1, 2 ** 62, _INT64_MAX - 1, _INT64_MAX]),
+        ]))
+    return draw(st.lists(st.tuples(ids(), ids()), max_size=12))
+
+
 class TestScheduleValidation:
     def test_duplicate_round_client_pair_rejected(self):
         e = ScheduleEntry(0, 1, 2.0, TX2_CIFAR)
@@ -231,6 +247,39 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match=r"^participation entry 3: duplicate of "
                                              r"entry 0 \(round 1, client 4\)$"):
             RoundSchedule(rounds=2, participation=entries)
+
+    @settings(max_examples=500, deadline=None)
+    @given(pairs=_pair_lists())
+    @example(pairs=[])
+    @example(pairs=[(0, _INT64_MAX)])
+    @example(pairs=[(0, _INT64_MAX), (0, _INT64_MAX)])
+    @example(pairs=[(_INT64_MAX, _INT64_MAX), (_INT64_MAX, 0), (_INT64_MAX, _INT64_MAX)])
+    def test_first_repeat_matches_a_dict_search(self, pairs):
+        round_ = np.array([r for r, _ in pairs], dtype=np.int64)
+        client = np.array([c for _, c in pairs], dtype=np.int64)
+        first: dict[tuple[int, int], int] = {}
+        expected = None
+        for i, pair in enumerate(pairs):
+            if pair in first:
+                expected = (i, first[pair])
+                break
+            first[pair] = i
+        assert carbon._first_repeat(round_, client) == expected
+
+    @pytest.mark.parametrize("round_, client, lexsorted", [
+        ([0, 0, 1], [3, 2, 3], False),
+        ([0, 0], [2 ** 63 - 2, 0], False),  # the largest key, 2**63 - 2, fits
+        ([0, 0], [2 ** 63 - 1, 0], True),  # a key up to 2**63 - 1 would not
+        ([1, 0], [2 ** 62 - 1, 0], True),  # 2 rounds x 2**62 clients reach 2**63
+        ([1, 1], [4, 4], True),
+    ])
+    def test_pairs_are_sorted_only_to_name_a_repeat_or_past_int64(
+            self, monkeypatch, round_, client, lexsorted):
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        carbon._first_repeat(np.array(round_, dtype=np.int64), np.array(client, dtype=np.int64))
+        assert bool(calls) == lexsorted
 
     def test_entry_outside_executed_rounds_rejected(self):
         e = ScheduleEntry(3, 0, 2.0, TX2_CIFAR)
@@ -541,7 +590,9 @@ _INLINE = (
     {"active_power_w": 7, "idle_power_w": 0, "time_per_local_epoch_s": 1, "kind": "edge"},
     {"active_power_w": 7, "idle_power_w": 0, "time_per_local_epoch_s": True, "kind": "edge"},
 )
-_HARDWARE = ("tx2-cifar10", "hw:nx-cifar10", "tx2-nominal", *_INLINE[:2])
+# The last value names the first profile again, so two spellings of one
+# profile must share one hardware slot.
+_HARDWARE = ("tx2-cifar10", "hw:nx-cifar10", "tx2-nominal", *_INLINE[:2], "hw:tx2-cifar10")
 _ENTRY_KEYS = {"round", "client", "wall_time_s", "hardware"}
 
 
@@ -764,7 +815,7 @@ class TestScheduleProperties:
         expected = RoundSchedule(8, [
             ScheduleEntry(e["round"], e["client"], e["wall_time_s"], _profile(e["hardware"]))
             for e in edge])
-        large = [{"round": r, "client": c, "wall_time_s": 1.0 + c, "hardware": _HARDWARE[c % 5]}
+        large = [{"round": r, "client": c, "wall_time_s": 1.0 + c, "hardware": _HARDWARE[c % 6]}
                  for r in range(500) for c in range(100)]
 
         def refuse(*args, **kwargs):
@@ -778,8 +829,9 @@ class TestScheduleProperties:
         assert parsed.round.tolist() == np.repeat(np.arange(500), 100).tolist()
         assert parsed.client.tolist() == clients.tolist()
         assert parsed.wall_time_s.tolist() == (1.0 + clients).tolist()
-        assert parsed.hardware_index.tolist() == (clients % 5).tolist()
-        assert parsed.hardware == tuple(map(_profile, _HARDWARE))
+        slots = clients % 6
+        assert parsed.hardware_index.tolist() == np.where(slots == 5, 0, slots).tolist()
+        assert parsed.hardware == tuple(map(_profile, _HARDWARE[:5]))
 
 
 class TestRoundLedger:

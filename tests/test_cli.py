@@ -739,6 +739,30 @@ class TestPlot:
         assert code == 1 and "fixtures" in err
 
 
+class TestParser:
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            outputs = [run_cli(capsys, "estimate", "--config", CEN_CIFAR) for _ in range(2)]
+            with pytest.raises(SystemExit):
+                main(["estimate"])
+            assert "required: --config" in capsys.readouterr().err
+            outputs.append(run_cli(capsys, "estimate", "--config", CEN_CIFAR))
+            # A repeatable option starts empty on every call.
+            again = [cli._parser().parse_args(["compare", "--config", "a", "--config", "b"])
+                     for _ in range(2)]
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert outputs[0][0] == 0 and outputs == [outputs[0]] * 3
+        assert again[0].config == again[1].config == ["a", "b"]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
 class TestExitCodes:
     def test_missing_config_file_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--config", "/nonexistent.json")
