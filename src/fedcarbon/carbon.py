@@ -114,7 +114,7 @@ def _first_repeat(round_: np.ndarray, client: np.ndarray) -> tuple[int, int] | N
     + 1) + client, and the keys are sorted; equal pairs give equal keys, so
     a list whose sorted keys hold no two equal neighbours has no repeat.
     Only a list with a repeat, or whose keys would not fit in int64, is
-    sorted by (round, client) to name it."""
+    sorted by (round, client), which names the first repeat."""
     if not len(round_):
         return None
     width = int(client.max()) + 1

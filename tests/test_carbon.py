@@ -268,9 +268,9 @@ class TestScheduleValidation:
 
     @pytest.mark.parametrize("round_, client, lexsorted", [
         ([0, 0, 1], [3, 2, 3], False),
-        ([0, 0], [2 ** 63 - 2, 0], False),  # the largest key, 2**63 - 2, fits
-        ([0, 0], [2 ** 63 - 1, 0], True),  # a key up to 2**63 - 1 would not
-        ([1, 0], [2 ** 62 - 1, 0], True),  # 2 rounds x 2**62 clients reach 2**63
+        ([0, 0], [2 ** 63 - 2, 0], False),  # 1 round x (2**63 - 1) clients fit
+        ([0, 0], [2 ** 63 - 1, 0], True),  # 1 round x 2**63 clients reach 2**63
+        ([1, 0], [2 ** 62 - 1, 0], True),  # so do 2 rounds x 2**62 clients
         ([1, 1], [4, 4], True),
     ])
     def test_pairs_are_sorted_only_to_name_a_repeat_or_past_int64(
