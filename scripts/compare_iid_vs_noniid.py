@@ -20,13 +20,10 @@ from fedcarbon import (
     ExperimentConfig,
     builtin_registry,
     config_from_dict,
-    lda_partition,
-    make_task,
     rounds_to_target,
-    simulate,
+    run_experiment,
     to_co2e,
     training_energy_fl,
-    uniform_prior,
 )
 
 
@@ -44,14 +41,8 @@ def experiment(args: argparse.Namespace, alpha: float, seed: int,
 
 
 def rounds_and_emissions(cfg: ExperimentConfig) -> tuple[int | None, float, float]:
-    fl, sim = cfg.fl, cfg.sim
-    task = make_task(sim.classes, sim.features, sim.n_samples, seed=cfg.seed,
-                     separation=sim.separation)
-    partition = lda_partition(uniform_prior(sim.classes), sim.alpha,
-                              num_clients=fl.pool_size,
-                              samples_per_client=sim.samples_per_client, seed=cfg.seed)
-    trace, schedule, _ = simulate(cfg, task, partition)
-    hit = rounds_to_target(trace, sim.target_accuracy)
+    trace, schedule, _ = run_experiment(cfg)
+    hit = rounds_to_target(trace, cfg.sim.target_accuracy)
     wh = training_energy_fl(schedule)
     return hit, wh, to_co2e(wh, cfg.grid)
 

@@ -12,11 +12,9 @@ from .carbon import (
     EnergyBreakdown,
     RoundSchedule,
     ScheduleEntry,
-    communication_energy,
     cumulative_training_energy,
     estimate_centralized,
     estimate_fl,
-    legacy_transfer_energy,
     schedule_from_dict,
     schedule_prefix,
     schedule_to_dict,

@@ -10,7 +10,8 @@ The accounting is deliberately simple and auditable:
   link busy (download plus upload) at router power plus the idle draw of
   the receiving device,
 * a legacy flat-rate transfer model (5 kWh per GB per transfer) is kept
-  for comparison with older estimates,
+  for comparison with older estimates; estimate_fl prices either model
+  from its per-round ledger,
 * grams of CO2e are energy times the grid intensity; kg per kWh equals
   g per Wh, so Wh values convert directly.
 
@@ -53,8 +54,6 @@ __all__ = [
     "cumulative_training_energy",
     "training_energy_fl",
     "training_energy_centralized",
-    "communication_energy",
-    "legacy_transfer_energy",
     "to_co2e",
     "estimate_fl",
     "estimate_centralized",
@@ -411,41 +410,6 @@ def _transfer_joules(schedule: RoundSchedule, model_size_mb: float,
         return np.cumsum(per_hardware[schedule.hardware_index])
 
 
-def communication_energy(schedule: RoundSchedule, model_size_mb: float,
-                         network: NetworkProfile) -> float:
-    """WAN energy of exchanging the model each participation entry, in Wh.
-
-    Each exchange is priced as _transfer_joules states; joules are summed
-    in schedule order.  Raises ValueError when the sum is not finite.
-    """
-    if not (math.isfinite(model_size_mb) and model_size_mb >= 0):
-        raise ValueError("model_size_mb must be finite and >= 0")
-    joules = _transfer_joules(schedule, model_size_mb, network)
-    wh = (float(joules[-1]) if len(joules) else 0.0) / SECONDS_PER_HOUR
-    return _finite_wh("communication", wh)
-
-
-def _legacy_kwh(model_size_gb: float, transfers: Any) -> Any:
-    """The flat-rate kWh of `transfers` transfers (an int, or an int64
-    array of counts)."""
-    return LEGACY_KWH_PER_GB * model_size_gb * transfers
-
-
-def legacy_transfer_energy(model_size_gb: float, transfers: int) -> float:
-    """Flat-rate WAN model: 5 kWh per GB per transfer.  Returns kWh; raises
-    ValueError when the product is not finite or the transfer count lies
-    beyond the float range."""
-    if not (math.isfinite(model_size_gb) and model_size_gb >= 0):
-        raise ValueError("model_size_gb must be finite and >= 0")
-    if not (_integer(transfers) and transfers >= 0):
-        raise ValueError("transfers must be an integer >= 0")
-    try:
-        kwh = _legacy_kwh(model_size_gb, transfers)
-    except OverflowError:
-        kwh = math.inf
-    return _finite_wh("communication", kwh)
-
-
 def to_co2e(energy_wh: float, grid: GridIntensity) -> float:
     """Grams of CO2e for energy_wh on the given grid.
 
@@ -493,8 +457,9 @@ def _round_ledger(cfg: ExperimentConfig,
     The schedule is checked once.  Training rows are _training_ledger's.
     Communication rows are the running sum of each entry's transfer
     joules in schedule order, read at the entry count of rounds 0..r;
-    under the flat-rate model, row r prices that many transfers, and with
-    no model size every row is 0.  The last rows price the whole
+    under the flat-rate model, row r prices that many transfers at
+    LEGACY_KWH_PER_GB, and with no model size every row is 0.  This is
+    the one place communication is priced.  The last rows price the whole
     schedule.  When the schedule lists its entries round by round, as
     simulate's does, every row r - 1 is what pricing the schedule's first
     r rounds alone gives, to the last bit.
@@ -512,7 +477,7 @@ def _round_ledger(cfg: ExperimentConfig,
         joules = _transfer_joules(schedule, size_mb, cfg.network)
         return training, np.concatenate(([0.0], joules))[ends] / SECONDS_PER_HOUR
     with np.errstate(over="ignore"):
-        return training, _legacy_kwh(size_mb / MEGABITS_PER_GB, ends) * 1000.0
+        return training, LEGACY_KWH_PER_GB * (size_mb / MEGABITS_PER_GB) * ends * 1000.0
 
 
 def _priced(cfg: ExperimentConfig, training_wh: float,

@@ -43,7 +43,7 @@ from .optimize import (
     table_target,
 )
 from .profiles import (ConfigError, ExperimentConfig, SimSetup, _finite, _read_json,
-                       config_digest, load_config)
+                       _round_time_s, config_digest, load_config)
 from .sim import _fl_and_sim, build_federation, rounds_to_target, run_experiment
 
 EXIT_OK = 0
@@ -139,9 +139,8 @@ def _price(cfg: ExperimentConfig, fixture_path: str | None) -> EmissionReport:
     elif cfg.sim is not None:
         _, schedule, _ = run_experiment(cfg)
     else:
-        round_time_s = fl.local_epochs * cfg.hardware.time_per_local_epoch_s
         schedule = RoundSchedule.uniform(fl.rounds, fl.clients_per_round,
-                                         round_time_s, cfg.hardware)
+                                         _round_time_s(cfg), cfg.hardware)
     return estimate_fl(cfg, schedule)
 
 

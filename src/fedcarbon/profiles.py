@@ -296,6 +296,21 @@ class ExperimentConfig:
         return self.grids[0]
 
 
+def _round_time_s(cfg: ExperimentConfig) -> float:
+    """The wall time of one client's round in a federated config:
+    fl.local_epochs times the hardware's time_per_local_epoch_s.
+    ConfigError naming both fields when it lies beyond the float range.
+    Loading does not check it: a config priced from a schedule never reads it."""
+    assert cfg.fl is not None
+    try:
+        seconds = cfg.fl.local_epochs * cfg.hardware.time_per_local_epoch_s
+    except OverflowError:  # an int epoch count beyond the float range
+        seconds = float("inf")
+    _check(seconds <= _FLOAT_MAX,
+           "fl.local_epochs x hardware.time_per_local_epoch_s overflows the float range")
+    return seconds
+
+
 # --- built-in registry -------------------------------------------------
 
 def _edge(name: str, active: float, idle: float, epoch_s: float) -> HardwareProfile:

@@ -37,6 +37,7 @@ from .profiles import (
     FlSetup,
     SimSetup,
     _integer,
+    _round_time_s,
 )
 
 __all__ = [
@@ -405,13 +406,6 @@ _KEEP_BYTES = 16 << 20
 _ARRAY_BYTES = 128
 _GENERATOR_BYTES = 952
 
-# Fewest fresh clients whose start states _Draws computes in one
-# _pcg64_starts pass, counting only clients it does not keep (a kept
-# client keeps its own derived_rng).  On a 2-vCPU Xeon VM (numpy 2.4.6)
-# the pass took 40-60 us for up to 16 clients and 160 us for 100, and
-# derived_rng with its state 12-14 us per client: even at 4 clients.
-_PASS_MIN_CLIENTS = 5
-
 
 def _draw_orders(rng: np.random.Generator, n: int, epochs: int) -> np.ndarray:
     """The next `epochs` batch orders rng.permutation(n) gives, as a
@@ -475,11 +469,11 @@ class _Draws:
     def _starts(self, round_index: int, clients: Sequence[int]) -> list[dict]:
         """Each client's fresh generator state for the round, as
         derived_rng(seed, _STREAM_TRAIN, round_index, c).bit_generator.state:
-        one _pcg64_starts pass for _PASS_MIN_CLIENTS or more clients whose
-        keys are all uint32 words, else derived_rng itself (for a seed of
-        2**32 or more, say)."""
-        if (len(clients) < _PASS_MIN_CLIENTS
-                or not _word_keys((self.seed, round_index, *clients))):
+        one _pcg64_starts pass when every key is a uint32 word, else
+        derived_rng itself (for a seed of 2**32 or more, say)."""
+        if not clients:
+            return []
+        if not _word_keys((self.seed, round_index, *clients)):
             return [derived_rng(self.seed, _STREAM_TRAIN, round_index, c).bit_generator.state
                     for c in clients]
         words = np.empty((len(clients), 4), np.uint32)
@@ -809,9 +803,7 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
 
     xb_test = _with_bias(dataset.features[dataset.test_idx])
     y_test = dataset.labels[dataset.test_idx]
-    round_time = fl.local_epochs * cfg.hardware.time_per_local_epoch_s
-    if not (math.isfinite(round_time) and round_time > 0):
-        raise ValueError("wall_time_s must be finite and > 0")
+    round_time = _round_time_s(cfg)
 
     accuracies: list[float] = []
     clients: list[np.ndarray] = []

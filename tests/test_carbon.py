@@ -26,16 +26,16 @@ from fedcarbon import (
     ConfigError,
     EmissionReport,
     EnergyBreakdown,
+    ExperimentConfig,
+    FlSetup,
     HardwareProfile,
     RoundSchedule,
     ScheduleEntry,
     builtin_registry,
-    communication_energy,
     config_from_dict,
     cumulative_training_energy,
     estimate_centralized,
     estimate_fl,
-    legacy_transfer_energy,
     load_config,
     schedule_from_dict,
     schedule_prefix,
@@ -138,32 +138,44 @@ class TestTrainingEnergy:
             training_energy_fl(schedule)
 
 
+def communication_wh(schedule: RoundSchedule, model_size_mb: float,
+                     network: NetworkProfile | None = None,
+                     wan_model: str = "router") -> float:
+    """estimate_fl's communication Wh for a schedule whose rounds each hold
+    clients 0..k-1, on a config that declares exactly that run."""
+    per_round = len(schedule.round) // schedule.rounds if schedule.rounds else 1
+    fl = FlSetup(pool_size=per_round, clients_per_round=per_round, rounds=schedule.rounds,
+                 local_epochs=1, model_size_mb=model_size_mb, wan_model=wan_model)
+    cfg = ExperimentConfig(mode="fl", hardware=TX2_CIFAR, grids=(FRANCE,),
+                           network=network, fl=fl)
+    return estimate_fl(cfg, schedule).energy.communication_wh
+
+
 class TestCommunicationEnergy:
     NET = NetworkProfile(download_mbps=100.0, upload_mbps=40.0, router_power_w=10.0)
 
     def test_single_transfer_oracle(self):
         # 357 Mb x (1/100 + 1/40) = 12.495 s at 10 + 1.35 W
         schedule = RoundSchedule.uniform(1, 1, 4.0, TX2_CIFAR)
-        wh = communication_energy(schedule, 357.0, self.NET)
+        wh = communication_wh(schedule, 357.0, self.NET)
         assert wh == pytest.approx(0.03939395833333333, rel=REL)
 
     def test_scales_with_participation_entries(self):
-        one = communication_energy(RoundSchedule.uniform(1, 1, 4.0, TX2_CIFAR),
-                                   357.0, self.NET)
-        eighty = communication_energy(RoundSchedule.uniform(16, 5, 4.0, TX2_CIFAR),
-                                      357.0, self.NET)
+        one = communication_wh(RoundSchedule.uniform(1, 1, 4.0, TX2_CIFAR), 357.0, self.NET)
+        eighty = communication_wh(RoundSchedule.uniform(16, 5, 4.0, TX2_CIFAR),
+                                  357.0, self.NET)
         assert eighty == pytest.approx(80 * one, rel=REL)
         assert eighty == pytest.approx(3.1515166666666667, rel=REL)
 
     def test_zero_payload_costs_nothing(self):
         schedule = RoundSchedule.uniform(4, 2, 1.0, TX2_CIFAR)
-        assert communication_energy(schedule, 0.0, self.NET) == 0.0
+        assert communication_wh(schedule, 0.0, self.NET) == 0.0
 
     def test_idle_draw_depends_on_entry_hardware(self):
         s_tx2 = RoundSchedule.uniform(1, 1, 1.0, TX2_CIFAR)   # idle 1.35 W
         s_nx = RoundSchedule.uniform(1, 1, 1.0, NX_CIFAR)     # idle 2.25 W
-        e_tx2 = communication_energy(s_tx2, 100.0, self.NET)
-        e_nx = communication_energy(s_nx, 100.0, self.NET)
+        e_tx2 = communication_wh(s_tx2, 100.0, self.NET)
+        e_nx = communication_wh(s_nx, 100.0, self.NET)
         ratio = (10.0 + 2.25) / (10.0 + 1.35)
         assert e_nx == pytest.approx(e_tx2 * ratio, rel=REL)
 
@@ -175,33 +187,33 @@ class TestCommunicationEnergy:
     def test_overflow_is_an_error(self, size_mb, net):
         schedule = RoundSchedule.uniform(16, 5, 1.0, replace(TX2_CIFAR, idle_power_w=0.0))
         with pytest.raises(ValueError, match="^communication energy overflows the float range$"):
-            communication_energy(schedule, size_mb, net)
+            communication_wh(schedule, size_mb, net)
 
 
 class TestLegacyTransferAndConversion:
+    LEGACY = "legacy-5kwh-per-gb"
+
     def test_flat_rate_per_gb(self):
-        assert legacy_transfer_energy(1.0, 1) == 5.0
+        # 1 GB (8000 Mb) moved once: 5 kWh
+        schedule = RoundSchedule.uniform(1, 1, 4.0, TX2_CIFAR)
+        assert communication_wh(schedule, 8000.0, wan_model=self.LEGACY) == 5000.0
 
     def test_flat_rate_scales_with_both_factors(self):
-        # 5 kWh/GB x 0.044625 GB x 10 transfers
-        assert legacy_transfer_energy(0.044625, 10) == \
-            pytest.approx(2.23125, rel=REL)
+        # 5 kWh/GB x 0.044625 GB x 10 transfers; 5 x (357 / 8000) x 10 x 1000,
+        # multiplied in that order, rounds to the float below 2231.25.
+        schedule = RoundSchedule.uniform(1, 10, 4.0, TX2_CIFAR)
+        wh = communication_wh(schedule, 357.0, wan_model=self.LEGACY)
+        assert wh == pytest.approx(2231.25, rel=REL)
+        assert wh == 2231.2499999999995
 
     def test_zero_transfers_is_zero(self):
-        assert legacy_transfer_energy(3.0, 0) == 0.0
+        empty = RoundSchedule(rounds=0, participation=())
+        assert communication_wh(empty, 24000.0, wan_model=self.LEGACY) == 0.0
 
     def test_flat_rate_overflow_is_an_error(self):
+        schedule = RoundSchedule.uniform(1, 10, 4.0, TX2_CIFAR)
         with pytest.raises(ValueError, match="^communication energy overflows the float range$"):
-            legacy_transfer_energy(1e308, 10)
-
-    def test_transfers_beyond_the_float_range_overflow(self):
-        with pytest.raises(ValueError, match="^communication energy overflows the float range$"):
-            legacy_transfer_energy(1.0, 10**400)
-
-    @pytest.mark.parametrize("transfers", [True, False, 2.0, -1])
-    def test_transfers_must_be_an_integer(self, transfers):
-        with pytest.raises(ValueError, match="transfers must be an integer >= 0"):
-            legacy_transfer_energy(1.0, transfers)
+            communication_wh(schedule, 1e308, wan_model=self.LEGACY)
 
     def test_to_co2e_oracle(self):
         # 4.5 Wh on a 0.0790 kg/kWh grid
@@ -578,7 +590,7 @@ class TestSequentialSums:
     def test_communication_energy_is_the_sequential_sum(self):
         # 1 Mb over 2 Mbps each way keeps the link busy 1 s per exchange.
         net = NetworkProfile(download_mbps=2.0, upload_mbps=2.0, router_power_w=0.0)
-        assert communication_energy(self.schedule(), 1.0, net) == 2.0 ** 53 / 3600.0
+        assert communication_wh(self.schedule(), 1.0, net) == 2.0 ** 53 / 3600.0
         assert math.fsum([2.0 ** 53] + [1.0] * 9) == 2.0 ** 53 + 8
 
 

@@ -682,6 +682,41 @@ class TestOverflowingPrice:
         assert (code, out, err) == (1, "", f"error: {message} overflows the float range\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
+    @pytest.mark.parametrize("command, config, local_epochs", [
+        ("estimate", FL_NOMINAL, 10),
+        ("estimate", FL_NOMINAL, 10 ** 400),
+        ("compare", FL_NOMINAL, 10),
+        ("estimate", FL_DEMO, 10),
+        ("simulate", FL_DEMO, 10),
+    ], ids=["estimate-uniform", "estimate-uniform-int-overflow", "compare-uniform",
+            "estimate-sim", "simulate"])
+    def test_round_wall_time_overflow_names_both_fields(self, capsys, tmp_path, command,
+                                                        config, local_epochs):
+        # local_epochs x time_per_local_epoch_s is the wall time of every entry
+        # of a uniform or simulated schedule.
+        patch = {"hardware": {**_SLOW_DEVICE["hardware"], "time_per_local_epoch_s": 1e308},
+                 "fl": {"local_epochs": local_epochs}}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(_merge(json.loads(Path(config).read_text()), patch)))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "compare":
+            argv += ["--config", str(cfg)]
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: fl.local_epochs x "
+                                    "hardware.time_per_local_epoch_s overflows the float range\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    def test_a_schedule_brings_its_own_wall_times(self, capsys, tmp_path):
+        patch = {"hardware": {**_SLOW_DEVICE["hardware"], "time_per_local_epoch_s": 1e308},
+                 "fl": {"local_epochs": 10}}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(_merge(json.loads(Path(FL_NOMINAL).read_text()), patch)))
+        code, out, err = run_cli(capsys, "estimate", "--config", str(cfg),
+                                 "--fixtures", SCHED_16X5)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["training_wh"] == pytest.approx(11.422222222222222, rel=1e-12)
+
     def test_json_output_refuses_inf_and_nan(self):
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match="not JSON compliant"):

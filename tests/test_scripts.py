@@ -32,7 +32,7 @@ def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
 # sha256 of a script's stdout, recorded with Python 3.11.7 and numpy 2.4.6.
 PINNED_STDOUT = {
     "compare_iid_vs_noniid.py":
-        "52fb30e4c78932c68ffd5a315307c6e2fe5779c2782b78469d0096021396bf1b",
+        "d76df1b3f04f314876f559973cfc120e34f6d184e1842603626413cc23d90481",
 }
 
 

@@ -18,6 +18,7 @@ import fedcarbon.sim as sim
 from fedcarbon import (
     AccuracyTrace,
     AdamState,
+    ConfigError,
     ExperimentConfig,
     FlSetup,
     ModelSpec,
@@ -582,7 +583,8 @@ class TestSimulateLoop:
         # 2 local epochs of 1e308 s each overflow to an infinite round time
         cfg, ds, part = small_setup(local_epochs=2)
         slow = dataclasses.replace(HW, time_per_local_epoch_s=1e308)
-        with pytest.raises(ValueError, match="wall_time_s must be finite and > 0"):
+        with pytest.raises(ConfigError, match="^fl.local_epochs x hardware.time_per_local_epoch_s "
+                                              "overflows the float range$"):
             simulate(dataclasses.replace(cfg, hardware=slow), ds, part)
 
     def test_strategies_diverge(self):
@@ -964,19 +966,17 @@ class TestDraws:
                 assert np.array_equal(rows, sim._draw_orders(rng, n, epochs))
                 assert kept_rng.bit_generator.state == rng.bit_generator.state
 
-    @pytest.mark.parametrize("fresh", [1, sim._PASS_MIN_CLIENTS - 1, sim._PASS_MIN_CLIENTS, 30])
-    def test_fresh_clients_are_seeded_once_each_in_one_pass_from_the_minimum(
-            self, monkeypatch, fresh):
+    @pytest.mark.parametrize("fresh", [1, 4, 5, 30])
+    def test_fresh_clients_are_seeded_once_each_in_one_pass(self, monkeypatch, fresh):
         made = recorded_seedings(monkeypatch)
         clients = list(range(2, 2 + 3 * fresh, 3))
         block = sim._Draws(5, keep_bytes=0).round_orders(1, clients, 10, 2)
         assert np.array_equal(block, per_client_orders(5, 1, clients, 10, 2))
-        path = "pass" if fresh >= sim._PASS_MIN_CLIENTS else "derived_rng"
-        assert made == [(path, (5, 15, 1, c)) for c in clients]
+        assert made == [("pass", (5, 15, 1, c)) for c in clients]
 
     def test_a_seed_beyond_the_words_takes_derived_rng(self, monkeypatch):
         made = recorded_seedings(monkeypatch)
-        seed, clients = 2**32 + 5, list(range(sim._PASS_MIN_CLIENTS + 1))
+        seed, clients = 2**32 + 5, list(range(6))
         block = sim._Draws(seed, keep_bytes=0).round_orders(1, clients, 10, 2)
         assert np.array_equal(block, per_client_orders(seed, 1, clients, 10, 2))
         assert made == [("derived_rng", (seed, 15, 1, c)) for c in clients]
