@@ -44,6 +44,7 @@ from .profiles import (
     _finite,
     _integer,
     _resolve,
+    _training_time_s,
 )
 
 __all__ = [
@@ -512,9 +513,9 @@ def estimate_centralized(cfg: ExperimentConfig) -> EmissionReport:
     """Price a centralized run: epochs times epoch time at PUE-scaled power."""
     if cfg.mode != "centralized":
         raise ValueError(f"estimate_centralized requires mode 'centralized', got {cfg.mode!r}")
-    assert cfg.epochs is not None and cfg.pue is not None
-    duration_s = cfg.epochs * cfg.hardware.time_per_local_epoch_s
-    training = training_energy_centralized(cfg.hardware.active_power_w, duration_s, cfg.pue)
+    assert cfg.pue is not None
+    training = training_energy_centralized(cfg.hardware.active_power_w,
+                                           _training_time_s(cfg), cfg.pue)
     return _report(cfg, training, 0.0)
 
 

@@ -43,7 +43,7 @@ from .optimize import (
     table_target,
 )
 from .profiles import (ConfigError, ExperimentConfig, SimSetup, _finite, _read_json,
-                       _round_time_s, config_digest, load_config)
+                       _training_time_s, config_digest, load_config)
 from .sim import _fl_and_sim, build_federation, rounds_to_target, run_experiment
 
 EXIT_OK = 0
@@ -140,7 +140,7 @@ def _price(cfg: ExperimentConfig, fixture_path: str | None) -> EmissionReport:
         _, schedule, _ = run_experiment(cfg)
     else:
         schedule = RoundSchedule.uniform(fl.rounds, fl.clients_per_round,
-                                         _round_time_s(cfg), cfg.hardware)
+                                         _training_time_s(cfg), cfg.hardware)
     return estimate_fl(cfg, schedule)
 
 

@@ -296,18 +296,24 @@ class ExperimentConfig:
         return self.grids[0]
 
 
-def _round_time_s(cfg: ExperimentConfig) -> float:
-    """The wall time of one client's round in a federated config:
-    fl.local_epochs times the hardware's time_per_local_epoch_s.
-    ConfigError naming both fields when it lies beyond the float range.
-    Loading does not check it: a config priced from a schedule never reads it."""
-    assert cfg.fl is not None
+def _training_time_s(cfg: ExperimentConfig) -> float:
+    """The wall time a config's hardware trains: one client's round in a
+    federated config (fl.local_epochs times the hardware's
+    time_per_local_epoch_s) or the whole run in a centralized one (epochs
+    times it).  ConfigError naming both fields when it lies beyond the
+    float range.  Loading does not check it: a config priced from a
+    schedule never reads it."""
+    if cfg.fl is not None:
+        epochs, field = cfg.fl.local_epochs, "fl.local_epochs"
+    else:
+        assert cfg.epochs is not None
+        epochs, field = cfg.epochs, "epochs"
     try:
-        seconds = cfg.fl.local_epochs * cfg.hardware.time_per_local_epoch_s
+        seconds = epochs * cfg.hardware.time_per_local_epoch_s
     except OverflowError:  # an int epoch count beyond the float range
         seconds = float("inf")
     _check(seconds <= _FLOAT_MAX,
-           "fl.local_epochs x hardware.time_per_local_epoch_s overflows the float range")
+           "{} x hardware.time_per_local_epoch_s overflows the float range", field)
     return seconds
 
 

@@ -37,7 +37,7 @@ from .profiles import (
     FlSetup,
     SimSetup,
     _integer,
-    _round_time_s,
+    _training_time_s,
 )
 
 __all__ = [
@@ -252,9 +252,12 @@ def _with_bias(x: np.ndarray) -> np.ndarray:
 class ModelSpec:
     """Shape of the classifier: softmax head, optional hidden tanh layer.
 
-    The private methods work on a stack of K parameter vectors, shape
-    (K, dim), and K batches of bias-augmented inputs, shape (K, b, f+1):
-    one batched matmul serves every client of a round.
+    The private kernels (_logits, _softmax, _grad) take `layers`, the
+    weight matrices _unpack returns for a stack of K parameter vectors,
+    and K batches of bias-augmented inputs, shape (K, b, f+1): one batched
+    matmul serves every client of a round.  _unpack returns views of the
+    stack, so a caller that updates the stack in place (as _sgd does)
+    unpacks it once and its layers stay current.
     """
 
     num_classes: int
@@ -293,8 +296,9 @@ class ModelSpec:
         return w[np.newaxis]
 
     def _unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Views of a (K, dim) stack as (K, h, f+1) and (K, m, h+1) weight
-        matrices, or as (K, m, f+1) and None without a hidden layer."""
+        """Views of a C-contiguous (K, dim) stack as (K, h, f+1) and
+        (K, m, h+1) weight matrices, or as (K, m, f+1) and None without a
+        hidden layer: the `layers` the kernels take."""
         f, m, h = self.num_features, self.num_classes, self.hidden_units
         k = w.shape[0]
         if h == 0:
@@ -302,17 +306,17 @@ class ModelSpec:
         split = h * (f + 1)
         return w[:, :split].reshape(k, h, f + 1), w[:, split:].reshape(k, m, h + 1)
 
-    def _logits(self, w: np.ndarray,
+    def _logits(self, layers: tuple[np.ndarray, np.ndarray | None],
                 xb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Logits for bias-augmented inputs, plus the bias-augmented hidden
         activations (None without a hidden layer)."""
-        first, second = self._unpack(w)
+        first, second = layers
         if second is None:
             return xb @ first.transpose(0, 2, 1), None
         hb = _with_bias(np.tanh(xb @ first.transpose(0, 2, 1)))
         return hb @ second.transpose(0, 2, 1), hb
 
-    def _softmax(self, w: np.ndarray,
+    def _softmax(self, layers: tuple[np.ndarray, np.ndarray | None],
                  xb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Class probabilities for bias-augmented inputs (built in place on
         the logits), plus the augmented hidden activations.
@@ -325,7 +329,7 @@ class ModelSpec:
         numpy adds a row pairwise and a sum across class rows would round
         differently.
         """
-        probs, hb = self._logits(w, xb)
+        probs, hb = self._logits(layers, xb)
         k, b, m = probs.shape
         by_class = np.ascontiguousarray(probs.transpose(2, 0, 1)).reshape(m, k * b)
         probs -= np.maximum.reduce(by_class).reshape(k, b, 1)
@@ -333,19 +337,21 @@ class ModelSpec:
         probs /= probs.sum(axis=2, keepdims=True)
         return probs, hb
 
-    def _grad(self, w: np.ndarray, xb: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    def _grad(self, layers: tuple[np.ndarray, np.ndarray | None], xb: np.ndarray,
+              onehot: np.ndarray) -> np.ndarray:
         """Gradient of each client's mean cross-entropy on its batch.
 
-        w is the (K, dim) stack, xb the (K, b, f+1) augmented batches and
-        onehot their (K, b, m) one-hot labels; returns (K, dim).
+        layers is the _unpack of the (K, dim) stack, xb the (K, b, f+1)
+        augmented batches and onehot their (K, b, m) one-hot labels;
+        returns (K, dim).
         """
         k, b = xb.shape[:2]
-        dz, hb = self._softmax(w, xb)
+        dz, hb = self._softmax(layers, xb)
         dz -= onehot
         dz /= b
         if hb is None:
             return (dz.transpose(0, 2, 1) @ xb).reshape(k, -1)
-        _, second = self._unpack(w)
+        second = layers[1]
         assert second is not None
         g2 = dz.transpose(0, 2, 1) @ hb
         dh = (dz @ second[:, :, :-1]) * (1.0 - hb[:, :, :-1] ** 2)
@@ -353,7 +359,7 @@ class ModelSpec:
         return np.concatenate([g1.reshape(k, -1), g2.reshape(k, -1)], axis=1)
 
     def _onehot(self, y: np.ndarray) -> np.ndarray:
-        return np.eye(self.num_classes)[y]
+        return np.take(np.eye(self.num_classes), y, axis=0)
 
     def loss_and_grad(self, w: np.ndarray, x: np.ndarray,
                       y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -361,14 +367,14 @@ class ModelSpec:
         b = x.shape[0]
         if b == 0:
             raise ValueError("batch must be non-empty")
-        ws = self._stack(w)
+        layers = self._unpack(self._stack(w))
         xb = _with_bias(x)[np.newaxis]
-        probs, _ = self._softmax(ws, xb)
+        probs, _ = self._softmax(layers, xb)
         loss = float(-np.mean(np.log(probs[0, np.arange(b), y] + 1e-300)))
-        return loss, self._grad(ws, xb, self._onehot(y)[np.newaxis])[0]
+        return loss, self._grad(layers, xb, self._onehot(y)[np.newaxis])[0]
 
     def _predict(self, w: np.ndarray, xb: np.ndarray) -> np.ndarray:
-        logits, _ = self._logits(self._stack(w), xb[np.newaxis])
+        logits, _ = self._logits(self._unpack(self._stack(w)), xb[np.newaxis])
         return logits[0].argmax(axis=1)
 
     def _accuracy(self, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> float:
@@ -546,7 +552,9 @@ def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
     The samples and one-hot labels are flattened to (K*n, .) once, and
     each epoch takes its rows orders[:, e] + k*n with one np.take per
     array.  That per-epoch index is K x n int64; the orders block stays
-    at its 1 to 4 bytes per entry.
+    at its 1 to 4 bytes per entry.  The stack is unpacked into its layers
+    once: each step subtracts in place (out -= step), which writes
+    through those views, so every step reads the current weights.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError("lr must be finite and > 0")
@@ -558,13 +566,14 @@ def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
     flat_xb = xb.reshape(k * n, -1)
     flat_onehot = spec._onehot(y.reshape(-1))
     first_row = np.arange(0, k * n, n)[:, np.newaxis]
+    batches = [slice(start, start + batch_size) for start in range(0, n, batch_size)]
     out = np.repeat(w[np.newaxis], k, axis=0)
+    layers = spec._unpack(out)
     for e in range(orders.shape[1]):
         rows = orders[:, e] + first_row
         xe, ye = np.take(flat_xb, rows, axis=0), np.take(flat_onehot, rows, axis=0)
-        for start in range(0, n, batch_size):
-            batch = slice(start, start + batch_size)
-            step = spec._grad(out, xe[:, batch], ye[:, batch])
+        for batch in batches:
+            step = spec._grad(layers, xe[:, batch], ye[:, batch])
             step *= lr
             out -= step
     return out
@@ -753,8 +762,8 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
     The returned schedule lists exactly the clients that trained, so it
     can be priced directly; the third element is the final parameter
     vector, so degenerate runs can be compared against plain SGD.
-    `shards`, a (pool_size, n) array whose row k holds client k's rows
-    of the dataset, skips the sample assignment; pass the block
+    `shards`, a (pool_size, n) integer array whose row k holds client k's
+    rows of the dataset, skips the sample assignment; pass the block
     build_federation drew for the same seed.  `draws`, a _Draws of the
     config's seed, supplies the selections and batch orders and keeps
     them for the next run; without it a _Draws of 0 bytes draws them and
@@ -788,6 +797,8 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
         _, shards = _assign(dataset, partition, cfg.seed)
     elif not (isinstance(shards, np.ndarray) and shards.ndim == 2):
         raise ValueError("shards must be a 2-d (clients, samples) array")
+    elif shards.dtype.kind not in "iu":
+        raise ValueError(f"shards must hold integer row indices, not {shards.dtype}")
     elif len(shards) != fl.pool_size:
         raise ValueError(
             f"{len(shards)} shards given, config declares {fl.pool_size} clients")
@@ -803,17 +814,18 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
 
     xb_test = _with_bias(dataset.features[dataset.test_idx])
     y_test = dataset.labels[dataset.test_idx]
-    round_time = _round_time_s(cfg)
+    round_time = _training_time_s(cfg)
 
     accuracies: list[float] = []
     clients: list[np.ndarray] = []
     with np.errstate(all="ignore"):
         for r in range(fl.rounds):
             selected = draws.selection(fl.pool_size, fl.clients_per_round, r)
-            chosen = [int(cid) for cid in selected]
+            chosen = selected.tolist()
             clients.append(selected)
-            rows = shards[chosen]
-            cohort = _Cohort(_with_bias(dataset.features[rows]), dataset.labels[rows],
+            rows = shards[selected]
+            cohort = _Cohort(_with_bias(np.take(dataset.features, rows, axis=0)),
+                             np.take(dataset.labels, rows, axis=0),
                              draws.round_orders(r, chosen, shards.shape[1],
                                                 fl.local_epochs))
             updates = [train_local(w, dataset, shards[cid], spec, fl.local_epochs,

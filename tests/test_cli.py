@@ -707,6 +707,21 @@ class TestOverflowingPrice:
                                     "hardware.time_per_local_epoch_s overflows the float range\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
+    @pytest.mark.parametrize("patch", [
+        {"epochs": 10 ** 400},
+        {"hardware": {"name": "slow-dc", "active_power_w": 300.0, "idle_power_w": 0.0,
+                      "time_per_local_epoch_s": 1e308, "kind": "datacenter"}},
+    ], ids=["int-epochs", "epoch-time"])
+    def test_centralized_run_time_overflow_names_both_fields(self, capsys, tmp_path, patch):
+        # epochs x time_per_local_epoch_s is the centralized run's duration;
+        # an int overflow once escaped as OverflowError, a float one named
+        # a duration_s field that no config has.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(_merge(json.loads(Path(CEN_CIFAR).read_text()), patch)))
+        code, out, err = run_cli(capsys, "estimate", "--config", str(cfg))
+        assert (code, out, err) == (1, "", "error: epochs x "
+                                    "hardware.time_per_local_epoch_s overflows the float range\n")
+
     def test_a_schedule_brings_its_own_wall_times(self, capsys, tmp_path):
         patch = {"hardware": {**_SLOW_DEVICE["hardware"], "time_per_local_epoch_s": 1e308},
                  "fl": {"local_epochs": 10}}

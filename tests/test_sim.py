@@ -887,6 +887,16 @@ class TestBatchedStep:
         with pytest.raises(ValueError, match="2-d"):
             simulate(cfg, ds, part, shards=list(shards))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_shards_of_non_integer_type_rejected(self, dtype):
+        # A float block once failed deep in indexing; a bool one would be
+        # gathered as rows 0 and 1.
+        cfg, ds, part = small_setup()
+        _, shards = sim._assign(ds, part, cfg.seed)
+        with pytest.raises(ValueError, match=f"^shards must hold integer row indices, "
+                                             f"not {np.dtype(dtype)}$"):
+            simulate(cfg, ds, part, shards=shards.astype(dtype))
+
     def test_federation_shards_are_a_read_only_block(self):
         cfg = config_from_dict(TestRunExperiment.BASE)
         fed = build_federation(cfg)
