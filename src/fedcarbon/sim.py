@@ -359,7 +359,7 @@ class ModelSpec:
         return np.concatenate([g1.reshape(k, -1), g2.reshape(k, -1)], axis=1)
 
     def _onehot(self, y: np.ndarray) -> np.ndarray:
-        return np.take(np.eye(self.num_classes), y, axis=0)
+        return np.eye(self.num_classes).take(y, axis=0)
 
     def loss_and_grad(self, w: np.ndarray, x: np.ndarray,
                       y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -550,11 +550,12 @@ def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
     the (K, dim) trained parameters; row k equals client k trained alone.
 
     The samples and one-hot labels are flattened to (K*n, .) once, and
-    each epoch takes its rows orders[:, e] + k*n with one np.take per
-    array.  That per-epoch index is K x n int64; the orders block stays
-    at its 1 to 4 bytes per entry.  The stack is unpacked into its layers
-    once: each step subtracts in place (out -= step), which writes
-    through those views, so every step reads the current weights.
+    each epoch takes its rows orders[:, e] + k*n with one ndarray.take
+    per array (np.take without its Python wrapper).  That per-epoch index
+    is K x n int64; the orders block stays at its 1 to 4 bytes per entry.
+    The stack is unpacked into its layers once: each step subtracts in
+    place (out -= step), which writes through those views, so every step
+    reads the current weights.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError("lr must be finite and > 0")
@@ -571,7 +572,7 @@ def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
     layers = spec._unpack(out)
     for e in range(orders.shape[1]):
         rows = orders[:, e] + first_row
-        xe, ye = np.take(flat_xb, rows, axis=0), np.take(flat_onehot, rows, axis=0)
+        xe, ye = flat_xb.take(rows, axis=0), flat_onehot.take(rows, axis=0)
         for batch in batches:
             step = spec._grad(layers, xe[:, batch], ye[:, batch])
             step *= lr
@@ -824,8 +825,8 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
             chosen = selected.tolist()
             clients.append(selected)
             rows = shards[selected]
-            cohort = _Cohort(_with_bias(np.take(dataset.features, rows, axis=0)),
-                             np.take(dataset.labels, rows, axis=0),
+            cohort = _Cohort(_with_bias(dataset.features.take(rows, axis=0)),
+                             dataset.labels.take(rows, axis=0),
                              draws.round_orders(r, chosen, shards.shape[1],
                                                 fl.local_epochs))
             updates = [train_local(w, dataset, shards[cid], spec, fl.local_epochs,
