@@ -713,9 +713,8 @@ class TestOverflowingPrice:
                       "time_per_local_epoch_s": 1e308, "kind": "datacenter"}},
     ], ids=["int-epochs", "epoch-time"])
     def test_centralized_run_time_overflow_names_both_fields(self, capsys, tmp_path, patch):
-        # epochs x time_per_local_epoch_s is the centralized run's duration;
-        # an int overflow once escaped as OverflowError, a float one named
-        # a duration_s field that no config has.
+        # epochs x time_per_local_epoch_s is the centralized run's duration,
+        # whether the int epoch count or the float product overflows.
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(_merge(json.loads(Path(CEN_CIFAR).read_text()), patch)))
         code, out, err = run_cli(capsys, "estimate", "--config", str(cfg))

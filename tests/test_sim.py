@@ -889,8 +889,8 @@ class TestBatchedStep:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
     def test_shards_of_non_integer_type_rejected(self, dtype):
-        # A float block once failed deep in indexing; a bool one would be
-        # gathered as rows 0 and 1.
+        # Neither holds row indices: a bool block would be gathered as rows
+        # 0 and 1.
         cfg, ds, part = small_setup()
         _, shards = sim._assign(ds, part, cfg.seed)
         with pytest.raises(ValueError, match=f"^shards must hold integer row indices, "
