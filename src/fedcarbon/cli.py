@@ -43,7 +43,7 @@ from .optimize import (
     table_target,
 )
 from .profiles import (ConfigError, ExperimentConfig, SimSetup, _finite, _read_json,
-                       _training_time_s, config_digest, load_config)
+                       _read_text, _training_time_s, config_digest, load_config)
 from .sim import _fl_and_sim, build_federation, rounds_to_target, run_experiment
 
 EXIT_OK = 0
@@ -321,7 +321,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _plot_from_trace(path: str, cfg: ExperimentConfig | None) -> str:
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     body = [ln for ln in lines if ln and not ln.startswith("#")]
     if not body:
         raise ConfigError(f"{path}: empty trace")

@@ -494,9 +494,18 @@ def config_from_dict(raw: Any, registry: Mapping[str, Any] | None = None) -> Exp
                             network=network, pue=pue, epochs=raw.get("epochs"), fl=fl, sim=sim)
 
 
+def _read_text(path: str | Path) -> str:
+    """A file's text, decoded as UTF-8; bytes that are not UTF-8 are a
+    ConfigError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _read_json(path: str | Path) -> Any:
     """Decode a JSON file; malformed JSON is a ConfigError naming the file."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

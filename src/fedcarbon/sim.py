@@ -16,8 +16,10 @@ centralized SGD with the same seed.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -74,6 +76,17 @@ TRAIN_FRACTION = 0.8
 # Rows of the task shifted by their class means at a time: 384 KB of
 # temporaries at 12 features.
 _TASK_BLOCK_ROWS = 4096
+
+# Test rows per evaluation block.  With one BLAS thread, a product of
+# rows cut at multiples of 4096 has every bit of the whole product, under
+# each dgemm kernel the bundled OpenBLAS offers; cuts at other rows move
+# bits under its Haswell, Zen and Prescott kernels.
+_EVAL_BLOCK_ROWS = 4096
+
+# The variables numpy's bundled OpenBLAS takes its thread count from: the
+# first that holds a positive count wins, and with none it runs one thread
+# per CPU.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _word_keys(keys: Sequence[object]) -> bool:
@@ -240,6 +253,77 @@ def make_task(num_classes: int, num_features: int, n_samples: int, seed: int,
                       train_idx=train_idx, test_idx=test_idx)
 
 
+def _blas_threads() -> int | None:
+    """The thread count _BLAS_THREAD_VARS set, or None when none of them
+    holds a positive count."""
+    for var in _BLAS_THREAD_VARS:
+        count = os.environ.get(var, "").strip()
+        if count.isdigit() and int(count) > 0:
+            return int(count)
+    return None
+
+
+def _eval_cpus() -> int:
+    """The CPUs an evaluation may split its rows across: those this process
+    may run on when numpy's BLAS runs one thread per call, else 1.
+
+    A multithreaded OpenBLAS keeps its workers spinning on the other CPUs
+    for about 0.1 s after each large product, so helper threads would
+    compete with them (an evaluation of 40 000 rows ran about 3x slower).
+    """
+    if _blas_threads() != 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _eval_parts(n: int) -> list[slice]:
+    """The row ranges an evaluation of n rows is split into: one per CPU
+    that _eval_cpus gives, at most one per whole _EVAL_BLOCK_ROWS block,
+    and just [0, n) below two blocks.  Every cut is a multiple of
+    _EVAL_BLOCK_ROWS and the parts differ by at most one block; the last
+    also takes the rows after the last whole block."""
+    parts = min(_eval_cpus(), n // _EVAL_BLOCK_ROWS)
+    if parts < 2:
+        return [slice(0, n)]
+    blocks = -(-n // _EVAL_BLOCK_ROWS)
+    cuts = [blocks * i // parts * _EVAL_BLOCK_ROWS for i in range(parts)] + [n]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _in_threads(fn: Callable[..., Any], calls: Sequence[tuple]) -> list[Any]:
+    """fn(*args) for each args of calls: the first in this thread, the
+    others in threads of their own, each under this thread's numpy error
+    state.  Every thread is joined before this returns or raises; the
+    first exception, in calls order, is raised here."""
+    results: list[Any] = [None] * len(calls)
+    errors: list[BaseException | None] = [None] * len(calls)
+    state = dict(np.geterr(), call=np.geterrcall())
+
+    def run(i: int) -> None:
+        try:
+            with np.errstate(**state):
+                results[i] = fn(*calls[i])
+        except BaseException as exc:  # handed to the calling thread
+            errors[i] = exc
+
+    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(calls))]
+    try:
+        for t in helpers:
+            t.start()
+        run(0)
+    finally:
+        for t in helpers:
+            if t.ident is not None:
+                t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def _with_bias(x: np.ndarray) -> np.ndarray:
     """x with a trailing feature column of ones (any leading axes)."""
     out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
@@ -306,15 +390,16 @@ class ModelSpec:
         split = h * (f + 1)
         return w[:, :split].reshape(k, h, f + 1), w[:, split:].reshape(k, m, h + 1)
 
-    def _logits(self, layers: tuple[np.ndarray, np.ndarray | None],
-                xb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Logits for bias-augmented inputs, plus the bias-augmented hidden
-        activations (None without a hidden layer)."""
+    def _logits(self, layers: tuple[np.ndarray, np.ndarray | None], xb: np.ndarray,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+        """Logits for bias-augmented inputs (written into `out` when given),
+        plus the bias-augmented hidden activations (None without a hidden
+        layer)."""
         first, second = layers
         if second is None:
-            return xb @ first.transpose(0, 2, 1), None
+            return np.matmul(xb, first.transpose(0, 2, 1), out=out), None
         hb = _with_bias(np.tanh(xb @ first.transpose(0, 2, 1)))
-        return hb @ second.transpose(0, 2, 1), hb
+        return np.matmul(hb, second.transpose(0, 2, 1), out=out), hb
 
     def _softmax(self, layers: tuple[np.ndarray, np.ndarray | None],
                  xb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -377,17 +462,39 @@ class ModelSpec:
         logits, _ = self._logits(self._unpack(self._stack(w)), xb[np.newaxis])
         return logits[0].argmax(axis=1)
 
+    def _hits(self, layers: tuple[np.ndarray, np.ndarray | None], xb: np.ndarray,
+              y: np.ndarray, out: np.ndarray | None = None) -> int:
+        """How many rows of the bias-augmented inputs xb are predicted as y;
+        their (1, rows, classes) logits go into `out` when given."""
+        logits, _ = self._logits(layers, xb[np.newaxis], out)
+        return int(np.count_nonzero(logits[0].argmax(axis=1) == y))
+
     def _accuracy(self, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> float:
         """Accuracy on bias-augmented inputs: the share of the n rows of xb
         predicted as y, which holds one label per row.  Raises ValueError,
-        before predicting, when y is not n labels or n is 0."""
+        before predicting, when y is not n labels or n is 0.
+
+        The rows are counted in the parts _eval_parts gives: this thread
+        counts the first, and one short-lived thread each of the others
+        (numpy's matmul and argmax release the GIL).  The parts write their
+        logits into one buffer, where they are the bytes of the whole
+        product, so the count does not depend on the number of parts.
+        """
         if np.shape(y) != (len(xb),):
             raise ValueError(f"labels have shape {np.shape(y)}, "
                              f"but the inputs have {len(xb)} rows")
         if not len(xb):
             raise ValueError("accuracy needs at least one row")
+        layers = self._unpack(self._stack(w))
+        parts = _eval_parts(len(xb))
+        if len(parts) == 1:
+            hits = self._hits(layers, xb, y)
+        else:
+            logits = np.empty((1, len(xb), self.num_classes))
+            hits = sum(_in_threads(self._hits, [
+                (layers, xb[rows], y[rows], logits[:, rows]) for rows in parts]))
         # The count over n is np.mean's float for any n under 2**53.
-        return int(np.count_nonzero(self._predict(w, xb) == y)) / len(xb)
+        return hits / len(xb)
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         return self._predict(w, _with_bias(x))

@@ -1084,6 +1084,21 @@ class TestExitCodes:
         assert code == 1
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--config", "{bad}"],
+        ["estimate", "--config", FL_NOMINAL, "--fixtures", "{bad}"],
+        ["plot", "--fixtures", "{bad}"],
+    ], ids=["estimate-config", "estimate-fixtures", "plot-trace"])
+    def test_file_that_is_not_utf8_names_itself(self, capsys, tmp_path, argv):
+        # Once only "error: 'utf-8' codec can't decode byte 0xff ...", with
+        # no word of which file it was.
+        bad = tmp_path / ("bad.csv" if argv[0] == "plot" else "bad.json")
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, *[a.format(bad=bad) for a in argv])
+        assert (code, out) == (1, "")
+        assert err == (f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode "
+                       "byte 0xff in position 0: invalid start byte\n")
+
     @pytest.mark.parametrize("command, fixture, message", [
         ("optimize", {"blocks": [{"alpha": 1.0, "local_epochs": 1, "rows": [
             {"clients": 2.7, "stable": {"rounds": 4, "accuracy": 0.5, "co2_g": 1.5}}]}]},

@@ -5,7 +5,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -41,6 +45,8 @@ from fedcarbon import (
     uniform_prior,
     weighted_delta,
 )
+
+from conftest import REPO_ROOT
 
 HW = builtin_registry()["hw:tx2-cifar10"]
 FRANCE = builtin_registry()["grid:france"]
@@ -275,6 +281,227 @@ class TestModelSpec:
         spec = ModelSpec(2, 2)
         with pytest.raises(ValueError, match="non-empty"):
             spec.loss_and_grad(np.zeros(spec.dim), np.zeros((0, 2)), np.array([], dtype=int))
+
+
+# Run in a child process with one BLAS thread, the only setting in which
+# _accuracy splits its rows (see sim._eval_cpus).  It prints one line per
+# case: the parts' logits against the whole product, and the accuracy (or
+# the simulate run) against the same one forced to one CPU.
+SPLIT_CHILD = """
+import numpy as np
+import fedcarbon.sim as sim
+from fedcarbon import (ExperimentConfig, FlSetup, SimSetup, builtin_registry,
+                       lda_partition, make_task, simulate, uniform_prior)
+
+def force(cpus):
+    sim._eval_cpus = lambda: cpus
+
+rng = np.random.default_rng(26)
+for n in (8191, 8192, 20483, 40000, 40001):
+    for hidden in (0, 8):
+        spec = sim.ModelSpec(10, 12, hidden)
+        w = rng.standard_normal(spec.dim)
+        xb = sim._with_bias(rng.standard_normal((n, 12)))
+        y = rng.integers(0, 10, n)
+        layers = spec._unpack(spec._stack(w))
+        whole = spec._logits(layers, xb[np.newaxis])[0].tobytes()
+        force(1)
+        one = spec._accuracy(w, xb, y)
+        for cpus in (1, 2, 4):
+            force(cpus)
+            parts = sim._eval_parts(n)
+            logits = np.full((1, n, 10), np.nan)
+            for rows in parts:
+                spec._hits(layers, xb[rows], y[rows], logits[:, rows])
+            print("logits", n, hidden, cpus, len(parts), logits.tobytes() == whole,
+                  spec._accuracy(w, xb, y) == one)
+
+registry = builtin_registry()
+ds = make_task(4, 6, 50_000, seed=21, separation=3.5)
+part = lda_partition(uniform_prior(4), 1000.0, 12, 40, np.random.SeedSequence([21, 11]))
+for hidden in (0, 8):
+    cfg = ExperimentConfig(
+        mode="fl", hardware=registry["hw:tx2-cifar10"], grids=(registry["grid:france"],),
+        seed=21, fl=FlSetup(pool_size=12, clients_per_round=4, rounds=3, local_epochs=2),
+        sim=SimSetup(classes=4, features=6, n_samples=50_000, separation=3.5,
+                     samples_per_client=40, hidden_units=hidden, target_accuracy=1.0))
+    runs = []
+    for cpus in (1, 2, 4):
+        force(cpus)
+        trace, _, w = simulate(cfg, ds, part)
+        runs.append((trace.accuracies, w.tobytes()))
+    print("simulate", hidden, len(ds.test_idx), len(runs[0][0]),
+          all(run == runs[0] for run in runs))
+"""
+
+
+@pytest.fixture(scope="module")
+def split_child() -> dict[tuple, list[str]]:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SPLIT_CHILD], capture_output=True,
+                          text=True, timeout=300, env=env, cwd=REPO_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    cases = {}
+    for line in proc.stdout.splitlines():
+        kind, *fields = line.split()
+        if kind == "logits":
+            cases[(kind, *map(int, fields[:3]))] = fields[3:]
+        else:
+            cases[(kind, int(fields[0]))] = fields[1:]
+    return cases
+
+
+def huge_rows(n: int, first_huge: int) -> np.ndarray:
+    """Bias-augmented rows: zeros before row first_huge, 1e308 from it on,
+    so with weights of 10 only those rows' logits overflow."""
+    x = np.zeros((n, 3))
+    x[first_huge:] = 1e308
+    return sim._with_bias(x)
+
+
+class TestSplitEvaluation:
+    """Test sets of two or more 4096-row blocks are evaluated in parts, one
+    thread each, with the bits of one whole evaluation."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def force(count: int) -> None:
+            monkeypatch.setattr(sim, "_eval_cpus", lambda: count)
+        return force
+
+    @pytest.mark.parametrize("n", [1, 4095, 8191, 8192, 12287, 12288, 40000, 40001,
+                                   1_000_007])
+    def test_split_parts_are_whole_blocks(self, cpus, n):
+        for count in range(1, 10):
+            cpus(count)
+            parts = sim._eval_parts(n)
+            assert parts[0].start == 0 and parts[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+            if n < 8192 or count == 1:
+                assert parts == [slice(0, n)]
+                continue
+            assert len(parts) == min(count, n // 4096)
+            assert all(p.start % 4096 == 0 for p in parts)
+            blocks = [-(-(p.stop - p.start) // 4096) for p in parts]
+            assert max(blocks) - min(blocks) <= 1
+
+    @pytest.mark.parametrize("env, split", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": " 1 "}, True),
+        ({"OPENBLAS_NUM_THREADS": "2"}, False),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, True),
+    ])
+    def test_split_needs_one_blas_thread(self, monkeypatch, env, split):
+        # Variables are read as OpenBLAS reads them: the first positive
+        # count wins, and with none it runs one thread per CPU.
+        for var in sim._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert sim._eval_cpus() == (3 if split else 1)
+
+    def test_split_counts_in_threads_that_end_with_the_call(self, cpus, monkeypatch):
+        spec = ModelSpec(3, 2)
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal(spec.dim)
+        xb = sim._with_bias(rng.standard_normal((40_001, 2)))
+        y = rng.integers(0, 3, 40_001)
+        cpus(1)
+        one = spec._accuracy(w, xb, y)
+        counted = []
+        hits = ModelSpec._hits
+
+        def record(self, layers, xb, y, out=None):
+            counted.append((threading.current_thread(), len(xb)))
+            return hits(self, layers, xb, y, out)
+
+        monkeypatch.setattr(ModelSpec, "_hits", record)
+        before = threading.enumerate()
+        cpus(4)
+        assert spec._accuracy(w, xb, y) == one
+        assert threading.enumerate() == before
+        # Parts of 2, 3, 2 and 2 blocks (the last 3137 rows short), the
+        # first counted in the calling thread and each other in its own.
+        rows_by_thread = dict(counted)
+        assert len(rows_by_thread) == len(counted) == 4
+        assert rows_by_thread[threading.current_thread()] == 8192
+        assert sorted(rows_by_thread.values()) == [8192, 8192, 11329, 12288]
+
+    def test_split_small_inputs_start_no_thread(self, cpus, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("split an input of fewer than two blocks")
+
+        monkeypatch.setattr(sim, "_in_threads", refuse)
+        cpus(4)
+        spec = ModelSpec(2, 3)
+        assert spec._accuracy(np.zeros(spec.dim), huge_rows(8191, 0),
+                              np.zeros(8191, dtype=np.int64)) == 1.0
+
+    @pytest.mark.parametrize("hidden_units", [0, 8])
+    def test_split_helper_runs_under_the_callers_error_state(self, cpus, monkeypatch,
+                                                             hidden_units):
+        # Only the rows of the helper's part overflow.  Without the
+        # caller's error state the helper warns, and -W error makes that
+        # an exception the test would see.
+        spec = ModelSpec(2, 3, hidden_units)
+        w = np.full(spec.dim, 10.0)
+        xb, y = huge_rows(8192, 4096), np.zeros(8192, dtype=np.int64)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        before = threading.enumerate()
+        cpus(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                assert spec._accuracy(w, xb, y) == 1.0
+            with np.errstate(all="raise"), pytest.raises(FloatingPointError,
+                                                         match="overflow"):
+                spec._accuracy(w, xb, y)
+        assert hooked == []
+        assert threading.enumerate() == before
+
+    def test_split_helper_exception_is_raised_in_the_caller(self, cpus, monkeypatch):
+        def fail_past_row_0(self, layers, xb, y, out=None):
+            if len(xb) != 4096:
+                raise RuntimeError(f"part of {len(xb)} rows failed")
+            return 0
+
+        monkeypatch.setattr(ModelSpec, "_hits", fail_past_row_0)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        before = threading.enumerate()
+        cpus(2)
+        spec = ModelSpec(2, 3)
+        with pytest.raises(RuntimeError, match="^part of 4097 rows failed$"):
+            spec._accuracy(np.zeros(spec.dim), huge_rows(8193, 0),
+                           np.zeros(8193, dtype=np.int64))
+        assert hooked == []
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("n", [8191, 8192, 20483, 40000, 40001])
+    @pytest.mark.parametrize("hidden_units", [0, 8])
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_split_logits_equal_the_whole_product(self, split_child, n, hidden_units,
+                                                  count):
+        parts, logits_equal, accuracy_equal = split_child[("logits", n, hidden_units,
+                                                           count)]
+        assert int(parts) == (1 if n < 8192 else min(count, n // 4096))
+        assert logits_equal == "True"
+        assert accuracy_equal == "True"
+
+    @pytest.mark.parametrize("hidden_units", [0, 8])
+    def test_split_simulate_equals_one_cpu(self, split_child, hidden_units):
+        test_rows, rounds, equal = split_child[("simulate", hidden_units)]
+        assert int(test_rows) >= 8192 and int(rounds) == 3
+        assert equal == "True"
 
 
 class TestSgdAndLocalTraining:
