@@ -285,7 +285,8 @@ def _eval_parts(n: int) -> list[slice]:
     and just [0, n) below two blocks.  Every cut is a multiple of
     _EVAL_BLOCK_ROWS and the parts differ by at most one block; the last
     also takes the rows after the last whole block."""
-    parts = min(_eval_cpus(), n // _EVAL_BLOCK_ROWS)
+    # Smaller inputs skip _eval_cpus, which reads the environment.
+    parts = min(_eval_cpus(), n // _EVAL_BLOCK_ROWS) if n >= 2 * _EVAL_BLOCK_ROWS else 1
     if parts < 2:
         return [slice(0, n)]
     blocks = -(-n // _EVAL_BLOCK_ROWS)
@@ -397,9 +398,13 @@ class ModelSpec:
         layer)."""
         first, second = layers
         if second is None:
-            return np.matmul(xb, first.transpose(0, 2, 1), out=out), None
-        hb = _with_bias(np.tanh(xb @ first.transpose(0, 2, 1)))
-        return np.matmul(hb, second.transpose(0, 2, 1), out=out), hb
+            x, head, hb = xb, first, None
+        else:
+            hb = _with_bias(np.tanh(xb @ first.transpose(0, 2, 1)))
+            x, head = hb, second
+        if out is None:  # the operator skips np.matmul's keyword parsing
+            return x @ head.transpose(0, 2, 1), hb
+        return np.matmul(x, head.transpose(0, 2, 1), out=out), hb
 
     def _softmax(self, layers: tuple[np.ndarray, np.ndarray | None],
                  xb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

@@ -435,6 +435,25 @@ class TestSplitEvaluation:
         assert rows_by_thread[threading.current_thread()] == 8192
         assert sorted(rows_by_thread.values()) == [8192, 8192, 11329, 12288]
 
+    def test_split_stress_with_more_threads_than_cpus(self, cpus):
+        spec = ModelSpec(10, 12)
+        rng = np.random.default_rng(9)
+        w = rng.standard_normal(spec.dim)
+        xb = sim._with_bias(rng.standard_normal((40_001, 12)))
+        y = rng.integers(0, 10, 40_001)
+        cpus(1)
+        one = spec._accuracy(w, xb, y)
+        cpus(16)  # 9 parts, one per whole block
+        before = threading.enumerate()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert spec._accuracy(w, xb, y) == one
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.enumerate() == before
+
     def test_split_small_inputs_start_no_thread(self, cpus, monkeypatch):
         def refuse(*args):
             raise AssertionError("split an input of fewer than two blocks")
