@@ -482,8 +482,9 @@ class ModelSpec:
         The rows are counted in the parts _eval_parts gives: this thread
         counts the first, and one short-lived thread each of the others
         (numpy's matmul and argmax release the GIL).  The parts write their
-        logits into one buffer, where they are the bytes of the whole
-        product, so the count does not depend on the number of parts.
+        logits into one buffer.  There is more than one part only under one
+        BLAS thread, where cuts at whole blocks leave those logits the bytes
+        of the whole product, so the count does not depend on the CPUs.
         """
         if np.shape(y) != (len(xb),):
             raise ValueError(f"labels have shape {np.shape(y)}, "
