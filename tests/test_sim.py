@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -815,6 +816,33 @@ class TestSimulateLoop:
         assert s1 == s2
         assert np.array_equal(w1, w2)
 
+    @pytest.mark.parametrize("target, executed", [(1.0, 8), (0.0, 1)])
+    def test_one_sgd_call_per_round_inside_its_first_client_call(self, monkeypatch,
+                                                                  target, executed):
+        # The tracer counts one train_local call per client, and the whole
+        # round's training inside the first; lanes trained one by one would
+        # call _sgd once per client.
+        events = []
+        real_sgd, real_train_local = sim._sgd, sim.train_local
+
+        def recorded_sgd(spec, w, xb, y, *rest):
+            events.append(("_sgd", len(y)))
+            return real_sgd(spec, w, xb, y, *rest)
+
+        def recorded_train_local(*args, **kwargs):
+            events.append("train_local")
+            result = real_train_local(*args, **kwargs)
+            events.append("end")
+            return result
+
+        monkeypatch.setattr(sim, "_sgd", recorded_sgd)
+        monkeypatch.setattr(sim, "train_local", recorded_train_local)
+        cfg, ds, part = small_setup(target_accuracy=target)
+        trace, _, _ = simulate(cfg, ds, part)
+        assert trace.rounds == executed
+        one_round = ["train_local", ("_sgd", 4), "end"] + ["train_local", "end"] * 3
+        assert events == one_round * executed
+
     def test_zero_target_stops_after_first_round(self):
         cfg, ds, part = small_setup(target_accuracy=0.0)
         trace, schedule, _ = simulate(cfg, ds, part)
@@ -1088,44 +1116,34 @@ class TestBatchedStep:
         assert spec.accuracy(w, sim._with_bias(x), y) == spec.accuracy(w, x, y)
 
     @pytest.mark.parametrize("hidden_units", [0, 32])
-    def test_cohort_lanes_equal_clients_trained_alone(self, hidden_units):
+    def test_cohort_lanes_equal_clients_trained_alone(self, monkeypatch, hidden_units):
         ds = make_task(3, 4, 200, seed=5)
         spec = ModelSpec(3, 4, hidden_units)
         w = spec.init_params(np.random.default_rng(6))
         shards = ds.train_idx[:120].reshape(3, 40)
         orders = np.stack([sim._draw_orders(derived_rng(5, 15, 0, c), 40, 2)
                            for c in range(3)])
-        cohort = sim._Cohort(sim._with_bias(ds.features[shards]), ds.labels[shards], orders)
-        assert all(np.shares_memory(lane, orders) for lane in cohort.lanes)
+        given = []
+        real_sgd = sim._sgd
+
+        def recorded_sgd(*args):
+            given.append(args[4])
+            return real_sgd(*args)
+
+        monkeypatch.setattr(sim, "_sgd", recorded_sgd)
+        # Built as simulate builds a round's trainer.
+        cohort = functools.cache(functools.partial(
+            sim._sgd, spec, w, sim._with_bias(ds.features[shards]), ds.labels[shards],
+            orders, 0.1, 16))
         # Asked out of selection order: each call still gets its own lane.
         for c in (2, 0, 1):
-            delta, n_k = train_local(w, ds, shards[c], spec, 2, 0.1, 16, cohort.lanes[c],
-                                     cohort=cohort)
+            delta, n_k = train_local(w, ds, shards[c], spec, 2, 0.1, 16, c, cohort=cohort)
             alone, _ = train_local(w, ds, shards[c], spec, 2, 0.1, 16,
                                    derived_rng(5, 15, 0, c))
             assert n_k == 40 and np.array_equal(delta, alone)
-
-    def test_cohort_rejects_a_foreign_rng_or_a_second_setting(self):
-        ds = make_task(3, 4, 200, seed=5)
-        spec = ModelSpec(3, 4)
-        w = np.zeros(spec.dim)
-        shards = ds.train_idx[:80].reshape(2, 40)
-        orders = np.stack([sim._draw_orders(derived_rng(5, 15, 0, c), 40, 1)
-                           for c in range(2)])
-        cohort = sim._Cohort(sim._with_bias(ds.features[shards]), ds.labels[shards], orders)
-        lanes = cohort.lanes
-        # A lane is named by its row view itself, not by an equal copy or
-        # another view of the same row.
-        for foreign in (derived_rng(5, 15, 0, 0), lanes[0].copy(), orders[0]):
-            with pytest.raises(ValueError, match="not one of the cohort's order blocks"):
-                train_local(w, ds, shards[0], spec, 1, 0.1, 16, foreign, cohort=cohort)
-        with pytest.raises(ValueError, match="epochs or shard size differ"):
-            train_local(w, ds, shards[0][:-1], spec, 1, 0.1, 16, lanes[0], cohort=cohort)
-        with pytest.raises(ValueError, match="epochs or shard size differ"):
-            train_local(w, ds, shards[0], spec, 2, 0.1, 16, lanes[0], cohort=cohort)
-        train_local(w, ds, shards[0], spec, 1, 0.1, 16, lanes[0], cohort=cohort)
-        with pytest.raises(ValueError, match="one setting"):
-            train_local(w, ds, shards[1], spec, 1, 0.2, 16, lanes[1], cohort=cohort)
+        # The three clients trained alone ran _sgd too, one client each.
+        stacked = [block for block in given if len(block) == 3]
+        assert len(stacked) == 1 and stacked[0] is orders
 
     def test_shards_given_as_rows_rejected(self):
         cfg, ds, part = small_setup()
