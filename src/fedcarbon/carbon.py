@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -153,18 +153,14 @@ def _check_entries(rounds: Any, round_: np.ndarray, client: np.ndarray) -> None:
                          f"outside executed range [0, {rounds})")
 
 
-def _distinct(index: np.ndarray, profiles: Sequence[HardwareProfile],
-              ) -> tuple[np.ndarray, tuple[HardwareProfile, ...]]:
-    """index re-pointed at each distinct profile it uses, listed once in
-    order of first use (so equal schedules hold equal columns).  Only
-    schedule_prefix needs it: the entries a prefix keeps may use only some
-    of the profiles, and not in slot order."""
-    used, first = np.unique(index, return_index=True)
+def _slots(profiles: Iterable[HardwareProfile],
+           ) -> tuple[np.ndarray, tuple[HardwareProfile, ...]]:
+    """Each profile's slot, as an int64 index column, and the distinct
+    profiles listed once in order of first use: the one rule that makes
+    equal schedules hold equal hardware columns."""
     slot: dict[HardwareProfile, int] = {}
-    remap = np.zeros(len(profiles), dtype=np.int64)
-    for k in used[np.argsort(first)]:
-        remap[k] = slot.setdefault(profiles[k], len(slot))
-    return remap[index], tuple(slot)
+    index = np.array([slot.setdefault(p, len(slot)) for p in profiles], dtype=np.int64)
+    return index, tuple(slot)
 
 
 class RoundSchedule:
@@ -189,14 +185,12 @@ class RoundSchedule:
 
     def __init__(self, rounds: int, participation: Iterable[ScheduleEntry]) -> None:
         entries = tuple(participation)
-        slot: dict[HardwareProfile, int] = {}
-        index = [slot.setdefault(e.hardware, len(slot)) for e in entries]
         round_ = np.array([e.round_index for e in entries], dtype=np.int64)
         client = np.array([e.client_id for e in entries], dtype=np.int64)
         _check_entries(rounds, round_, client)
         self._set(rounds, round_, client,
                   np.array([e.wall_time_s for e in entries], dtype=np.float64),
-                  np.array(index, dtype=np.int64), tuple(slot))
+                  *_slots(e.hardware for e in entries))
         self.__dict__["participation"] = entries
 
     @classmethod
@@ -524,7 +518,8 @@ def schedule_prefix(schedule: RoundSchedule, rounds: int) -> RoundSchedule:
     if not (_integer(rounds) and 0 <= rounds <= schedule.rounds):
         raise ValueError(f"rounds must be an integer in [0, {schedule.rounds}]")
     keep = schedule.round < rounds
-    index, hardware = _distinct(schedule.hardware_index[keep], schedule.hardware)
+    # The kept entries may use only some of the profiles, and not in slot order.
+    index, hardware = _slots(schedule.hardware[k] for k in schedule.hardware_index[keep].tolist())
     return RoundSchedule._from_columns(rounds, schedule.round[keep], schedule.client[keep],
                                        schedule.wall_time_s[keep], index, hardware)
 
@@ -605,11 +600,10 @@ def _entry_columns(participation: list, registry: dict[str, Any]) -> tuple | Non
         profiles = [_resolve(value, "hw:", registry) for value in values]
     except (TypeError, KeyError, AttributeError, OverflowError, ValueError):
         return None
-    # Slots are numbered in order of first use, so the first slot holding a
-    # profile is that profile's first use.
-    distinct: dict[HardwareProfile, int] = {}
-    index = np.array([distinct.setdefault(p, len(distinct)) for p in profiles], dtype=np.int64)
-    return round_, client, wall, index[np.array(slots, dtype=np.int64)], tuple(distinct)
+    # Values are numbered in order of first use, so the first value that
+    # resolves to a profile is that profile's first use.
+    index, hardware = _slots(profiles)
+    return round_, client, wall, index[np.array(slots, dtype=np.int64)], hardware
 
 
 def _first_bad_entry(participation: list, registry: dict[str, Any]) -> ConfigError:

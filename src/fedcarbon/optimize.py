@@ -1,18 +1,22 @@
 """Carbon-aware ranking of federated design points.
 
-The objective F, grams of CO2e for r rounds with n clients per round, is
-estimate_fl of the uniform schedule RoundSchedule.uniform(r, n, t, hw)
-under the flat-rate "legacy-5kwh-per-gb" WAN model:
+Design points are compared by carbon cost, grams of CO2e per unit of
+reached accuracy G.  grid_search treats the evaluation of one cell as a
+black box, so measured result tables can stand in for live simulation.
+A live cell's grams are priced from the schedule its simulation executed,
+under the config's own WAN model and grid; a table cell's grams are the
+ones the table recorded.
+
+The paper's closed form F, grams of CO2e for r rounds with n clients per
+round on a uniform fleet,
 
     F = r * c * n * (t * e + 5000 * s)   [grams CO2e]
 
 where c is the grid intensity (kg per kWh, numerically g per Wh), t the
 per-round wall time in hours, e the client draw in watts and s the model
-size in GB.  Design points are compared by carbon cost F / G, grams per
-unit of reached accuracy G.
-
-grid_search treats the evaluation of one cell as a black box, so measured
-result tables can stand in for live simulation.
+size in GB, is what estimate_fl gives for the uniform schedule
+RoundSchedule.uniform(r, n, t, hw) under the flat-rate
+"legacy-5kwh-per-gb" WAN model.
 """
 
 from __future__ import annotations
@@ -201,6 +205,9 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
     them.  All of it lives in the runner and goes with it; two runners
     share nothing.
     """
+    # Looked up when the runner is built, not when this module is imported:
+    # perfbench/spans.py and two tests replace fedcarbon.sim.simulate first,
+    # and the runner must call the replacement.
     from .sim import (Federation, SimDataset, _Draws, _fl_and_sim,
                       build_federation, rounds_to_target, simulate)
 

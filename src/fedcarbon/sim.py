@@ -6,11 +6,14 @@ layer.  Clients run mini-batch SGD locally; the server combines client
 deltas either by sample-weighted averaging or by an Adam-style server
 update on the averaged delta.
 
-Every stochastic choice (client selection, batch order, parameter init,
-shard assignment) draws from a generator derived from (seed, stream tag,
-round, client), so runs are bit-reproducible and a one-client
-full-participation run follows the exact same batch order as plain
-centralized SGD with the same seed.
+Every stochastic choice draws from its own stream of the seed, so runs
+are bit-reproducible from it.  The task is drawn from default_rng(seed).
+The class mixes, the sample assignment and the initial weights each take
+a SeedSequence([seed, stream tag]), client selection one of
+[seed, tag, round] and batch orders one of [seed, tag, round, client].
+Plain centralized SGD draws period p's orders as client 0 of round p, so
+a one-client full-participation run follows the exact same batch order
+as centralized_sgd with the same seed.
 """
 
 from __future__ import annotations
@@ -96,20 +99,10 @@ def _word_keys(keys: Sequence[object]) -> bool:
 
 
 def derived_rng(*keys: int) -> np.random.Generator:
-    """Deterministic generator for a tuple of integer keys.
-
-    The keys seed one SeedSequence.  When every key is a Python int in
-    [0, 2**32) they go in as an array of uint32 words: the words
-    SeedSequence(list(keys)) would split them into, without its list
-    coercion.  Any other keys (larger, negative, numpy or bool values, or
-    none) take the list itself, with its errors; a key of 2**32 or more
-    splits into several words, so no word array can stand in for it.
-    _Draws seeds a round's batch orders from the same words in one pass
-    (see _pcg64_starts), so those generators start where this one does.
-    """
-    if keys and _word_keys(keys):
-        words = np.array(keys, dtype=np.uint32)
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    """Deterministic generator for a tuple of integer keys: PCG64 seeded by
+    SeedSequence(list(keys)).  _Draws seeds a round's batch orders from the
+    same keys, as uint32 words, in one pass (see _pcg64_starts), so those
+    generators start where this one does."""
     return np.random.default_rng(np.random.SeedSequence(list(keys)))
 
 
@@ -403,8 +396,6 @@ class ModelSpec:
         else:
             hb = _with_bias(np.tanh(xb @ first.transpose(0, 2, 1)))
             x, head = hb, second
-        if out is None:  # the operator skips np.matmul's keyword parsing
-            return x @ head.transpose(0, 2, 1), hb
         return np.matmul(x, head.transpose(0, 2, 1), out=out), hb
 
     def _softmax(self, layers: tuple[np.ndarray, np.ndarray | None],
@@ -501,10 +492,6 @@ class ModelSpec:
                 (layers, xb[rows], y[rows], logits[:, rows]) for rows in parts]))
         # The count over n is np.mean's float for any n under 2**53.
         return hits / len(xb)
-
-    def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        logits, _ = self._logits(self._unpack(self._stack(w)), _with_bias(x)[np.newaxis])
-        return logits[0].argmax(axis=1)
 
     def accuracy(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         """Share of rows of x predicted as y.  x holds raw features, shape

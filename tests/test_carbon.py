@@ -614,6 +614,57 @@ def _profile(value) -> HardwareProfile:
     return HardwareProfile(**{"name": "inline", **value})
 
 
+# Four spellings of three profiles: the first and the last are one profile,
+# written once as a name and once inline.
+_MIXED = ("tx2-cifar10", "hw:nx-cifar10", _INLINE[0], dataclasses.asdict(TX2_CIFAR))
+
+
+@st.composite
+def _mixed_schedules(draw):
+    """(rounds, entry list) in any entry order, each spelling in _MIXED
+    used at least once."""
+    rounds, per_round = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    pairs = draw(st.permutations([(r, c) for r in range(rounds) for c in range(per_round)]))
+    spellings = list(_MIXED) + [draw(st.sampled_from(_MIXED)) for _ in pairs[len(_MIXED):]]
+    return rounds, [{"round": r, "client": c, "wall_time_s": 1.5, "hardware": copy.deepcopy(hw)}
+                    for (r, c), hw in zip(pairs, draw(st.permutations(spellings)))]
+
+
+def _first_use(profiles) -> tuple[tuple[HardwareProfile, ...], list[int]]:
+    """hardware and hardware_index of these per-entry profiles, by a plain
+    loop: each distinct profile is listed when first used."""
+    hardware: list[HardwareProfile] = []
+    index = []
+    for p in profiles:
+        if p not in hardware:
+            hardware.append(p)
+        index.append(hardware.index(p))
+    return tuple(hardware), index
+
+
+class TestHardwareSlots:
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed_schedules(), st.data())
+    def test_every_route_lists_profiles_by_first_use(self, drawn, data):
+        rounds, raw = drawn
+        entries = [ScheduleEntry(e["round"], e["client"], e["wall_time_s"],
+                                 _profile(e["hardware"])) for e in raw]
+        by_entries = RoundSchedule(rounds, entries)
+        parsed = schedule_from_dict({"rounds": rounds, "participation": raw})
+        r = data.draw(st.integers(0, rounds), label="prefix rounds")
+        kept = [e for e in entries if e.round_index < r]
+        head = RoundSchedule(r, kept)
+        for schedule, listed in ((by_entries, entries), (parsed, entries),
+                                 (schedule_prefix(by_entries, r), kept),
+                                 (schedule_prefix(parsed, r), kept), (head, kept)):
+            hardware, index = _first_use(e.hardware for e in listed)
+            assert schedule.hardware == hardware
+            assert schedule.hardware_index.tolist() == index
+            assert schedule.hardware_index.dtype == np.int64
+        assert len(by_entries.hardware) == 3
+        assert schedule_prefix(parsed, r) == head
+
+
 @st.composite
 def _priced_schedules(draw, ordered=False):
     """A schedule object in any entry order, and a config that prices it.

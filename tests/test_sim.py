@@ -48,6 +48,7 @@ from fedcarbon import (
 )
 
 from conftest import REPO_ROOT
+from cpu_class import cpu_class
 
 HW = builtin_registry()["hw:tx2-cifar10"]
 FRANCE = builtin_registry()["grid:france"]
@@ -243,12 +244,11 @@ class TestModelSpec:
         fd = finite_difference_grad(spec, w, x, y)
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-6
 
-    def test_predict_on_handcrafted_weights(self):
+    def test_accuracy_on_handcrafted_weights(self):
         # one feature, two classes; class 1 wins iff x > 0
         spec = ModelSpec(2, 1)
         w = np.array([0.0, 0.0, 1.0, 0.0])  # rows: class 0 = (0,0), class 1 = (1,0)
         x = np.array([[-2.0], [3.0], [0.5]])
-        assert list(spec.predict(w, x)) == [0, 1, 1]
         assert spec.accuracy(w, x, np.array([0, 1, 1])) == 1.0
 
     @pytest.mark.parametrize("rows, labels, message", [
@@ -965,8 +965,10 @@ def test_simulate_reproduces_pinned_bits(strategy, hidden_units, alpha):
                                 strategy=strategy, hidden_units=hidden_units)
     trace, _, w = simulate(cfg, ds, part)
     digest, accuracies = PINNED_RUNS[(strategy, hidden_units, alpha)]
-    assert hashlib.sha256(w.tobytes()).hexdigest() == digest
-    assert trace.accuracies == accuracies
+    # The trace held on every CPU class tried; the weights' last bits follow
+    # the class (see tests/cpu_class.py), so a failure names it.
+    assert trace.accuracies == accuracies, f"accuracy trace on {cpu_class()}"
+    assert hashlib.sha256(w.tobytes()).hexdigest() == digest, f"final weights on {cpu_class()}"
 
 
 def reference_grad(spec: ModelSpec, w: np.ndarray, xb: np.ndarray,
