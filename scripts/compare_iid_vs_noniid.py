@@ -4,7 +4,7 @@
 Runs the desk-scale federated simulator twice per seed — once with a
 near-uniform partition (high Dirichlet alpha) and once with a heavily
 concentrated one (low alpha) — and reports the rounds each needed to hit
-the accuracy target, plus the energy and CO2e of the executed schedule.
+the accuracy target, plus the CO2e of the executed schedule.
 
 Usage:
     python3 scripts/compare_iid_vs_noniid.py [--seeds N] [--target T]
@@ -20,10 +20,9 @@ from fedcarbon import (
     ExperimentConfig,
     builtin_registry,
     config_from_dict,
+    estimate_fl,
     rounds_to_target,
     run_experiment,
-    to_co2e,
-    training_energy_fl,
 )
 
 
@@ -40,11 +39,9 @@ def experiment(args: argparse.Namespace, alpha: float, seed: int,
     }, registry)
 
 
-def rounds_and_emissions(cfg: ExperimentConfig) -> tuple[int | None, float, float]:
+def rounds_and_emissions(cfg: ExperimentConfig) -> tuple[int | None, float]:
     trace, schedule, _ = run_experiment(cfg)
-    hit = rounds_to_target(trace, cfg.sim.target_accuracy)
-    wh = training_energy_fl(schedule)
-    return hit, wh, to_co2e(wh, cfg.grid)
+    return rounds_to_target(trace, cfg.sim.target_accuracy), estimate_fl(cfg, schedule).co2e_g
 
 
 def main() -> None:
@@ -80,9 +77,9 @@ def main() -> None:
           f"{'iid g CO2e':<12}{'noniid g CO2e':<15}")
     iid_wins = 0
     for seed in range(args.seeds):
-        iid_hit, _, iid_g = rounds_and_emissions(
+        iid_hit, iid_g = rounds_and_emissions(
             experiment(args, args.alpha_iid, seed, registry))
-        non_hit, _, non_g = rounds_and_emissions(
+        non_hit, non_g = rounds_and_emissions(
             experiment(args, args.alpha_noniid, seed, registry))
         if iid_hit is not None and (non_hit is None or iid_hit <= non_hit):
             iid_wins += 1

@@ -75,7 +75,6 @@ from .sim import (
     rounds_to_target,
     run_experiment,
     select_clients,
-    sgd_epochs,
     simulate,
     train_local,
     weighted_delta,

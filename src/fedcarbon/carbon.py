@@ -368,11 +368,10 @@ def cumulative_training_energy(schedule: RoundSchedule) -> tuple[float, ...]:
 
 
 def training_energy_fl(schedule: RoundSchedule) -> float:
-    """Training energy of every entry of the schedule, in Wh.  Raises
-    ValueError when it is not finite."""
-    if not len(schedule.round):
-        return 0.0
-    return _finite_wh("training", float(_training_ledger(schedule)[-1]))
+    """Training Wh of every entry: cumulative_training_energy's last row,
+    or 0.0 when no round ran.  Raises ValueError when it is not finite."""
+    cumulative = cumulative_training_energy(schedule)
+    return cumulative[-1] if cumulative else 0.0
 
 
 def training_energy_centralized(power_w: float, duration_s: float, pue: float) -> float:
@@ -634,7 +633,8 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
     "hardware"}} form that expands to the same clients every round.  The
     uniform object and each entry take exactly their own keys.  A valid
     entry list is read once, as columns; an error in it names the first
-    entry that breaks a rule.
+    entry that breaks a rule, and an error in the uniform form names
+    schedule 'uniform'.  Every error is a ConfigError.
     """
     if not isinstance(raw, dict) or "rounds" not in raw:
         raise ConfigError("schedule must be an object with a 'rounds' key")
@@ -643,10 +643,13 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
     if "uniform" in raw:
         if "participation" in raw:
             raise ConfigError("schedule takes 'participation' or 'uniform', not both")
-        u = raw["uniform"]
-        _check_keys(u, _UNIFORM_KEYS, sorted(_UNIFORM_KEYS), "schedule 'uniform'")
-        hw = _resolve(u["hardware"], "hw:", registry)
-        return RoundSchedule.uniform(rounds, u["clients_per_round"], u["wall_time_s"], hw)
+        u, where = raw["uniform"], "schedule 'uniform'"
+        _check_keys(u, _UNIFORM_KEYS, sorted(_UNIFORM_KEYS), where)
+        try:
+            hw = _resolve(u["hardware"], "hw:", registry)
+            return RoundSchedule.uniform(rounds, u["clients_per_round"], u["wall_time_s"], hw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if "participation" not in raw:
         raise ConfigError("schedule needs either 'participation' or 'uniform'")
     if not isinstance(raw["participation"], list):

@@ -21,11 +21,13 @@ RoundSchedule.uniform(r, n, t, hw) under the flat-rate
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from . import sim
 from .carbon import _priced, _round_ledger
 # perfbench/spans.py TARGETS still looks these two up here; ROADMAP item 1 drops them.
 from .carbon import estimate_fl, schedule_prefix  # noqa: F401
@@ -136,11 +138,10 @@ def pareto_front(points: Sequence[CostPoint]) -> list[CostPoint]:
     return out
 
 
-def default_grid(max_clients: int = 10, epochs: tuple[int, ...] = (1, 5),
-                 alphas: tuple[float, ...] = (1000.0, 0.1)) -> list[tuple[int, int, float]]:
-    """The standard search space: n in 1..max, few/many local epochs,
-    near-IID and concentrated partitions."""
-    return [(n, e, a) for a in alphas for e in epochs for n in range(1, max_clients + 1)]
+def default_grid(max_clients: int = 10) -> list[tuple[int, int, float]]:
+    """The standard search space: n in 1..max, few/many local epochs (1
+    and 5), near-IID and concentrated partitions (alpha 1000 and 0.1)."""
+    return [(n, e, a) for a in (1000.0, 0.1) for e in (1, 5) for n in range(1, max_clients + 1)]
 
 
 Runner = Callable[[int, int, float], CellOutcome]
@@ -203,37 +204,29 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
     client selection and each client's batch orders once (a sim._Draws,
     which keeps at most sim._KEEP_BYTES of them) and every cell reads
     them.  All of it lives in the runner and goes with it; two runners
-    share nothing.
+    share nothing.  A cell looks each sim function up when it runs.
     """
-    # Looked up when the runner is built, not when this module is imported:
-    # perfbench/spans.py and two tests replace fedcarbon.sim.simulate first,
-    # and the runner must call the replacement.
-    from .sim import (Federation, SimDataset, _Draws, _fl_and_sim,
-                      build_federation, rounds_to_target, simulate)
+    fl, setup = sim._fl_and_sim(base)
+    rule_target = setup.target_accuracy
+    task: sim.SimDataset | None = None
+    draws = sim._Draws(base.seed)
 
-    fl, sim = _fl_and_sim(base)
-    rule_target = sim.target_accuracy
-    task: SimDataset | None = None
-    federations: dict[float, Federation] = {}
-    draws = _Draws(base.seed)
-
-    def federation(alpha: float) -> Federation:
+    @functools.cache
+    def federation(alpha: float) -> sim.Federation:
         nonlocal task
-        if alpha not in federations:
-            cfg = replace(base, sim=replace(sim, alpha=alpha))
-            federations[alpha] = build_federation(cfg, task)
-            task = federations[alpha].dataset
-        return federations[alpha]
+        fed = sim.build_federation(replace(base, sim=replace(setup, alpha=alpha)), task)
+        task = fed.dataset
+        return fed
 
     def run(n: int, local_epochs: int, alpha: float) -> CellOutcome:
         cfg = replace(
             base,
             fl=replace(fl, clients_per_round=n, local_epochs=local_epochs),
-            sim=replace(sim, alpha=alpha, target_accuracy=1.0),
+            sim=replace(setup, alpha=alpha, target_accuracy=1.0),
         )
         fed = federation(alpha)
-        trace, schedule, _ = simulate(cfg, fed.dataset, fed.partition,
-                                      shards=fed.shards, draws=draws)
+        trace, schedule, _ = sim.simulate(cfg, fed.dataset, fed.partition,
+                                          shards=fed.shards, draws=draws)
         if trace.rounds == 0:
             raise ValueError("cell produced an empty run; increase fl.rounds")
 
@@ -243,7 +236,7 @@ def make_simulation_runner(base: ExperimentConfig) -> Runner:
             return _priced(cfg, float(training[rounds - 1]),
                            float(communication[rounds - 1]))[1]
 
-        hit = rounds_to_target(trace, rule_target)
+        hit = sim.rounds_to_target(trace, rule_target)
         target_co2 = co2_through(hit) if hit is not None else None
         best = max(trace.accuracies)
         stable_rounds = trace.accuracies.index(best) + 1

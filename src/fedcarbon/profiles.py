@@ -21,6 +21,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Collection, Iterable, Mapping
 
+from .partition import ClassPrior
+
 __all__ = [
     "ConfigError",
     "HardwareProfile",
@@ -50,12 +52,10 @@ class ConfigError(ValueError):
     """A config file or profile failed to parse or validate."""
 
 
-def _check(condition: bool, message: str, *args: Any) -> None:
-    """Raise ConfigError unless condition holds.  With args, the message is
-    a str.format template filled only on failure, so checks that pass (one
-    per field of every profile built) format nothing."""
+def _check(condition: bool, message: str) -> None:
+    """Raise ConfigError(message) unless condition holds."""
     if not condition:
-        raise ConfigError(message.format(*args) if args else message)
+        raise ConfigError(message)
 
 
 def _integer(x: Any) -> bool:
@@ -91,15 +91,15 @@ class HardwareProfile:
         if not isinstance(self.name, str):
             raise ConfigError(f"hardware name must be a string, got {self.name!r}")
         _check(self.kind in (EDGE, DATACENTER),
-               "hardware {!r}: kind must be {!r} or {!r}", self.name, EDGE, DATACENTER)
+               f"hardware {self.name!r}: kind must be {EDGE!r} or {DATACENTER!r}")
         _check(_finite(self.active_power_w) and self.active_power_w > 0,
-               "hardware {!r}: active_power_w must be finite and > 0", self.name)
+               f"hardware {self.name!r}: active_power_w must be finite and > 0")
         _check(_finite(self.idle_power_w) and self.idle_power_w >= 0,
-               "hardware {!r}: idle_power_w must be finite and >= 0", self.name)
+               f"hardware {self.name!r}: idle_power_w must be finite and >= 0")
         _check(self.idle_power_w < self.active_power_w,
-               "hardware {!r}: idle_power_w must be < active_power_w", self.name)
+               f"hardware {self.name!r}: idle_power_w must be < active_power_w")
         _check(_finite(self.time_per_local_epoch_s) and self.time_per_local_epoch_s > 0,
-               "hardware {!r}: time_per_local_epoch_s must be finite and > 0", self.name)
+               f"hardware {self.name!r}: time_per_local_epoch_s must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class GridIntensity:
         if not isinstance(self.region, str):
             raise ConfigError(f"grid region must be a string, got {self.region!r}")
         _check(_finite(self.c_rate_kg_per_kwh) and self.c_rate_kg_per_kwh > 0,
-               "grid {!r}: c_rate_kg_per_kwh must be finite and > 0", self.region)
+               f"grid {self.region!r}: c_rate_kg_per_kwh must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,11 @@ class NetworkProfile:
         if not isinstance(self.region, str):
             raise ConfigError(f"network region must be a string, got {self.region!r}")
         _check(_finite(self.download_mbps) and self.download_mbps > 0,
-               "network {!r}: download_mbps must be finite and > 0", self.region)
+               f"network {self.region!r}: download_mbps must be finite and > 0")
         _check(_finite(self.upload_mbps) and self.upload_mbps > 0,
-               "network {!r}: upload_mbps must be finite and > 0", self.region)
+               f"network {self.region!r}: upload_mbps must be finite and > 0")
         _check(_finite(self.router_power_w) and self.router_power_w >= 0,
-               "network {!r}: router_power_w must be finite and >= 0", self.region)
+               f"network {self.region!r}: router_power_w must be finite and >= 0")
 
 
 STRATEGIES = ("fedavg", "fedadam")
@@ -170,9 +170,9 @@ class FlSetup:
         _check(_finite(self.model_size_mb) and self.model_size_mb >= 0,
                "fl.model_size_mb must be finite and >= 0")
         _check(self.strategy in STRATEGIES,
-               "fl.strategy must be one of {}", STRATEGIES)
+               f"fl.strategy must be one of {STRATEGIES}")
         _check(self.wan_model in WAN_MODELS,
-               "fl.wan_model must be one of {}", WAN_MODELS)
+               f"fl.wan_model must be one of {WAN_MODELS}")
 
 
 # Default client step size; the server-side Adam variant keeps the same
@@ -236,6 +236,12 @@ class SimSetup:
         if prior_list:
             _check(len(self.prior) == self.classes,
                    "sim.prior list must have one entry per class")
+            # lda_partition draws from Dir(alpha * prior): every entry must be > 0.
+            _check(min(self.prior) > 0, "sim.prior list entries must be > 0")
+            try:
+                ClassPrior(self.prior)
+            except ValueError as exc:
+                raise ConfigError(f"sim.prior: {exc}") from None
         else:
             _check(self.prior in ("uniform", "empirical"),
                    "sim.prior must be 'uniform', 'empirical' or a list of proportions")
@@ -267,7 +273,7 @@ class ExperimentConfig:
     sim: SimSetup | None = None
 
     def __post_init__(self) -> None:
-        _check(self.mode in MODES, "mode must be one of {}", MODES)
+        _check(self.mode in MODES, f"mode must be one of {MODES}")
         _check(len(self.grids) >= 1, "at least one grid region is required")
         _check(_integer(self.seed) and self.seed >= 0, "seed must be an integer >= 0")
         if self.mode == "fl":
@@ -280,15 +286,15 @@ class ExperimentConfig:
             _check(self.pue is not None, "centralized mode requires 'pue'")
             assert self.pue is not None
             _check(_finite(self.pue) and self.pue >= 1.0,
-                   "pue must be >= 1.0, got {!r}", self.pue)
+                   f"pue must be >= 1.0, got {self.pue!r}")
             _check(self.epochs is not None and _integer(self.epochs)
                    and self.epochs >= 0,
                    "centralized mode requires integer 'epochs' >= 0")
             _check(self.hardware.kind == DATACENTER,
-                   "centralized mode requires hardware of kind {!r}, got {!r}",
-                   DATACENTER, self.hardware.kind)
+                   f"centralized mode requires hardware of kind {DATACENTER!r}, "
+                   f"got {self.hardware.kind!r}")
         unread = [name for name in _UNREAD[self.mode] if getattr(self, name) is not None]
-        _check(not unread, "{} mode does not read {}", self.mode, unread)
+        _check(not unread, f"{self.mode} mode does not read {unread}")
 
     @property
     def grid(self) -> GridIntensity:
@@ -313,7 +319,7 @@ def _training_time_s(cfg: ExperimentConfig) -> float:
     except OverflowError:  # an int epoch count beyond the float range
         seconds = float("inf")
     _check(seconds <= _FLOAT_MAX,
-           "{} x hardware.time_per_local_epoch_s overflows the float range", field)
+           f"{field} x hardware.time_per_local_epoch_s overflows the float range")
     return seconds
 
 
@@ -463,9 +469,9 @@ def _resolve(value: Any, namespace: str, registry: Mapping[str, Any],
             raise ConfigError(f"unknown {_NAMESPACES[namespace][1]} {value!r}") from None
     cls, kind, defaults = _NAMESPACES[namespace]
     if cls is float:
-        _check(_finite(value), "{} must be a registry name or an inline number", kind)
+        _check(_finite(value), f"{kind} must be a registry name or an inline number")
         return float(value)
-    _check(isinstance(value, dict), "{} must be a registry name or an inline object", kind)
+    _check(isinstance(value, dict), f"{kind} must be a registry name or an inline object")
     return _from_object(cls, value, kind, **defaults, **inline_defaults)
 
 
@@ -512,9 +518,9 @@ def _read_json(path: str | Path) -> Any:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def load_config(path: str | Path, registry: Mapping[str, Any] | None = None) -> ExperimentConfig:
+def load_config(path: str | Path) -> ExperimentConfig:
     """Read a JSON experiment config from disk, resolve names, validate."""
-    return config_from_dict(_read_json(path), registry=registry)
+    return config_from_dict(_read_json(path))
 
 
 def _as_dict(obj: Any) -> dict[str, Any]:

@@ -53,7 +53,6 @@ __all__ = [
     "AccuracyTrace",
     "AdamState",
     "make_task",
-    "sgd_epochs",
     "train_local",
     "select_clients",
     "fedavg_aggregate",
@@ -681,22 +680,14 @@ def _sgd(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray,
     return out
 
 
-def sgd_epochs(w: np.ndarray, x: np.ndarray, y: np.ndarray, spec: ModelSpec,
-               epochs: int, lr: float, batch_size: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """Mini-batch SGD: full shuffled passes, last short batch included."""
-    orders = _draw_orders(rng, len(y), epochs)
-    return _sgd(spec, w, _with_bias(x)[np.newaxis], np.asarray(y)[np.newaxis],
-                orders[np.newaxis], lr, batch_size)[0]
-
-
 def train_local(w: np.ndarray, dataset: SimDataset, shard: np.ndarray,
                 spec: ModelSpec, epochs: int, lr: float, batch_size: int,
                 rng: np.random.Generator | int, *,
                 cohort: Callable[[], np.ndarray] | None = None) -> tuple[np.ndarray, int]:
     """One client's local pass; returns (delta, shard size).
 
-    rng draws each epoch's batch order (see sgd_epochs).  With `cohort`
+    Mini-batch SGD over full passes, last short batch included: rng draws
+    each epoch's batch order (see _draw_orders).  With `cohort`
     (simulate builds one per round), rng is instead the client's lane:
     its row of the (K, dim) stack that cohort() returns, trained from w.
     simulate caches cohort, so the round's first call trains every lane
@@ -706,8 +697,9 @@ def train_local(w: np.ndarray, dataset: SimDataset, shard: np.ndarray,
     if len(shard) == 0:
         raise ValueError("cannot train on an empty shard")
     if cohort is None:
-        trained = sgd_epochs(w, dataset.features[shard], dataset.labels[shard],
-                             spec, epochs, lr, batch_size, rng)
+        orders = _draw_orders(rng, len(shard), epochs)[np.newaxis]
+        trained = _sgd(spec, w, _with_bias(dataset.features[shard])[np.newaxis],
+                       dataset.labels[shard][np.newaxis], orders, lr, batch_size)[0]
     else:
         trained = cohort()[rng]
     return trained - w, int(len(shard))

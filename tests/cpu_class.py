@@ -4,7 +4,8 @@ Two libraries pick machine code at run time: numpy picks among its SIMD
 dispatch targets, and its bundled OpenBLAS picks a dgemm kernel (its
 "core") and a thread count.  `python tests/cpu_class.py` prints the class
 this process runs on (numpy.show_runtime() shows no OpenBLAS core without
-threadpoolctl), and the pinned-bits tests name it when they fail.
+threadpoolctl), and the pinned-bits tests key their final weights by it
+and name it when they fail.
 The variables NPY_DISABLE_CPU_FEATURES and OPENBLAS_CORETYPE change it for
 one process.  This module imports nothing from fedcarbon.
 """
@@ -50,12 +51,19 @@ def openblas() -> tuple[str, str]:
     return core.decode() if isinstance(core, bytes) else str(core), str(threads)
 
 
+def weight_class() -> str:
+    """The class without the thread count, as
+    "numpy 2.4.6 X86_V3 X86_V4 ...; OpenBLAS SkylakeX": the key of the
+    pinned final weights, whose products are too small for OpenBLAS to
+    split across threads."""
+    dispatch = " ".join(numpy_dispatch()) or "baseline only"
+    return f"numpy {np.__version__} {dispatch}; OpenBLAS {openblas()[0]}"
+
+
 def cpu_class() -> str:
     """One line naming the class, as
     "numpy 2.4.6 X86_V3 X86_V4 ...; OpenBLAS SkylakeX, threads 2"."""
-    dispatch = " ".join(numpy_dispatch()) or "baseline only"
-    core, threads = openblas()
-    return f"numpy {np.__version__} {dispatch}; OpenBLAS {core}, threads {threads}"
+    return f"{weight_class()}, threads {openblas()[1]}"
 
 
 if __name__ == "__main__":

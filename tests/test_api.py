@@ -54,7 +54,7 @@ PUBLIC_NAMES = (
     "grid_search", "lda_partition", "load_config", "make_simulation_runner",
     "make_table_runner", "make_task", "pareto_front", "rounds_to_target", "run_experiment",
     "sample_dirichlet", "schedule_from_dict", "schedule_prefix", "schedule_to_dict",
-    "select_clients", "sgd_epochs", "simulate", "table_cells", "table_target", "to_co2e",
+    "select_clients", "simulate", "table_cells", "table_target", "to_co2e",
     "train_local", "training_energy_centralized", "training_energy_fl", "uniform_prior",
     "weighted_delta",
 )

@@ -364,6 +364,19 @@ class TestUniformSchedule:
         with pytest.raises(ValueError, match="100000000 rounds x 5 clients"):
             RoundSchedule.uniform(10**8, 5, 1.0, TX2_NOMINAL)
 
+    @pytest.mark.parametrize("uniform, problem", [
+        ({"clients_per_round": 2, "wall_time_s": -1.0, "hardware": "tx2-cifar10"},
+         "wall_time_s must be finite and > 0"),
+        ({"clients_per_round": -2, "wall_time_s": 1.0, "hardware": "tx2-cifar10"},
+         "clients_per_round must be >= 0"),
+        ({"clients_per_round": 2, "wall_time_s": 1.0, "hardware": "tx2-mnist"},
+         "unknown hardware 'tx2-mnist'"),
+    ], ids=["wall-time", "clients", "hardware"])
+    def test_parse_errors_are_config_errors_naming_the_uniform_object(self, uniform, problem):
+        with pytest.raises(ConfigError) as info:
+            schedule_from_dict({"rounds": 2, "uniform": uniform})
+        assert str(info.value) == f"schedule 'uniform': {problem}"
+
     def test_zero_clients_does_not_walk_the_rounds(self):
         schedule = schedule_from_dict({"rounds": 10**12, "uniform": {
             "clients_per_round": 0, "wall_time_s": 1.0, "hardware": "tx2-nominal"}})

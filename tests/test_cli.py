@@ -913,10 +913,14 @@ class TestExitCodes:
         assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize("uniform, rounds, message", [
-        ({"clients_per_round": -4, "wall_time_s": "abc"}, 3, "clients_per_round"),
-        ({"clients_per_round": 2.5, "wall_time_s": 51.4}, 16, "clients_per_round"),
-        ({"clients_per_round": 0, "wall_time_s": "abc"}, 16, "wall_time_s"),
-        ({"clients_per_round": 5, "wall_time_s": -1.0}, 16, "wall_time_s"),
+        ({"clients_per_round": -4, "wall_time_s": "abc"}, 3,
+         "error: schedule 'uniform': clients_per_round must be >= 0\n"),
+        ({"clients_per_round": 2.5, "wall_time_s": 51.4}, 16,
+         "error: schedule 'uniform': rounds and clients_per_round must be integers\n"),
+        ({"clients_per_round": 0, "wall_time_s": "abc"}, 16,
+         "error: schedule 'uniform': wall_time_s must be finite and > 0\n"),
+        ({"clients_per_round": 5, "wall_time_s": -1.0}, 16,
+         "error: schedule 'uniform': wall_time_s must be finite and > 0\n"),
         ({"clients_per_round": 0, "wall_time_s": 51.4}, 10**12,
          "schedule has 1000000000000 rounds"),
         ({"clients_per_round": 10**10, "wall_time_s": 51.4}, 0,
@@ -940,6 +944,26 @@ class TestExitCodes:
                                "--fixtures", str(bad))
         assert code == 1
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("prior, line", [
+        ([0.2] * 10,
+         "error: sim.prior: prior proportions must sum to 1, got 1.9999999999999998\n"),
+        ([0.0] + [0.125] * 8 + [0.0], "error: sim.prior list entries must be > 0\n"),
+    ], ids=["sum-not-one", "zero-entry"])
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--fixtures", SCHED_16X5], ["simulate"], ["partition"], ["optimize"],
+    ], ids=["estimate-fixtures", "simulate", "partition", "optimize"])
+    def test_prior_list_that_cannot_be_drawn_from_fails_at_load(self, capsys, tmp_path,
+                                                                prior, line, argv):
+        raw = json.loads((CONFIGS / "fl_sim_small_france.json").read_text())
+        raw["sim"]["prior"] = prior
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(capsys, argv[0], "--config", str(bad), *argv[1:],
+                                 "--out", str(out_path))
+        assert (code, out, err) == (1, "", line)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     def test_declared_rounds_above_the_entry_cap_are_validation_error(
             self, capsys, tmp_path):

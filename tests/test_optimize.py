@@ -164,8 +164,11 @@ class TestDefaultGrid:
         assert len(set(cells)) == 40
 
     def test_respects_caps(self):
-        cells = default_grid(max_clients=3, epochs=(2,), alphas=(0.5,))
-        assert cells == [(1, 2, 0.5), (2, 2, 0.5), (3, 2, 0.5)]
+        cells = default_grid(max_clients=3)
+        assert cells == [(1, 1, 1000.0), (2, 1, 1000.0), (3, 1, 1000.0),
+                         (1, 5, 1000.0), (2, 5, 1000.0), (3, 5, 1000.0),
+                         (1, 1, 0.1), (2, 1, 0.1), (3, 1, 0.1),
+                         (1, 5, 0.1), (2, 5, 0.1), (3, 5, 0.1)]
 
 
 def synthetic_runner(n: int, local_epochs: int, alpha: float) -> CellOutcome:
@@ -471,6 +474,23 @@ class TestSimulationRunner:
                                (out.stable_rounds, out.stable_co2e_g)):
             assert co2e_g == estimate_fl(cfg, schedule_prefix(schedule, rounds)).co2e_g
 
+    def test_a_simulate_replaced_after_the_runner_is_built_is_the_one_it_calls(
+            self, monkeypatch):
+        import fedcarbon.sim as sim
+
+        runner = make_simulation_runner(config_from_dict(self.BASE))
+        simulate, calls = sim.simulate, []
+
+        def recorded(cfg, *args, **kwargs):
+            calls.append(cfg.fl.clients_per_round)
+            return simulate(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "simulate", recorded)
+        out = runner(2, 1, 1000.0)
+        assert calls == [2]
+        monkeypatch.undo()
+        assert runner(2, 1, 1000.0) == out and calls == [2]
+
     @pytest.mark.parametrize("best_round", [1, 2, 3])
     def test_only_the_priced_rounds_may_overflow(self, monkeypatch, best_round):
         # One client-epoch draws 7e307 J: the cumulative training energy
@@ -537,7 +557,7 @@ class TestSimulationRunner:
         for name in calls:
             counting(name)
         cfg = config_from_dict(self.BASE)
-        cells = default_grid(max_clients=3, alphas=(1000.0, 0.1))
+        cells = default_grid(max_clients=3)
         ranked = grid_search(cells, make_simulation_runner(cfg), target_accuracy=0.6)
         assert len(ranked) == len(cells) == 12
         assert calls == {"make_task": 1, "lda_partition": 2, "assign_samples": 2}
@@ -579,7 +599,7 @@ class TestSimulationRunner:
         monkeypatch.setattr(sim, "derived_rng", counted_rng)
         monkeypatch.setattr(sim, "select_clients", counted_select)
         cfg = config_from_dict(self.BASE)
-        cells = default_grid(max_clients=3, alphas=(1000.0, 0.1))
+        cells = default_grid(max_clients=3)
         grid_search(cells, make_simulation_runner(cfg), target_accuracy=0.6)
 
         # 12 cells of 5 rounds: one selection per (clients per round,

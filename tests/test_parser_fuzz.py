@@ -123,12 +123,13 @@ _GRIDS = st.lists(
 @st.composite
 def _drawn_configs(draw):
     """A valid federated config with a drawn grid list, sim prior (a name,
-    or a list of JSON integers and floats) and samples_per_client."""
+    or a list of positive proportions) and samples_per_client."""
     classes = draw(st.integers(2, 5))
     sim = {"classes": classes, "prior": draw(
         st.sampled_from(["uniform", "empirical"])
-        | st.lists(st.integers(0, 9) | st.floats(0.0, 1e3),
-                   min_size=classes, max_size=classes))}
+        | st.lists(st.integers(1, 9) | st.floats(1e-3, 1e3),
+                   min_size=classes, max_size=classes).map(
+                       lambda weights: [w / sum(weights) for w in weights]))}
     samples = draw(st.none() | st.integers(1, 500))
     if samples is not None:
         sim["samples_per_client"] = samples

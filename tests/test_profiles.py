@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fedcarbon import (
@@ -207,14 +208,14 @@ class TestProfileValidation:
             SimSetup(classes=2, prior=prior)
 
     def test_sim_prior_list_is_held_as_a_hashable_tuple_of_floats(self):
-        sim = SimSetup(classes=2, prior=[1, 3])
-        assert sim.prior == (1.0, 3.0)
+        sim = SimSetup(classes=2, prior=[np.float64(0.25), 0.75])
+        assert sim.prior == (0.25, 0.75)
         assert all(type(p) is float for p in sim.prior)
-        assert hash(sim) == hash(SimSetup(classes=2, prior=(1.0, 3.0)))
+        assert hash(sim) == hash(SimSetup(classes=2, prior=(0.25, 0.75)))
         again = dataclasses.replace(sim, alpha=0.5)
-        assert again.prior == (1.0, 3.0)
-        assert again == SimSetup(classes=2, prior=[1.0, 3], alpha=0.5)
-        assert hash(again) == hash(SimSetup(classes=2, prior=(1.0, 3.0), alpha=0.5))
+        assert again.prior == (0.25, 0.75)
+        assert again == SimSetup(classes=2, prior=[0.25, np.float64(0.75)], alpha=0.5)
+        assert hash(again) == hash(SimSetup(classes=2, prior=(0.25, 0.75), alpha=0.5))
 
 
 class TestConfigParsing:
@@ -450,7 +451,7 @@ class TestOneKeyCheck:
         assert str(info.value) == message
 
 
-# Sets every optional case of the writer: a list prior of JSON integers,
+# Sets every optional case of the writer: a list prior,
 # samples_per_client, two inline grids, an inline network with a region,
 # the flat-rate WAN model and hidden units.
 ALL_FIELDS = {
@@ -462,7 +463,8 @@ ALL_FIELDS = {
     "network": {"download_mbps": 50, "upload_mbps": 10, "router_power_w": 6, "region": "lab"},
     "fl": {"pool_size": 8, "clients_per_round": 2, "rounds": 3, "local_epochs": 2,
            "model_size_mb": 4, "strategy": "fedadam", "wan_model": "legacy-5kwh-per-gb"},
-    "sim": {"classes": 3, "prior": [2, 1, 1], "samples_per_client": 12, "hidden_units": 4},
+    "sim": {"classes": 3, "prior": [0.5, 0.25, 0.25], "samples_per_client": 12,
+            "hidden_units": 4},
 }
 
 
@@ -484,6 +486,6 @@ class TestConfigWriter:
                     "samples_per_client": 12, "batch_size": 32, "target_accuracy": 0.5,
                     "client_lr": 0.03162277660168379, "server_lr": 0.1, "beta1": 0.9,
                     "beta2": 0.99, "tau": 0.001, "hidden_units": 4,
-                    "prior": [2.0, 1.0, 1.0], "alpha": 1000.0},
+                    "prior": [0.5, 0.25, 0.25], "alpha": 1000.0},
         }
-        assert config_digest(cfg) == "3f65abb8c741"
+        assert config_digest(cfg) == "1d3fd1365331"

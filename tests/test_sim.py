@@ -40,7 +40,6 @@ from fedcarbon import (
     rounds_to_target,
     run_experiment,
     select_clients,
-    sgd_epochs,
     simulate,
     train_local,
     uniform_prior,
@@ -48,7 +47,7 @@ from fedcarbon import (
 )
 
 from conftest import REPO_ROOT
-from cpu_class import cpu_class
+from cpu_class import cpu_class, weight_class
 
 HW = builtin_registry()["hw:tx2-cifar10"]
 FRANCE = builtin_registry()["grid:france"]
@@ -524,6 +523,16 @@ class TestSplitEvaluation:
         assert equal == "True"
 
 
+def sgd_alone(w: np.ndarray, x: np.ndarray, y: np.ndarray, spec: ModelSpec,
+              epochs: int, lr: float, batch_size: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """One client's local SGD as train_local runs it without a cohort: its
+    batch orders from sim._draw_orders, then sim._sgd on a stack of one."""
+    orders = sim._draw_orders(rng, len(y), epochs)
+    return sim._sgd(spec, w, sim._with_bias(x)[np.newaxis], y[np.newaxis],
+                    orders[np.newaxis], lr, batch_size)[0]
+
+
 class TestSgdAndLocalTraining:
     def test_single_full_batch_step_is_one_gradient_step(self):
         spec = ModelSpec(3, 2)
@@ -532,8 +541,8 @@ class TestSgdAndLocalTraining:
         y = rng.integers(0, 3, size=8)
         w = rng.standard_normal(spec.dim)
         lr = 0.05
-        stepped = sgd_epochs(w, x, y, spec, epochs=1, lr=lr, batch_size=8,
-                             rng=np.random.default_rng(0))
+        stepped = sgd_alone(w, x, y, spec, epochs=1, lr=lr, batch_size=8,
+                            rng=np.random.default_rng(0))
         _, g = spec.loss_and_grad(w, x, y)
         assert np.allclose(stepped, w - lr * g, rtol=0, atol=0)
 
@@ -542,8 +551,8 @@ class TestSgdAndLocalTraining:
         x = np.ones((4, 2))
         y = np.array([0, 1, 0, 1])
         w = np.zeros(spec.dim)
-        sgd_epochs(w, x, y, spec, epochs=2, lr=0.1, batch_size=2,
-                   rng=np.random.default_rng(1))
+        sgd_alone(w, x, y, spec, epochs=2, lr=0.1, batch_size=2,
+                  rng=np.random.default_rng(1))
         assert np.array_equal(w, np.zeros(spec.dim))
 
     def test_same_rng_stream_reproduces(self):
@@ -552,8 +561,8 @@ class TestSgdAndLocalTraining:
         x = rng.standard_normal((20, 3))
         y = rng.integers(0, 3, size=20)
         w = rng.standard_normal(spec.dim)
-        a = sgd_epochs(w, x, y, spec, 3, 0.05, 7, derived_rng(5, 15, 0, 0))
-        b = sgd_epochs(w, x, y, spec, 3, 0.05, 7, derived_rng(5, 15, 0, 0))
+        a = sgd_alone(w, x, y, spec, 3, 0.05, 7, derived_rng(5, 15, 0, 0))
+        b = sgd_alone(w, x, y, spec, 3, 0.05, 7, derived_rng(5, 15, 0, 0))
         assert np.array_equal(a, b)
 
     def test_short_final_batch_is_trained(self):
@@ -562,9 +571,9 @@ class TestSgdAndLocalTraining:
         x = np.array([[1.0], [1.0], [1.0], [1.0], [-5.0]])
         y = np.array([1, 1, 1, 1, 0])
         w0 = np.zeros(spec.dim)
-        out = sgd_epochs(w0, x, y, spec, 1, 0.5, 4, np.random.default_rng(2))
+        out = sgd_alone(w0, x, y, spec, 1, 0.5, 4, np.random.default_rng(2))
         # with batch = n the run is one step; the two-batch run differs
-        one_step = sgd_epochs(w0, x, y, spec, 1, 0.5, 5, np.random.default_rng(2))
+        one_step = sgd_alone(w0, x, y, spec, 1, 0.5, 5, np.random.default_rng(2))
         assert not np.array_equal(out, one_step)
 
     def test_train_local_returns_delta_and_count(self):
@@ -575,8 +584,8 @@ class TestSgdAndLocalTraining:
         delta, n_k = train_local(w, ds, shard, spec, epochs=1, lr=0.05,
                                  batch_size=10, rng=derived_rng(8, 15, 0, 0))
         assert n_k == 30
-        trained = sgd_epochs(w, ds.features[shard], ds.labels[shard], spec,
-                             1, 0.05, 10, derived_rng(8, 15, 0, 0))
+        trained = sgd_alone(w, ds.features[shard], ds.labels[shard], spec,
+                            1, 0.05, 10, derived_rng(8, 15, 0, 0))
         assert np.array_equal(delta, trained - w)
 
     def test_train_local_rejects_empty_shard(self):
@@ -601,8 +610,8 @@ class TestSgdAndLocalTraining:
         w = np.zeros(spec.dim)
         exact = f"^{re.escape(message)}$"
         with pytest.raises(ValueError, match=exact):
-            sgd_epochs(w, ds.features[shard], ds.labels[shard], spec, epochs, lr,
-                       batch_size, derived_rng(0))
+            sgd_alone(w, ds.features[shard], ds.labels[shard], spec, epochs, lr,
+                      batch_size, derived_rng(0))
         with pytest.raises(ValueError, match=exact):
             train_local(w, ds, shard, spec, epochs, lr, batch_size, derived_rng(0))
 
@@ -928,46 +937,154 @@ class TestSimulateLoop:
         assert (t1, s1) == (t2, s2) and np.array_equal(w1, w2)
 
 
-# sha256 of the final weights and the accuracy trace of small_setup runs
-# (6 rounds, batch 16), recorded before the local step was rewritten; the
-# step and the assignment must keep reproducing them bit for bit.
-PINNED_RUNS = {
-    ("fedavg", 0, 1000.0): ("33a7c7100c7c6fe70d94f77379492c504968e1a71f9ddfce5cdc4b721d08ea8a",
-        (0.9333333333333333, 0.9333333333333333, 0.9333333333333333, 0.9416666666666667, 0.95, 0.95)),
-    ("fedavg", 0, 0.1): ("c44743cc889666d5318c9aa7b9ccdaedadd65e3c5fb76afba5a8718d91e5b9ea",
-        (0.9166666666666666, 0.8916666666666667, 0.9, 0.9083333333333333, 0.9166666666666666, 0.9166666666666666)),
-    ("fedavg", 0, 0.01): ("b4338a78c5a54fcc6f89fb8a39ffb443eefe57d58dd0cbcc58c5e094c2617e27",
-        (0.9333333333333333, 0.8333333333333334, 0.9083333333333333, 0.9166666666666666, 0.925, 0.9166666666666666)),
-    ("fedavg", 32, 1000.0): ("e734537bcda745f10b6bf364c39f78d299f2578edccf1511e796d1669585712b",
-        (0.5083333333333333, 0.7, 0.775, 0.8583333333333333, 0.9, 0.9)),
-    ("fedavg", 32, 0.1): ("afa2328b056d1a2adfe03666a5bdabfa15a4510e8c593c8bc5538a73e59cfd09",
-        (0.44166666666666665, 0.6583333333333333, 0.7083333333333334, 0.8333333333333334, 0.8916666666666667, 0.9)),
-    ("fedavg", 32, 0.01): ("8762943841f13b1b53270ec7b948c5d655b5382fc45b9278c0ffcb11c146dcbd",
-        (0.4583333333333333, 0.6083333333333333, 0.6916666666666667, 0.8333333333333334, 0.875, 0.9)),
-    ("fedadam", 0, 1000.0): ("9b6d1198da2fe4711292df0109b070a03ff5d6073b6ff961bc1a34dbb38d6572",
-        (0.9083333333333333, 0.9166666666666666, 0.9333333333333333, 0.95, 0.9583333333333334, 0.9583333333333334)),
-    ("fedadam", 0, 0.1): ("7c4217d32cee449882500078b57ea6f73bf9d6a3568a9fe555715bf5d546f4d0",
-        (0.9416666666666667, 0.9416666666666667, 0.9166666666666666, 0.9166666666666666, 0.9166666666666666, 0.925)),
-    ("fedadam", 0, 0.01): ("d4d036bab040bf0c0b42a63cad96fe435f40a7aa6149e155fd0779b8545dd730",
-        (0.925, 0.9, 0.9083333333333333, 0.9083333333333333, 0.925, 0.925)),
-    ("fedadam", 32, 1000.0): ("96a02b28ce44cd9eb24eec4dce522b879eaa9f1d1e40b36a325ca12817c26faf",
-        (0.85, 0.9, 0.9166666666666666, 0.95, 0.9416666666666667, 0.9166666666666666)),
-    ("fedadam", 32, 0.1): ("76fbbec8351f8581f837e0ac0d8c8e17042f3dc54171b2fbac4eec1cb8cdbb30",
-        (0.8416666666666667, 0.9166666666666666, 0.9083333333333333, 0.8916666666666667, 0.9333333333333333, 0.9333333333333333)),
-    ("fedadam", 32, 0.01): ("29bfda45925fa5683eb902af1fa72e129554e5e7248188f7fc3d37eae89a008f",
-        (0.85, 0.8916666666666667, 0.9, 0.9083333333333333, 0.9166666666666666, 0.9083333333333333)),
+# Accuracy traces of small_setup runs (6 rounds, batch 16), recorded before
+# the local step was rewritten; the step and the assignment must keep
+# reproducing them bit for bit.  They held on every CPU class tried.
+PINNED_TRACES = {
+    ('fedavg', 0, 1000.0):
+        (0.9333333333333333, 0.9333333333333333, 0.9333333333333333, 0.9416666666666667, 0.95, 0.95),
+    ('fedavg', 0, 0.1):
+        (0.9166666666666666, 0.8916666666666667, 0.9, 0.9083333333333333, 0.9166666666666666, 0.9166666666666666),
+    ('fedavg', 0, 0.01):
+        (0.9333333333333333, 0.8333333333333334, 0.9083333333333333, 0.9166666666666666, 0.925, 0.9166666666666666),
+    ('fedavg', 32, 1000.0):
+        (0.5083333333333333, 0.7, 0.775, 0.8583333333333333, 0.9, 0.9),
+    ('fedavg', 32, 0.1):
+        (0.44166666666666665, 0.6583333333333333, 0.7083333333333334, 0.8333333333333334, 0.8916666666666667, 0.9),
+    ('fedavg', 32, 0.01):
+        (0.4583333333333333, 0.6083333333333333, 0.6916666666666667, 0.8333333333333334, 0.875, 0.9),
+    ('fedadam', 0, 1000.0):
+        (0.9083333333333333, 0.9166666666666666, 0.9333333333333333, 0.95, 0.9583333333333334, 0.9583333333333334),
+    ('fedadam', 0, 0.1):
+        (0.9416666666666667, 0.9416666666666667, 0.9166666666666666, 0.9166666666666666, 0.9166666666666666, 0.925),
+    ('fedadam', 0, 0.01):
+        (0.925, 0.9, 0.9083333333333333, 0.9083333333333333, 0.925, 0.925),
+    ('fedadam', 32, 1000.0):
+        (0.85, 0.9, 0.9166666666666666, 0.95, 0.9416666666666667, 0.9166666666666666),
+    ('fedadam', 32, 0.1):
+        (0.8416666666666667, 0.9166666666666666, 0.9083333333333333, 0.8916666666666667, 0.9333333333333333, 0.9333333333333333),
+    ('fedadam', 32, 0.01):
+        (0.85, 0.8916666666666667, 0.9, 0.9083333333333333, 0.9166666666666666, 0.9083333333333333),
+}
+
+# sha256 of each run's final weights, in sorted(PINNED_TRACES) order.  Their
+# last bits follow the CPU class (tests/cpu_class.py): numpy's x86-64 level
+# (X86_V4 moves exp and log) and OpenBLAS's dgemm core.  Recorded with numpy
+# 2.4.6 on one AVX-512 machine; the other classes under the variables that
+# the CI's CPU-variant step sets (NPY_DISABLE_CPU_FEATURES and
+# OPENBLAS_CORETYPE, where Prescott names its core Katmai).  numpy's
+# AVX512_ICL and AVX512_SPR targets and the BLAS thread count moved no bit.
+_V4_SKYLAKEX = (
+    "d4d036bab040bf0c0b42a63cad96fe435f40a7aa6149e155fd0779b8545dd730",
+    "7c4217d32cee449882500078b57ea6f73bf9d6a3568a9fe555715bf5d546f4d0",
+    "9b6d1198da2fe4711292df0109b070a03ff5d6073b6ff961bc1a34dbb38d6572",
+    "29bfda45925fa5683eb902af1fa72e129554e5e7248188f7fc3d37eae89a008f",
+    "76fbbec8351f8581f837e0ac0d8c8e17042f3dc54171b2fbac4eec1cb8cdbb30",
+    "96a02b28ce44cd9eb24eec4dce522b879eaa9f1d1e40b36a325ca12817c26faf",
+    "b4338a78c5a54fcc6f89fb8a39ffb443eefe57d58dd0cbcc58c5e094c2617e27",
+    "c44743cc889666d5318c9aa7b9ccdaedadd65e3c5fb76afba5a8718d91e5b9ea",
+    "33a7c7100c7c6fe70d94f77379492c504968e1a71f9ddfce5cdc4b721d08ea8a",
+    "8762943841f13b1b53270ec7b948c5d655b5382fc45b9278c0ffcb11c146dcbd",
+    "afa2328b056d1a2adfe03666a5bdabfa15a4510e8c593c8bc5538a73e59cfd09",
+    "e734537bcda745f10b6bf364c39f78d299f2578edccf1511e796d1669585712b",
+)
+_V4_HASWELL = (
+    "d4d036bab040bf0c0b42a63cad96fe435f40a7aa6149e155fd0779b8545dd730",
+    "7c4217d32cee449882500078b57ea6f73bf9d6a3568a9fe555715bf5d546f4d0",
+    "9b6d1198da2fe4711292df0109b070a03ff5d6073b6ff961bc1a34dbb38d6572",
+    "c4c70c69883672f89d49ef415102b56c6e22d953b27336973b760e1605cb9313",
+    "dca03d76b8dc1cbf7fd898a10f91bab009ff4b97c3c1e1c4103930969e99aff1",
+    "86b2b8166118e71003b77f704a8e42619dec3200bb70a51a92956a0366e621fa",
+    "b4338a78c5a54fcc6f89fb8a39ffb443eefe57d58dd0cbcc58c5e094c2617e27",
+    "c44743cc889666d5318c9aa7b9ccdaedadd65e3c5fb76afba5a8718d91e5b9ea",
+    "33a7c7100c7c6fe70d94f77379492c504968e1a71f9ddfce5cdc4b721d08ea8a",
+    "1296281e42f8deb741f05d8bd953705b22ddc41c99d86693383945a5a4b8b444",
+    "135cc9867a51ecc3df57f92b3bd8fe9bdf0f41d0dcf93e1f0da133831152c533",
+    "96911626c11ee5b8ec3ffcc675b95ccf48c38b20f9977c07ca95530e88ca634b",
+)
+_V4_KATMAI = (
+    "fd73ea9f71c084c654d6fde45460e0424863644010f6fea9ad5db1b780a0c571",
+    "57b0b451780af83816d56d5e723e26bc3beb068b1a021078df097a08a1b3985c",
+    "a5509e3d263a58fb08025461c35b10e1b901b4e33c7c5eccb5b6fcf6b965d28e",
+    "f2733ce78ed8153df2d0f730e9457d4fe5ce6776f894fd1cf7d2072a223244e4",
+    "f2cd15cc97ff840f18ffd0bead7c55edce69c8d04113189546212852003628cd",
+    "368ec813edb7a16a8456fd0fb451cc5eea17847353ed3f3ad3ab4e37f8b4da0b",
+    "32bc7bcf9169a0c4261039a7aa6a133f7f065d2645045c392898697c727270b8",
+    "d38fd4780e3cf665a51c678313ab35e2df7e9794404a879b7c0a800219834f14",
+    "4187cdb823b859d7c2b42e24b58e815b4081c73577c1864fdcc665b3798e525d",
+    "db918fcf9a24bf8973a8d01fbe20ad2c80b2690990295d1cbfef97d86b20710a",
+    "1af39c0a43ea93ef06af2a0367948690215104d7ad2d36184f24e9c7e097c940",
+    "939687f597215a442d7bda6d0a359c9a57fa204100dc86a205a7d879804fe2f1",
+)
+_V3_SKYLAKEX = (
+    "72801a5bb746435d133b121f5619881aa745823972637c39dc8a5c46319556cd",
+    "7673283b4463b10dacf709d3896a5a73343ef131c6e85950c07037f09ddc69c3",
+    "83b90acba10d83dea73cee53fd0424abe935e8246b48168522b77d45bcd121ad",
+    "93746f2cc4e13aa52cf5efa69abc930dcd23ec65ebbe3a1abdc285b7fa673a89",
+    "87288592ad6c187c51919d19cd907e1ad47dacb1ebc1b24af99a8a4a7903ddd6",
+    "8b2c0682e7ee81d767eaf086b643d3057ba717df25a992e3f6ce0475c485ba7e",
+    "d023fdc194d949561a00b87039512763ca911d5e4c1e68b9331ed3bf27540993",
+    "0eb4ee9bcae12cfcc9ebbc6ab41feb5d413c148d0eb1e7d548b276431f765771",
+    "a91812e1984564f9c0748e2de7f594e305ec0a667210f9c5dee5137f08d517ae",
+    "bd7e2017351a53b1bdbc92c0cdcc31bd2c9b741b7fd6cea2eacf57164bb637d7",
+    "e836280ad8ea284c29feb3665a6406afaa5780af12bc5e2663eef357d193b8c6",
+    "685e32de00ec6f065d3e985eb5ab5ebdf212f50fa439b422b3b2501229394036",
+)
+_V3_HASWELL = (
+    "72801a5bb746435d133b121f5619881aa745823972637c39dc8a5c46319556cd",
+    "7673283b4463b10dacf709d3896a5a73343ef131c6e85950c07037f09ddc69c3",
+    "83b90acba10d83dea73cee53fd0424abe935e8246b48168522b77d45bcd121ad",
+    "6ec94ec5ea76823ca2a1b237dbe7b6d2bf6cd9c31cfed8578cbf006c279f4cd3",
+    "f467cde548804a1699fe5774d1e89edd22c029f598a41cfc83ef53f316da8409",
+    "bdfd59be25f7a85db2e04eb588cca49a7241857248874c918b39e33f7d6c1ba1",
+    "d023fdc194d949561a00b87039512763ca911d5e4c1e68b9331ed3bf27540993",
+    "0eb4ee9bcae12cfcc9ebbc6ab41feb5d413c148d0eb1e7d548b276431f765771",
+    "a91812e1984564f9c0748e2de7f594e305ec0a667210f9c5dee5137f08d517ae",
+    "f66ba35a01f30b0f2b3aaf1e5dd7dd11dac6b054fce99a3a66e547a63f126df9",
+    "5290418e13e27e7dd5c304d295ff5b03480fe273f5c6ca440eef357e86c10386",
+    "9cbc3079f529516d05b94ce6386c1fb93c58a8b9961a177150f0f309ba79a690",
+)
+_V3_KATMAI = (
+    "e180e9a1de07686a17a5553d9a123d1ccc900f55b6d602424e60fb3d0d0617b3",
+    "838db44e948d70146f93cd048eae9f63a50da7f00b886aa562dbc8d0ba87a8cf",
+    "022d08251b2c7e3882a9e7c11bf5676ccd0b35e6c689908e0f9a638ff8f956bf",
+    "fa13670ffea83803f55cc1e76bc25ce398fa7b3d59140ca62b517c8a75ec976b",
+    "68ae94ec3983c0392a437b945e56dc2885408b49b5527eb09acac14d894ce3cd",
+    "beb7fa52d72d4f8666adb8b14fcd3b579212054656a8ca950c9167ad841e6576",
+    "919905222e7dcb0bc5e7ae47b6aa3a956dc9fdf8cf7116573f9e171bcc8aa914",
+    "f25c179bb09eb9e78e4ca6437a64f15e11de3f340d5757979782561db0c2c07c",
+    "49341fe32b3b06f5914c49774ff3e04b32056621a72d7c3962cf53055ca2146e",
+    "bf2a283ad658f22d731f7eeb020956179c108bc243b47db7a764538d0b0e8e3d",
+    "30cbd71b5615b5e70aca1b2dd66af63ff157ec8ad5c7c00a34d6ca4901647a48",
+    "68bef95eee36509d07e527e0b78b4dd2f9e42e86c35b87c09dc5a19b87f40b35",
+)
+PINNED_WEIGHTS = {
+    "numpy 2.4.6 X86_V3 X86_V4 AVX512_ICL AVX512_SPR; OpenBLAS SkylakeX": _V4_SKYLAKEX,
+    "numpy 2.4.6 X86_V3 X86_V4 AVX512_ICL AVX512_SPR; OpenBLAS Haswell": _V4_HASWELL,
+    "numpy 2.4.6 X86_V3 X86_V4 AVX512_ICL AVX512_SPR; OpenBLAS Katmai": _V4_KATMAI,
+    "numpy 2.4.6 X86_V3 X86_V4 AVX512_ICL; OpenBLAS SkylakeX": _V4_SKYLAKEX,
+    "numpy 2.4.6 X86_V3 X86_V4 AVX512_ICL; OpenBLAS Haswell": _V4_HASWELL,
+    "numpy 2.4.6 X86_V3 X86_V4 AVX512_ICL; OpenBLAS Katmai": _V4_KATMAI,
+    "numpy 2.4.6 X86_V3 X86_V4; OpenBLAS SkylakeX": _V4_SKYLAKEX,
+    "numpy 2.4.6 X86_V3 X86_V4; OpenBLAS Haswell": _V4_HASWELL,
+    "numpy 2.4.6 X86_V3 X86_V4; OpenBLAS Katmai": _V4_KATMAI,
+    "numpy 2.4.6 X86_V3; OpenBLAS SkylakeX": _V3_SKYLAKEX,
+    "numpy 2.4.6 X86_V3; OpenBLAS Haswell": _V3_HASWELL,
+    "numpy 2.4.6 X86_V3; OpenBLAS Katmai": _V3_KATMAI,
 }
 
 
-@pytest.mark.parametrize("strategy, hidden_units, alpha", sorted(PINNED_RUNS))
+@pytest.mark.parametrize("strategy, hidden_units, alpha", sorted(PINNED_TRACES))
 def test_simulate_reproduces_pinned_bits(strategy, hidden_units, alpha):
+    case = (strategy, hidden_units, alpha)
     cfg, ds, part = small_setup(alpha, rounds=6, batch_size=16,
                                 strategy=strategy, hidden_units=hidden_units)
     trace, _, w = simulate(cfg, ds, part)
-    digest, accuracies = PINNED_RUNS[(strategy, hidden_units, alpha)]
-    # The trace held on every CPU class tried; the weights' last bits follow
-    # the class (see tests/cpu_class.py), so a failure names it.
-    assert trace.accuracies == accuracies, f"accuracy trace on {cpu_class()}"
+    assert trace.accuracies == PINNED_TRACES[case], f"accuracy trace on {cpu_class()}"
+    weights = PINNED_WEIGHTS.get(weight_class())
+    if weights is None:
+        pytest.fail(f"no final-weight hashes recorded for {cpu_class()}")
+    digest = weights[sorted(PINNED_TRACES).index(case)]
     assert hashlib.sha256(w.tobytes()).hexdigest() == digest, f"final weights on {cpu_class()}"
 
 
@@ -1105,7 +1222,7 @@ class TestBatchedStep:
         x = rng.standard_normal((50, 4))
         y = rng.integers(0, 3, size=50)
         w = spec.init_params(rng) if hidden_units else np.zeros(spec.dim)
-        got = sgd_epochs(w, x, y, spec, 2, 0.2, 16, derived_rng(1, 15, 0, 0))
+        got = sgd_alone(w, x, y, spec, 2, 0.2, 16, derived_rng(1, 15, 0, 0))
         want = reference_local_sgd(spec, w, x, y, 2, 0.2, 16, derived_rng(1, 15, 0, 0))
         assert np.array_equal(got, want)
 
