@@ -40,6 +40,7 @@ from .profiles import (
     active_registry,
     config_digest,
     _as_dict,
+    _check,
     _check_keys,
     _finite,
     _integer,
@@ -135,12 +136,16 @@ def _first_repeat(round_: np.ndarray, client: np.ndarray) -> tuple[int, int] | N
     return int(order[k]), int(order[k - 1])
 
 
+def _check_rounds(rounds: Any) -> None:
+    """The one rule for a schedule's round count, in either form."""
+    _check(_integer(rounds) and rounds >= 0, "rounds must be an integer >= 0")
+
+
 def _check_entries(rounds: Any, round_: np.ndarray, client: np.ndarray) -> None:
     """ValueError unless rounds is an integer >= 0, every entry's round lies
     in [0, rounds) and no (round, client) pair repeats; the message names
     the first entry that breaks a rule."""
-    if not (_integer(rounds) and rounds >= 0):
-        raise ValueError("rounds must be an integer >= 0")
+    _check_rounds(rounds)
     late = np.flatnonzero(round_ >= rounds) if rounds < _INDEX_LIMIT else ()
     first_late = int(late[0]) if len(late) else len(round_)
     repeat = _first_repeat(round_, client)
@@ -248,18 +253,15 @@ class RoundSchedule:
 
         Raises when rounds x clients_per_round exceeds UNIFORM_ENTRY_CAP.
         """
-        if not (_integer(rounds) and _integer(clients_per_round)):
-            raise ValueError("rounds and clients_per_round must be integers")
-        if clients_per_round < 0:
-            raise ValueError("clients_per_round must be >= 0")
+        _check_rounds(rounds)
+        if not (_integer(clients_per_round) and clients_per_round >= 0):
+            raise ValueError("clients_per_round must be an integer >= 0")
         if not (_finite(wall_time_s) and wall_time_s > 0):
             raise ValueError("wall_time_s must be finite and > 0")
         if rounds * clients_per_round > UNIFORM_ENTRY_CAP:
             raise ValueError(
                 f"uniform schedule of {rounds} rounds x {clients_per_round} clients "
                 f"exceeds the cap of {UNIFORM_ENTRY_CAP} entries")
-        if rounds < 0:
-            raise ValueError("rounds must be an integer >= 0")
         # Either count may be huge when the other is 0: then nothing is built.
         width = clients_per_round if rounds else 0
         clients = np.broadcast_to(np.arange(width, dtype=np.int64),
@@ -633,7 +635,7 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
     "hardware"}} form that expands to the same clients every round.  The
     uniform object and each entry take exactly their own keys.  A valid
     entry list is read once, as columns; an error in it names the first
-    entry that breaks a rule, and an error in the uniform form names
+    entry that breaks a rule, and an error in the uniform object names
     schedule 'uniform'.  Every error is a ConfigError.
     """
     if not isinstance(raw, dict) or "rounds" not in raw:
@@ -643,6 +645,7 @@ def schedule_from_dict(raw: Any) -> RoundSchedule:
     if "uniform" in raw:
         if "participation" in raw:
             raise ConfigError("schedule takes 'participation' or 'uniform', not both")
+        _check_rounds(rounds)
         u, where = raw["uniform"], "schedule 'uniform'"
         _check_keys(u, _UNIFORM_KEYS, sorted(_UNIFORM_KEYS), where)
         try:

@@ -79,8 +79,6 @@ def _write_all(texts: dict[str, str]) -> None:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         _write_all({out: text})
 

@@ -337,14 +337,13 @@ def table_target(table: dict[str, Any],
 def make_table_runner(table: Any) -> Runner:
     """Runner backed by a measured results table (see fixtures/).
 
-    The table maps (alpha, local_epochs, clients) to the recorded rounds,
-    emissions and accuracies; cells absent from the table raise KeyError.
-    A table that is not shaped like one raises ConfigError.
+    The table maps each (clients, local_epochs, alpha) cell to the recorded
+    rounds, emissions and accuracies; cells absent from the table raise
+    KeyError.  A table that is not shaped like one raises ConfigError.
     """
-    index = {(alpha, local_epochs, n): outcome
-             for (n, local_epochs, alpha), outcome in _table_rows(table)}
+    index = dict(_table_rows(table))
 
     def run(n: int, local_epochs: int, alpha: float) -> CellOutcome:
-        return index[(float(alpha), int(local_epochs), int(n))]
+        return index[(n, local_epochs, alpha)]
 
     return run

@@ -35,15 +35,16 @@ _CHUNK = 512
 
 @dataclass(frozen=True)
 class ClassPrior:
-    """Reference distribution over class labels."""
+    """Reference distribution over class labels: two or more classes, each
+    with a finite proportion > 0 (as Dir(alpha * p) needs), summing to 1."""
 
     proportions: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.proportions) < 2:
             raise ValueError("a class prior needs at least two classes")
-        if any(not math.isfinite(p) or p < 0 for p in self.proportions):
-            raise ValueError("prior proportions must be finite and >= 0")
+        if not all(math.isfinite(p) and p > 0 for p in self.proportions):
+            raise ValueError("prior proportions must be finite and > 0")
         total = sum(self.proportions)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"prior proportions must sum to 1, got {total!r}")
@@ -63,13 +64,9 @@ def uniform_prior(num_classes: int) -> ClassPrior:
 def empirical_prior(class_counts: Sequence[int]) -> ClassPrior:
     """Class frequencies of an observed label pool, N_i / N."""
     counts = list(class_counts)
-    if len(counts) < 2:
-        raise ValueError("need counts for at least two classes")
-    if any((not isinstance(c, (int, np.integer))) or c < 0 for c in counts):
-        raise ValueError("class counts must be integers >= 0")
+    if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in counts):
+        raise ValueError("class counts must be integers >= 1")
     total = sum(counts)
-    if total <= 0 or sum(1 for c in counts if c > 0) < 2:
-        raise ValueError("at least two classes must have positive counts")
     return ClassPrior(tuple(c / total for c in counts))
 
 
@@ -113,6 +110,7 @@ def lda_partition(prior: ClassPrior, alpha: float, num_clients: int,
         raise ValueError("samples_per_client must be an integer >= 1")
     rng = np.random.default_rng(seed)
     concentration = alpha * np.asarray(prior.proportions, dtype=float)
+    # Both factors are > 0, but a tiny alpha times a small p underflows to 0.
     if np.any(concentration <= 0):
         raise ValueError("every Dirichlet concentration must be finite and > 0")
     # One (num_clients, m) draw consumes the generator row by row, exactly

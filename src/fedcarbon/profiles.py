@@ -236,8 +236,6 @@ class SimSetup:
         if prior_list:
             _check(len(self.prior) == self.classes,
                    "sim.prior list must have one entry per class")
-            # lda_partition draws from Dir(alpha * prior): every entry must be > 0.
-            _check(min(self.prior) > 0, "sim.prior list entries must be > 0")
             try:
                 ClassPrior(self.prior)
             except ValueError as exc:

@@ -39,6 +39,7 @@ from .partition import (
 )
 from .profiles import (
     DEFAULT_CLIENT_LR,  # re-exported: callers import it from fedcarbon.sim
+    ConfigError,
     ExperimentConfig,
     FlSetup,
     SimSetup,
@@ -964,7 +965,11 @@ def _resolve_prior(setting: str | tuple[float, ...], dataset: SimDataset) -> Cla
         return uniform_prior(dataset.num_classes)
     if setting == "empirical":
         counts = np.bincount(dataset.train_labels(), minlength=dataset.num_classes)
-        return empirical_prior([int(c) for c in counts])
+        try:
+            return empirical_prior([int(c) for c in counts])
+        except ValueError:
+            raise ConfigError("sim.prior: 'empirical' finds no train sample of class "
+                              f"{int(counts.argmin())}") from None
     return ClassPrior(tuple(setting))
 
 
@@ -1010,8 +1015,11 @@ def build_federation(cfg: ExperimentConfig,
         spc = len(dataset.train_idx) // fl.pool_size
         if spc < 1:
             raise ValueError("pool is larger than the training split")
-    partition = lda_partition(prior, sim.alpha, fl.pool_size, spc,
-                              np.random.SeedSequence([cfg.seed, _STREAM_PARTITION]))
+    try:
+        partition = lda_partition(prior, sim.alpha, fl.pool_size, spc,
+                                  np.random.SeedSequence([cfg.seed, _STREAM_PARTITION]))
+    except ValueError as exc:
+        raise ConfigError(f"sim.alpha {sim.alpha!r} is too small: {exc}") from None
     assignment, shards = _assign(dataset, partition, cfg.seed)
     return Federation(dataset, prior, partition, assignment, shards)
 

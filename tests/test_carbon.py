@@ -343,9 +343,9 @@ class TestScheduleValidation:
 
 class TestUniformSchedule:
     @pytest.mark.parametrize("clients, wall_time, message", [
-        (-4, 51.4, "clients_per_round must be >= 0"),
-        (2.5, 51.4, "integers"),
-        (True, 51.4, "integers"),
+        (-4, 51.4, "clients_per_round must be an integer >= 0"),
+        (2.5, 51.4, "clients_per_round must be an integer >= 0"),
+        (True, 51.4, "clients_per_round must be an integer >= 0"),
         (5, "abc", "wall_time_s"),
         (0, "abc", "wall_time_s"),
         (0, 0.0, "wall_time_s"),
@@ -355,6 +355,11 @@ class TestUniformSchedule:
     def test_arguments_are_checked_before_expansion(self, clients, wall_time, message):
         with pytest.raises(ValueError, match=message):
             RoundSchedule.uniform(3, clients, wall_time, TX2_NOMINAL)
+
+    @pytest.mark.parametrize("rounds", [-1, 2.5, True, "16"])
+    def test_rounds_is_checked_first(self, rounds):
+        with pytest.raises(ConfigError, match=r"^rounds must be an integer >= 0$"):
+            RoundSchedule.uniform(rounds, -4, "abc", TX2_NOMINAL)
 
     def test_entry_cap_is_checked_before_expansion(self):
         # About 0.85 s of pricing; README documents the same figure.
@@ -368,7 +373,7 @@ class TestUniformSchedule:
         ({"clients_per_round": 2, "wall_time_s": -1.0, "hardware": "tx2-cifar10"},
          "wall_time_s must be finite and > 0"),
         ({"clients_per_round": -2, "wall_time_s": 1.0, "hardware": "tx2-cifar10"},
-         "clients_per_round must be >= 0"),
+         "clients_per_round must be an integer >= 0"),
         ({"clients_per_round": 2, "wall_time_s": 1.0, "hardware": "tx2-mnist"},
          "unknown hardware 'tx2-mnist'"),
     ], ids=["wall-time", "clients", "hardware"])
@@ -376,6 +381,13 @@ class TestUniformSchedule:
         with pytest.raises(ConfigError) as info:
             schedule_from_dict({"rounds": 2, "uniform": uniform})
         assert str(info.value) == f"schedule 'uniform': {problem}"
+
+    @pytest.mark.parametrize("rounds", [-1, "16"])
+    def test_a_bad_rounds_names_the_schedule_key_not_the_uniform_object(self, rounds):
+        with pytest.raises(ConfigError) as info:
+            schedule_from_dict({"rounds": rounds, "uniform": {
+                "clients_per_round": 2.5, "wall_time_s": 1.0, "hardware": "tx2-mnist"}})
+        assert str(info.value) == "rounds must be an integer >= 0"
 
     def test_zero_clients_does_not_walk_the_rounds(self):
         schedule = schedule_from_dict({"rounds": 10**12, "uniform": {

@@ -914,9 +914,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("uniform, rounds, message", [
         ({"clients_per_round": -4, "wall_time_s": "abc"}, 3,
-         "error: schedule 'uniform': clients_per_round must be >= 0\n"),
+         "error: schedule 'uniform': clients_per_round must be an integer >= 0\n"),
         ({"clients_per_round": 2.5, "wall_time_s": 51.4}, 16,
-         "error: schedule 'uniform': rounds and clients_per_round must be integers\n"),
+         "error: schedule 'uniform': clients_per_round must be an integer >= 0\n"),
         ({"clients_per_round": 0, "wall_time_s": "abc"}, 16,
          "error: schedule 'uniform': wall_time_s must be finite and > 0\n"),
         ({"clients_per_round": 5, "wall_time_s": -1.0}, 16,
@@ -948,7 +948,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("prior, line", [
         ([0.2] * 10,
          "error: sim.prior: prior proportions must sum to 1, got 1.9999999999999998\n"),
-        ([0.0] + [0.125] * 8 + [0.0], "error: sim.prior list entries must be > 0\n"),
+        ([0.0] + [0.125] * 8 + [0.0],
+         "error: sim.prior: prior proportions must be finite and > 0\n"),
     ], ids=["sum-not-one", "zero-entry"])
     @pytest.mark.parametrize("argv", [
         ["estimate", "--fixtures", SCHED_16X5], ["simulate"], ["partition"], ["optimize"],
@@ -964,6 +965,51 @@ class TestExitCodes:
                                  "--out", str(out_path))
         assert (code, out, err) == (1, "", line)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate"], ["simulate"], ["partition"], ["optimize"],
+    ], ids=["estimate", "simulate", "partition", "optimize"])
+    def test_empirical_prior_with_an_empty_class_names_sim_prior(self, capsys, tmp_path,
+                                                                 argv):
+        # 20 samples over 30 classes: the train split lacks some class.
+        raw = json.loads((CONFIGS / "fl_sim_small_france.json").read_text())
+        raw["sim"].update(prior="empirical", classes=30, n_samples=20)
+        raw["fl"].update(pool_size=2, clients_per_round=1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, argv[0], "--config", str(bad),
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (
+            1, "", "error: sim.prior: 'empirical' finds no train sample of class 6\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["partition"], ["partition", "--alpha", "5e-324"],
+    ], ids=["simulate", "partition", "partition-alpha-flag"])
+    def test_alpha_whose_concentrations_underflow_names_sim_alpha(self, capsys, tmp_path,
+                                                                  argv):
+        # 5e-324 is finite and > 0, but 5e-324 * 0.1 rounds to 0.
+        raw = json.loads((CONFIGS / "fl_sim_small_france.json").read_text())
+        if "--alpha" not in argv:
+            raw["sim"]["alpha"] = 5e-324
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, argv[0], "--config", str(bad), *argv[1:],
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (
+            1, "", "error: sim.alpha 5e-324 is too small: every Dirichlet concentration "
+                   "must be finite and > 0\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    def test_uniform_schedule_with_a_bad_rounds_names_rounds(self, capsys, tmp_path):
+        raw = json.loads(Path(SCHED_16X5).read_text())
+        raw["rounds"] = "16"
+        bad = tmp_path / "schedule.json"
+        bad.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "estimate", "--config", FL_NOMINAL,
+                                 "--fixtures", str(bad), "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (1, "", "error: rounds must be an integer >= 0\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["schedule.json"]
 
     def test_declared_rounds_above_the_entry_cap_are_validation_error(
             self, capsys, tmp_path):

@@ -273,6 +273,17 @@ class TestTableRunner:
         assert cell.target_rounds is None and cell.target_co2e_g is None
         assert cell.stable_accuracy == pytest.approx(0.580)
 
+    def test_finds_every_cell_the_table_lists(self):
+        runner = make_table_runner(self.TABLE)
+        rows = [row for block in self.TABLE["blocks"] for row in block["rows"]]
+        cells = table_cells(self.TABLE)
+        assert len(cells) == len(rows) == 40
+        for cell, row in zip(cells, rows):
+            outcome = runner(*cell)
+            stable = row["stable"]
+            assert (outcome.stable_rounds, outcome.stable_accuracy, outcome.stable_co2e_g) == (
+                stable["rounds"], stable["accuracy"], stable["co2_g"])
+
     def test_unknown_cell_raises(self):
         runner = make_table_runner(self.TABLE)
         with pytest.raises(KeyError):

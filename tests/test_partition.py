@@ -38,11 +38,14 @@ class TestPriors:
         assert empirical_prior([3, 1]).proportions == (0.75, 0.25)
 
     def test_empirical_prior_with_zero_class(self):
-        assert empirical_prior([2, 0, 2]).proportions == (0.5, 0.0, 0.5)
+        # A class with no sample would give a 0 proportion, which no
+        # Dir(alpha * p) can draw from.
+        with pytest.raises(ValueError, match=r"^class counts must be integers >= 1$"):
+            empirical_prior([2, 0, 2])
 
     def test_single_class_counts_rejected(self):
         with pytest.raises(ValueError, match="two classes"):
-            empirical_prior([5, 0])
+            empirical_prior([5])
 
     def test_prior_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -53,8 +56,16 @@ class TestPriors:
             ClassPrior((1.0,))
 
     def test_negative_proportions_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
+        with pytest.raises(ValueError, match=r"^prior proportions must be finite and > 0$"):
             ClassPrior((1.2, -0.2))
+
+    def test_zero_and_negative_proportions_share_one_wording(self):
+        messages = set()
+        for proportions in ((0.5, 0.5, 0.0), (1.2, -0.2), (0.0, 1.0)):
+            with pytest.raises(ValueError) as info:
+                ClassPrior(proportions)
+            messages.add(str(info.value))
+        assert messages == {"prior proportions must be finite and > 0"}
 
 
 class TestDirichletSampling:
@@ -139,9 +150,14 @@ class TestLdaPartition:
             lda_partition(uniform_prior(3), 1.0, 2, 0, seed=0)
 
     def test_zero_prior_component_rejected(self):
-        prior = ClassPrior((0.5, 0.5, 0.0))
-        with pytest.raises(ValueError, match="> 0"):
-            lda_partition(prior, 10.0, 2, 5, seed=0)
+        # ClassPrior refuses a 0 entry, so the concentration check is left
+        # with alpha * p underflowing to 0: 5e-324 * 0.5 rounds to 0, while
+        # 1e-320 * 0.5 does not.
+        with pytest.raises(ValueError, match=r"^every Dirichlet concentration must be "
+                                             r"finite and > 0$"):
+            lda_partition(uniform_prior(2), 5e-324, 2, 5, seed=0)
+        part = lda_partition(uniform_prior(2), 1e-320, 2, 5, seed=0)
+        assert part.per_client.shape == (2, 2)
 
 
 class TestVectorizedDraws:
