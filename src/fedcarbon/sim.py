@@ -77,14 +77,16 @@ _STREAM_TRAIN = 15
 
 TRAIN_FRACTION = 0.8
 
-# Rows of the task shifted by their class means at a time: 384 KB of
-# temporaries at 12 features.
-_TASK_BLOCK_ROWS = 4096
+# Rows of the features that make_task shifts by their class means, or
+# that _augmented_rows gathers, at a time: 384 KB of temporaries at 12
+# features.
+_FEATURE_BLOCK_ROWS = 4096
 
-# Test rows per evaluation block.  With one BLAS thread, a product of
-# rows cut at multiples of 4096 has every bit of the whole product, under
-# each dgemm kernel the bundled OpenBLAS offers; cuts at other rows move
-# bits under its Haswell, Zen and Prescott kernels.
+# Test rows per evaluation block: an evaluation holds one block of logits
+# per part.  With one BLAS thread, a product of rows cut at multiples of
+# 4096 has every bit of the whole product, under each dgemm kernel the
+# bundled OpenBLAS offers; cuts at other rows move bits under its Haswell,
+# Zen and Prescott kernels.
 _EVAL_BLOCK_ROWS = 4096
 
 # The variables numpy's bundled OpenBLAS takes its thread count from: the
@@ -203,7 +205,7 @@ def make_task(num_classes: int, num_features: int, n_samples: int, seed: int,
 
     The features are drawn in place: besides the (n, f) float64 array
     they hold, the task needs its labels, its split and temporaries of
-    _TASK_BLOCK_ROWS rows, not a second (n, f) block.
+    _FEATURE_BLOCK_ROWS rows, not a second (n, f) block.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -231,8 +233,8 @@ def make_task(num_classes: int, num_features: int, n_samples: int, seed: int,
     # is mean + normal bit for bit.
     features = np.empty((n_samples, num_features))
     rng.standard_normal(out=features)
-    for start in range(0, n_samples, _TASK_BLOCK_ROWS):
-        rows = slice(start, start + _TASK_BLOCK_ROWS)
+    for start in range(0, n_samples, _FEATURE_BLOCK_ROWS):
+        rows = slice(start, start + _FEATURE_BLOCK_ROWS)
         features[rows] += means[labels[rows]]
 
     perm = rng.permutation(n_samples)
@@ -291,8 +293,10 @@ def _eval_parts(n: int) -> list[slice]:
 def _in_threads(fn: Callable[..., Any], calls: Sequence[tuple]) -> list[Any]:
     """fn(*args) for each args of calls: the first in this thread, the
     others in threads of their own, each under this thread's numpy error
-    state.  Every thread is joined before this returns or raises; the
-    first exception, in calls order, is raised here."""
+    state.  A call whose thread cannot start (a thread or process limit)
+    runs in this thread after the first.  Every thread is joined before
+    this returns or raises; the first exception, in calls order, is raised
+    here."""
     results: list[Any] = [None] * len(calls)
     errors: list[BaseException | None] = [None] * len(calls)
     state = dict(np.geterr(), call=np.geterrcall())
@@ -304,15 +308,22 @@ def _in_threads(fn: Callable[..., Any], calls: Sequence[tuple]) -> list[Any]:
         except BaseException as exc:  # handed to the calling thread
             errors[i] = exc
 
-    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(calls))]
+    helpers: list[threading.Thread] = []
+    here = [0]
     try:
-        for t in helpers:
-            t.start()
-        run(0)
+        for i in range(1, len(calls)):
+            helper = threading.Thread(target=run, args=(i,))
+            try:
+                helper.start()
+            except RuntimeError:  # can't start new thread
+                here.append(i)
+                continue
+            helpers.append(helper)
+        for i in here:
+            run(i)
     finally:
-        for t in helpers:
-            if t.ident is not None:
-                t.join()
+        for helper in helpers:
+            helper.join()
     for exc in errors:
         if exc is not None:
             raise exc
@@ -324,6 +335,19 @@ def _with_bias(x: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
     out[..., :-1] = x
     out[..., -1] = 1.0
+    return out
+
+
+def _augmented_rows(features: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """_with_bias(features[idx]) for an integer index array of any shape,
+    gathered _FEATURE_BLOCK_ROWS rows at a time: besides the result it
+    builds one block of rows, not an (idx.size, f) copy."""
+    out = np.empty(idx.shape + (features.shape[1] + 1,))
+    flat_idx, flat_out = idx.reshape(-1), out.reshape(-1, out.shape[-1])
+    for start in range(0, len(flat_idx), _FEATURE_BLOCK_ROWS):
+        rows = slice(start, start + _FEATURE_BLOCK_ROWS)
+        flat_out[rows, :-1] = features[flat_idx[rows]]
+    flat_out[:, -1] = 1.0
     return out
 
 
@@ -456,11 +480,25 @@ class ModelSpec:
         return loss, self._grad(layers, xb, self._onehot(y)[np.newaxis])[0]
 
     def _hits(self, layers: tuple[np.ndarray, np.ndarray | None], xb: np.ndarray,
-              y: np.ndarray, out: np.ndarray | None = None) -> int:
-        """How many rows of the bias-augmented inputs xb are predicted as y;
-        their (1, rows, classes) logits go into `out` when given."""
-        logits, _ = self._logits(layers, xb[np.newaxis], out)
-        return int(np.count_nonzero(logits[0].argmax(axis=1) == y))
+              y: np.ndarray, logits: np.ndarray) -> int:
+        """How many rows of the bias-augmented inputs xb are predicted as y.
+
+        logits is a (1, b, classes) buffer: the rows are counted b at a
+        time, each block's logits written into it (a shorter last block's
+        into its first rows).  An input of exactly b rows takes one _logits
+        call into the whole buffer.
+        """
+        b = logits.shape[1]
+        if len(xb) == b:
+            self._logits(layers, xb[np.newaxis], logits)
+            return int(np.count_nonzero(logits[0].argmax(axis=1) == y))
+        hits = 0
+        for start in range(0, len(xb), b):
+            block_y = y[start:start + b]
+            out = logits[:, :len(block_y)]
+            self._logits(layers, xb[np.newaxis, start:start + b], out)
+            hits += int(np.count_nonzero(out[0].argmax(axis=1) == block_y))
+        return hits
 
     def _accuracy(self, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> float:
         """Accuracy on bias-augmented inputs: the share of the n rows of xb
@@ -469,29 +507,34 @@ class ModelSpec:
 
         The rows are counted in the parts _eval_parts gives: this thread
         counts the first, and one short-lived thread each of the others
-        (numpy's matmul and argmax release the GIL).  The parts write their
-        logits into one buffer.  There is more than one part only under one
-        BLAS thread, where cuts at whole blocks leave those logits the bytes
-        of the whole product, so the count does not depend on the CPUs.
+        (numpy's matmul and argmax release the GIL).  Each part counts its
+        rows _EVAL_BLOCK_ROWS at a time into a logits buffer of its own,
+        allocated here, so an evaluation holds at most parts x
+        _EVAL_BLOCK_ROWS x classes logits.  Blocks are cut at multiples of
+        _EVAL_BLOCK_ROWS, which under one BLAS thread leaves their logits
+        the bytes of the whole product, so the count depends neither on the
+        block size nor on the CPUs.
         """
-        if np.shape(y) != (len(xb),):
+        n = len(xb)
+        if np.shape(y) != (n,):
             raise ValueError(f"labels have shape {np.shape(y)}, "
-                             f"but the inputs have {len(xb)} rows")
-        if not len(xb):
+                             f"but the inputs have {n} rows")
+        if not n:
             raise ValueError("accuracy needs at least one row")
         layers = self._unpack(self._stack(w))
-        parts = _eval_parts(len(xb))
+        parts = _eval_parts(n)
         if len(parts) == 1:
-            hits = self._hits(layers, xb, y)
+            block = n if n < _EVAL_BLOCK_ROWS else _EVAL_BLOCK_ROWS
+            hits = self._hits(layers, xb, y, np.empty((1, block, self.num_classes)))
         else:
-            # One buffer, allocated here: logits allocated by each part in
-            # its own thread raised simulate-cross-device's peak RSS from
-            # 76.5 to 77.8 MB (2 CPUs, numpy 2.4.6, glibc malloc).
-            logits = np.empty((1, len(xb), self.num_classes))
+            # Every buffer is allocated here: logits allocated in the parts'
+            # own threads raised simulate-cross-device's peak RSS (76.5 to
+            # 77.8 MB for whole per-part logits; 2 CPUs, glibc malloc).
             hits = sum(_in_threads(self._hits, [
-                (layers, xb[rows], y[rows], logits[:, rows]) for rows in parts]))
+                (layers, xb[rows], y[rows],
+                 np.empty((1, _EVAL_BLOCK_ROWS, self.num_classes))) for rows in parts]))
         # The count over n is np.mean's float for any n under 2**53.
-        return hits / len(xb)
+        return hits / n
 
     def accuracy(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         """Share of rows of x predicted as y.  x holds raw features, shape
@@ -699,7 +742,7 @@ def train_local(w: np.ndarray, dataset: SimDataset, shard: np.ndarray,
         raise ValueError("cannot train on an empty shard")
     if cohort is None:
         orders = _draw_orders(rng, len(shard), epochs)[np.newaxis]
-        trained = _sgd(spec, w, _with_bias(dataset.features[shard])[np.newaxis],
+        trained = _sgd(spec, w, _augmented_rows(dataset.features, shard[np.newaxis]),
                        dataset.labels[shard][np.newaxis], orders, lr, batch_size)[0]
     else:
         trained = cohort()[rng]
@@ -872,7 +915,7 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
     w = spec.init_params(derived_rng(cfg.seed, _STREAM_INIT))
     adam = AdamState.zeros(spec.dim)
 
-    xb_test = _with_bias(dataset.features[dataset.test_idx])
+    xb_test = _augmented_rows(dataset.features, dataset.test_idx)
     y_test = dataset.labels[dataset.test_idx]
     round_time = _training_time_s(cfg)
 
@@ -885,7 +928,7 @@ def simulate(cfg: ExperimentConfig, dataset: SimDataset, partition: Partition, *
             clients.append(selected)
             rows = shards[selected]
             cohort = functools.cache(functools.partial(
-                _sgd, spec, w, _with_bias(dataset.features.take(rows, axis=0)),
+                _sgd, spec, w, _augmented_rows(dataset.features, rows),
                 dataset.labels.take(rows, axis=0),
                 draws.round_orders(r, chosen, shards.shape[1], fl.local_epochs),
                 sim.client_lr, sim.batch_size))
@@ -937,9 +980,9 @@ def centralized_sgd(dataset: SimDataset, periods: int, epochs_per_period: int,
     """
     spec = ModelSpec(dataset.num_classes, dataset.num_features, hidden_units)
     w = spec.init_params(derived_rng(seed, _STREAM_INIT))
-    xb_train = _with_bias(dataset.features[dataset.train_idx])[np.newaxis]
+    xb_train = _augmented_rows(dataset.features, dataset.train_idx[np.newaxis])
     y_train = dataset.labels[dataset.train_idx][np.newaxis]
-    xb_test = _with_bias(dataset.features[dataset.test_idx])
+    xb_test = _augmented_rows(dataset.features, dataset.test_idx)
     y_test = dataset.labels[dataset.test_idx]
     accuracies: list[float] = []
     for p in range(periods):

@@ -285,8 +285,9 @@ class TestModelSpec:
 
 # Run in a child process with one BLAS thread, the only setting in which
 # _accuracy splits its rows (see sim._eval_cpus).  It prints one line per
-# case: the parts' logits against the whole product, and the accuracy (or
-# the simulate run) against the same one forced to one CPU.
+# case: the blocks' logits, as _accuracy computes them, against the whole
+# product, and the accuracy (or the simulate run) against the same one
+# forced to one CPU.
 SPLIT_CHILD = """
 import numpy as np
 import fedcarbon.sim as sim
@@ -295,6 +296,19 @@ from fedcarbon import (ExperimentConfig, FlSetup, SimSetup, builtin_registry,
 
 def force(cpus):
     sim._eval_cpus = lambda: cpus
+
+logits_of = sim.ModelSpec._logits
+
+def record_blocks(xb, logits):
+    # Copies each block's logits to its rows of `logits`, found from
+    # where the block's rows start in xb.
+    def record(self, layers, rows, out=None):
+        result = logits_of(self, layers, rows, out)
+        first = (rows.ctypes.data - xb.ctypes.data) // xb.strides[0]
+        assert rows.shape[1] <= sim._EVAL_BLOCK_ROWS
+        logits[:, first:first + rows.shape[1]] = result[0]
+        return result
+    sim.ModelSpec._logits = record
 
 rng = np.random.default_rng(26)
 for n in (8191, 8192, 20483, 40000, 40001):
@@ -311,10 +325,11 @@ for n in (8191, 8192, 20483, 40000, 40001):
             force(cpus)
             parts = sim._eval_parts(n)
             logits = np.full((1, n, 10), np.nan)
-            for rows in parts:
-                spec._hits(layers, xb[rows], y[rows], logits[:, rows])
+            record_blocks(xb, logits)
+            accuracy = spec._accuracy(w, xb, y)
+            sim.ModelSpec._logits = logits_of
             print("logits", n, hidden, cpus, len(parts), logits.tobytes() == whole,
-                  spec._accuracy(w, xb, y) == one)
+                  accuracy == one)
 
 registry = builtin_registry()
 ds = make_task(4, 6, 50_000, seed=21, separation=3.5)
@@ -416,12 +431,13 @@ class TestSplitEvaluation:
         y = rng.integers(0, 3, 40_001)
         cpus(1)
         one = spec._accuracy(w, xb, y)
-        counted = []
+        counted, buffers = [], []
         hits = ModelSpec._hits
 
-        def record(self, layers, xb, y, out=None):
+        def record(self, layers, xb, y, logits):
             counted.append((threading.current_thread(), len(xb)))
-            return hits(self, layers, xb, y, out)
+            buffers.append(logits)
+            return hits(self, layers, xb, y, logits)
 
         monkeypatch.setattr(ModelSpec, "_hits", record)
         before = threading.enumerate()
@@ -434,6 +450,9 @@ class TestSplitEvaluation:
         assert len(rows_by_thread) == len(counted) == 4
         assert rows_by_thread[threading.current_thread()] == 8192
         assert sorted(rows_by_thread.values()) == [8192, 8192, 11329, 12288]
+        # Each part counts one block at a time into a buffer of its own.
+        assert [b.shape for b in buffers] == [(1, 4096, 3)] * 4
+        assert len({id(b) for b in buffers}) == 4
 
     def test_split_stress_with_more_threads_than_cpus(self, cpus):
         spec = ModelSpec(10, 12)
@@ -488,7 +507,7 @@ class TestSplitEvaluation:
         assert threading.enumerate() == before
 
     def test_split_helper_exception_is_raised_in_the_caller(self, cpus, monkeypatch):
-        def fail_past_row_0(self, layers, xb, y, out=None):
+        def fail_past_row_0(self, layers, xb, y, logits):
             if len(xb) != 4096:
                 raise RuntimeError(f"part of {len(xb)} rows failed")
             return 0
@@ -504,6 +523,99 @@ class TestSplitEvaluation:
                            np.zeros(8193, dtype=np.int64))
         assert hooked == []
         assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("refused", ["second", "every"])
+    def test_split_part_whose_thread_cannot_start_is_counted_here(self, cpus, monkeypatch,
+                                                                  refused):
+        # A thread or process limit makes Thread.start raise this
+        # RuntimeError; the part is then counted in the calling thread.
+        spec = ModelSpec(10, 12)
+        rng = np.random.default_rng(31)
+        w = rng.standard_normal(spec.dim)
+        xb = sim._with_bias(rng.standard_normal((40_001, 12)))
+        y = rng.integers(0, 10, 40_001)
+        cpus(1)
+        one = spec._accuracy(w, xb, y)
+        start, starts = threading.Thread.start, []
+
+        def refuse(thread):
+            starts.append(thread)
+            if refused == "every" or len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        counted = []
+        hits = ModelSpec._hits
+
+        def record(self, layers, xb, y, logits):
+            counted.append((threading.current_thread(), len(xb)))
+            return hits(self, layers, xb, y, logits)
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(ModelSpec, "_hits", record)
+        before = threading.enumerate()
+        cpus(4)  # parts of 8192, 12288, 8192 and 11329 rows
+        assert spec._accuracy(w, xb, y) == one
+        assert threading.enumerate() == before
+        assert len(starts) == 3
+        here = [rows for thread, rows in counted if thread is threading.current_thread()]
+        assert sorted(rows for _, rows in counted) == [8192, 8192, 11329, 12288]
+        assert here == ([8192, 8192] if refused == "second" else [8192, 12288, 8192, 11329])
+
+    def test_split_simulate_runs_when_no_thread_can_start(self, cpus, monkeypatch):
+        ds = make_task(4, 6, 50_000, seed=21, separation=3.5)
+        part = lda_partition(uniform_prior(4), 1000.0, 12, 40, np.random.SeedSequence([21, 11]))
+        cfg = ExperimentConfig(
+            mode="fl", hardware=HW, grids=(FRANCE,), seed=21,
+            fl=FlSetup(pool_size=12, clients_per_round=4, rounds=2, local_epochs=2),
+            sim=SimSetup(classes=4, features=6, n_samples=50_000, separation=3.5,
+                         samples_per_client=40, target_accuracy=1.0))
+        cpus(1)
+        trace, _, w = simulate(cfg, ds, part)
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cpus(2)
+        assert len(sim._eval_parts(len(ds.test_idx))) == 2
+        split_trace, _, split_w = simulate(cfg, ds, part)
+        assert split_trace == trace
+        assert split_w.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193, 40_001])
+    @pytest.mark.parametrize("hidden_units", [0, 8])
+    def test_split_block_count_equals_the_whole_argmax_count(self, cpus, n, hidden_units):
+        spec = ModelSpec(10, 12, hidden_units)
+        rng = np.random.default_rng(n + hidden_units)
+        w = rng.standard_normal(spec.dim)
+        xb = sim._with_bias(rng.standard_normal((n, 12)))
+        y = rng.integers(0, 10, n)
+        layers = spec._unpack(spec._stack(w))
+        whole = spec._logits(layers, xb[np.newaxis])[0][0]
+        expected = int(np.count_nonzero(whole.argmax(axis=1) == y))
+        assert spec._hits(layers, xb, y, np.empty((1, min(n, 4096), 10))) == expected
+        for count in (1, 2):
+            cpus(count)
+            assert spec._accuracy(w, xb, y) == expected / n
+
+    def test_split_evaluation_holds_one_block_of_logits_per_part(self, cpus):
+        # All 40 001 x 10 logits at once would take 3.2 MB; two parts hold
+        # one 4096-row block each, 0.66 MB.
+        spec = ModelSpec(10, 12)
+        rng = np.random.default_rng(14)
+        w = rng.standard_normal(spec.dim)
+        xb = sim._with_bias(rng.standard_normal((40_001, 12)))
+        y = rng.integers(0, 10, 40_001)
+        cpus(2)
+        assert len(sim._eval_parts(40_001)) == 2
+        tracemalloc.start()
+        try:
+            spec._accuracy(w, xb, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("n", [8191, 8192, 20483, 40000, 40001])
     @pytest.mark.parametrize("hidden_units", [0, 8])
@@ -521,6 +633,35 @@ class TestSplitEvaluation:
         test_rows, rounds, equal = split_child[("simulate", hidden_units)]
         assert int(test_rows) >= 8192 and int(rounds) == 3
         assert equal == "True"
+
+
+class TestAugmentedRows:
+    @pytest.mark.parametrize("shape", [(0,), (5,), (3, 4), (9000,), (2, 4097)])
+    def test_equals_the_gathered_rows_with_bias(self, shape):
+        rng = np.random.default_rng(7)
+        features = rng.standard_normal((10_000, 3))
+        idx = rng.integers(-10_000, 10_000, shape)
+        rows = sim._augmented_rows(features, idx)
+        assert rows.shape == shape + (4,)
+        assert rows.tobytes() == sim._with_bias(features[idx]).tobytes()
+
+    def test_index_out_of_range_raises(self):
+        with pytest.raises(IndexError, match="out of bounds"):
+            sim._augmented_rows(np.zeros((5, 2)), np.array([0, 5]))
+
+    def test_peak_is_the_rows_plus_one_block(self):
+        # Gathering first and augmenting after would also hold a 40 000 x 12
+        # copy, 3.84 MB.
+        rng = np.random.default_rng(8)
+        features = rng.standard_normal((50_000, 12))
+        idx = np.sort(rng.permutation(50_000)[:40_000])
+        tracemalloc.start()
+        try:
+            rows = sim._augmented_rows(features, idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + sim._FEATURE_BLOCK_ROWS * 13 * 8
 
 
 def sgd_alone(w: np.ndarray, x: np.ndarray, y: np.ndarray, spec: ModelSpec,
