@@ -317,8 +317,8 @@ def _in_threads(fn: Callable[..., Any], calls: Sequence[tuple]) -> list[Any]:
                 helper.start()
             except RuntimeError:  # can't start new thread
                 here.append(i)
-                continue
-            helpers.append(helper)
+            else:
+                helpers.append(helper)
         for i in here:
             run(i)
     finally:
@@ -346,7 +346,7 @@ def _augmented_rows(features: np.ndarray, idx: np.ndarray) -> np.ndarray:
     flat_idx, flat_out = idx.reshape(-1), out.reshape(-1, out.shape[-1])
     for start in range(0, len(flat_idx), _FEATURE_BLOCK_ROWS):
         rows = slice(start, start + _FEATURE_BLOCK_ROWS)
-        flat_out[rows, :-1] = features[flat_idx[rows]]
+        flat_out[rows, :-1] = features.take(flat_idx[rows], axis=0)
     flat_out[:, -1] = 1.0
     return out
 
@@ -524,8 +524,8 @@ class ModelSpec:
         layers = self._unpack(self._stack(w))
         parts = _eval_parts(n)
         if len(parts) == 1:
-            block = n if n < _EVAL_BLOCK_ROWS else _EVAL_BLOCK_ROWS
-            hits = self._hits(layers, xb, y, np.empty((1, block, self.num_classes)))
+            logits = np.empty((1, min(n, _EVAL_BLOCK_ROWS), self.num_classes))
+            hits = self._hits(layers, xb, y, logits)
         else:
             # Every buffer is allocated here: logits allocated in the parts'
             # own threads raised simulate-cross-device's peak RSS (76.5 to
