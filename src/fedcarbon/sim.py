@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,17 +80,12 @@ TRAIN_FRACTION = 0.8
 # features.
 _FEATURE_BLOCK_ROWS = 4096
 
-# Test rows per evaluation block: an evaluation holds one block of logits
-# per part.  With one BLAS thread, a product of rows cut at multiples of
-# 4096 has every bit of the whole product, under each dgemm kernel the
-# bundled OpenBLAS offers; cuts at other rows move bits under its Haswell,
-# Zen and Prescott kernels.
+# Test rows per evaluation block: an evaluation holds one block of logits.
+# With one BLAS thread, a product of rows cut at multiples of 4096 has
+# every bit of the whole product, under each dgemm kernel the bundled
+# OpenBLAS offers; cuts at other rows move bits under its Haswell, Zen and
+# Prescott kernels.
 _EVAL_BLOCK_ROWS = 4096
-
-# The variables numpy's bundled OpenBLAS takes its thread count from: the
-# first that holds a positive count wins, and with none it runs one thread
-# per CPU.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _word_keys(keys: Sequence[object]) -> bool:
@@ -249,87 +242,6 @@ def make_task(num_classes: int, num_features: int, n_samples: int, seed: int,
                       train_idx=train_idx, test_idx=test_idx)
 
 
-def _blas_threads() -> int | None:
-    """The thread count _BLAS_THREAD_VARS set, or None when none of them
-    holds a positive count."""
-    for var in _BLAS_THREAD_VARS:
-        count = os.environ.get(var, "").strip()
-        if count.isdigit() and int(count) > 0:
-            return int(count)
-    return None
-
-
-def _eval_cpus() -> int:
-    """The CPUs an evaluation may split its rows across: those this process
-    may run on when numpy's BLAS runs one thread per call, else 1.
-
-    A multithreaded OpenBLAS keeps its workers spinning on the other CPUs
-    for about 0.1 s after each large product, so helper threads would
-    compete with them (an evaluation of 40 000 rows ran about 3x slower).
-    """
-    if _blas_threads() != 1:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _eval_parts(n: int) -> list[slice]:
-    """The row ranges an evaluation of n rows is split into: one per CPU
-    that _eval_cpus gives, at most one per whole _EVAL_BLOCK_ROWS block,
-    and just [0, n) below two blocks.  Every cut is a multiple of
-    _EVAL_BLOCK_ROWS and the parts differ by at most one block; the last
-    also takes the rows after the last whole block."""
-    # Smaller inputs skip _eval_cpus, which reads the environment.
-    parts = min(_eval_cpus(), n // _EVAL_BLOCK_ROWS) if n >= 2 * _EVAL_BLOCK_ROWS else 1
-    if parts < 2:
-        return [slice(0, n)]
-    blocks = -(-n // _EVAL_BLOCK_ROWS)
-    cuts = [blocks * i // parts * _EVAL_BLOCK_ROWS for i in range(parts)] + [n]
-    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-
-
-def _in_threads(fn: Callable[..., Any], calls: Sequence[tuple]) -> list[Any]:
-    """fn(*args) for each args of calls: the first in this thread, the
-    others in threads of their own, each under this thread's numpy error
-    state.  A call whose thread cannot start (a thread or process limit)
-    runs in this thread after the first.  Every thread is joined before
-    this returns or raises; the first exception, in calls order, is raised
-    here."""
-    results: list[Any] = [None] * len(calls)
-    errors: list[BaseException | None] = [None] * len(calls)
-    state = dict(np.geterr(), call=np.geterrcall())
-
-    def run(i: int) -> None:
-        try:
-            with np.errstate(**state):
-                results[i] = fn(*calls[i])
-        except BaseException as exc:  # handed to the calling thread
-            errors[i] = exc
-
-    helpers: list[threading.Thread] = []
-    here = [0]
-    try:
-        for i in range(1, len(calls)):
-            helper = threading.Thread(target=run, args=(i,))
-            try:
-                helper.start()
-            except RuntimeError:  # can't start new thread
-                here.append(i)
-            else:
-                helpers.append(helper)
-        for i in here:
-            run(i)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
 def _with_bias(x: np.ndarray) -> np.ndarray:
     """x with a trailing feature column of ones (any leading axes)."""
     out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
@@ -479,41 +391,18 @@ class ModelSpec:
         loss = float(-np.mean(np.log(probs[0, np.arange(b), y] + 1e-300)))
         return loss, self._grad(layers, xb, self._onehot(y)[np.newaxis])[0]
 
-    def _hits(self, layers: tuple[np.ndarray, np.ndarray | None], xb: np.ndarray,
-              y: np.ndarray, logits: np.ndarray) -> int:
-        """How many rows of the bias-augmented inputs xb are predicted as y.
-
-        logits is a (1, b, classes) buffer: the rows are counted b at a
-        time, each block's logits written into it (a shorter last block's
-        into its first rows).  An input of exactly b rows takes one _logits
-        call into the whole buffer.
-        """
-        b = logits.shape[1]
-        if len(xb) == b:
-            self._logits(layers, xb[np.newaxis], logits)
-            return int(np.count_nonzero(logits[0].argmax(axis=1) == y))
-        hits = 0
-        for start in range(0, len(xb), b):
-            block_y = y[start:start + b]
-            out = logits[:, :len(block_y)]
-            self._logits(layers, xb[np.newaxis, start:start + b], out)
-            hits += int(np.count_nonzero(out[0].argmax(axis=1) == block_y))
-        return hits
-
     def _accuracy(self, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> float:
         """Accuracy on bias-augmented inputs: the share of the n rows of xb
         predicted as y, which holds one label per row.  Raises ValueError,
         before predicting, when y is not n labels or n is 0.
 
-        The rows are counted in the parts _eval_parts gives: this thread
-        counts the first, and one short-lived thread each of the others
-        (numpy's matmul and argmax release the GIL).  Each part counts its
-        rows _EVAL_BLOCK_ROWS at a time into a logits buffer of its own,
-        allocated here, so an evaluation holds at most parts x
+        The rows are counted _EVAL_BLOCK_ROWS at a time, each block's
+        logits written into one buffer of that many rows (a shorter last
+        block's into its first rows), so an evaluation holds at most
         _EVAL_BLOCK_ROWS x classes logits.  Blocks are cut at multiples of
         _EVAL_BLOCK_ROWS, which under one BLAS thread leaves their logits
-        the bytes of the whole product, so the count depends neither on the
-        block size nor on the CPUs.
+        the bytes of the whole product, so the count does not depend on
+        the block size.
         """
         n = len(xb)
         if np.shape(y) != (n,):
@@ -522,17 +411,13 @@ class ModelSpec:
         if not n:
             raise ValueError("accuracy needs at least one row")
         layers = self._unpack(self._stack(w))
-        parts = _eval_parts(n)
-        if len(parts) == 1:
-            logits = np.empty((1, min(n, _EVAL_BLOCK_ROWS), self.num_classes))
-            hits = self._hits(layers, xb, y, logits)
-        else:
-            # Every buffer is allocated here: logits allocated in the parts'
-            # own threads raised simulate-cross-device's peak RSS (76.5 to
-            # 77.8 MB for whole per-part logits; 2 CPUs, glibc malloc).
-            hits = sum(_in_threads(self._hits, [
-                (layers, xb[rows], y[rows],
-                 np.empty((1, _EVAL_BLOCK_ROWS, self.num_classes))) for rows in parts]))
+        logits = np.empty((1, min(n, _EVAL_BLOCK_ROWS), self.num_classes))
+        hits = 0
+        for start in range(0, n, _EVAL_BLOCK_ROWS):
+            block_y = y[start:start + _EVAL_BLOCK_ROWS]
+            out = logits[:, :len(block_y)]
+            self._logits(layers, xb[np.newaxis, start:start + _EVAL_BLOCK_ROWS], out)
+            hits += int(np.count_nonzero(out[0].argmax(axis=1) == block_y))
         # The count over n is np.mean's float for any n under 2**53.
         return hits / n
 

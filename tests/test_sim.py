@@ -283,19 +283,14 @@ class TestModelSpec:
             spec.loss_and_grad(np.zeros(spec.dim), np.zeros((0, 2)), np.array([], dtype=int))
 
 
-# Run in a child process with one BLAS thread, the only setting in which
-# _accuracy splits its rows (see sim._eval_cpus).  It prints one line per
-# case: the blocks' logits, as _accuracy computes them, against the whole
-# product, and the accuracy (or the simulate run) against the same one
-# forced to one CPU.
-SPLIT_CHILD = """
+# Run in a child process with one BLAS thread, the setting under which
+# rows cut at multiples of sim._EVAL_BLOCK_ROWS keep the whole product's
+# bits.  It prints one line per case: the blocks' logits, as _accuracy
+# computes them, against the whole product, and the accuracy against the
+# whole product's argmax count.
+BLOCK_CHILD = """
 import numpy as np
 import fedcarbon.sim as sim
-from fedcarbon import (ExperimentConfig, FlSetup, SimSetup, builtin_registry,
-                       lda_partition, make_task, simulate, uniform_prior)
-
-def force(cpus):
-    sim._eval_cpus = lambda: cpus
 
 logits_of = sim.ModelSpec._logits
 
@@ -318,274 +313,38 @@ for n in (8191, 8192, 20483, 40000, 40001):
         xb = sim._with_bias(rng.standard_normal((n, 12)))
         y = rng.integers(0, 10, n)
         layers = spec._unpack(spec._stack(w))
-        whole = spec._logits(layers, xb[np.newaxis])[0].tobytes()
-        force(1)
-        one = spec._accuracy(w, xb, y)
-        for cpus in (1, 2, 4):
-            force(cpus)
-            parts = sim._eval_parts(n)
-            logits = np.full((1, n, 10), np.nan)
-            record_blocks(xb, logits)
-            accuracy = spec._accuracy(w, xb, y)
-            sim.ModelSpec._logits = logits_of
-            print("logits", n, hidden, cpus, len(parts), logits.tobytes() == whole,
-                  accuracy == one)
-
-registry = builtin_registry()
-ds = make_task(4, 6, 50_000, seed=21, separation=3.5)
-part = lda_partition(uniform_prior(4), 1000.0, 12, 40, np.random.SeedSequence([21, 11]))
-for hidden in (0, 8):
-    cfg = ExperimentConfig(
-        mode="fl", hardware=registry["hw:tx2-cifar10"], grids=(registry["grid:france"],),
-        seed=21, fl=FlSetup(pool_size=12, clients_per_round=4, rounds=3, local_epochs=2),
-        sim=SimSetup(classes=4, features=6, n_samples=50_000, separation=3.5,
-                     samples_per_client=40, hidden_units=hidden, target_accuracy=1.0))
-    runs = []
-    for cpus in (1, 2, 4):
-        force(cpus)
-        trace, _, w = simulate(cfg, ds, part)
-        runs.append((trace.accuracies, w.tobytes()))
-    print("simulate", hidden, len(ds.test_idx), len(runs[0][0]),
-          all(run == runs[0] for run in runs))
+        whole = spec._logits(layers, xb[np.newaxis])[0]
+        expected = np.count_nonzero(whole[0].argmax(axis=1) == y) / n
+        logits = np.full((1, n, 10), np.nan)
+        record_blocks(xb, logits)
+        accuracy = spec._accuracy(w, xb, y)
+        sim.ModelSpec._logits = logits_of
+        print(n, hidden, logits.tobytes() == whole.tobytes(), accuracy == expected)
 """
 
 
 @pytest.fixture(scope="module")
-def split_child() -> dict[tuple, list[str]]:
+def block_child() -> dict[tuple[int, int], list[str]]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", SPLIT_CHILD], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", BLOCK_CHILD], capture_output=True,
                           text=True, timeout=300, env=env, cwd=REPO_ROOT)
     assert proc.returncode == 0, proc.stderr
     cases = {}
     for line in proc.stdout.splitlines():
-        kind, *fields = line.split()
-        if kind == "logits":
-            cases[(kind, *map(int, fields[:3]))] = fields[3:]
-        else:
-            cases[(kind, int(fields[0]))] = fields[1:]
+        n, hidden, *fields = line.split()
+        cases[(int(n), int(hidden))] = fields
     return cases
 
 
-def huge_rows(n: int, first_huge: int) -> np.ndarray:
-    """Bias-augmented rows: zeros before row first_huge, 1e308 from it on,
-    so with weights of 10 only those rows' logits overflow."""
-    x = np.zeros((n, 3))
-    x[first_huge:] = 1e308
-    return sim._with_bias(x)
-
-
-class TestSplitEvaluation:
-    """Test sets of two or more 4096-row blocks are evaluated in parts, one
-    thread each, with the bits of one whole evaluation."""
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        def force(count: int) -> None:
-            monkeypatch.setattr(sim, "_eval_cpus", lambda: count)
-        return force
-
-    @pytest.mark.parametrize("n", [1, 4095, 8191, 8192, 12287, 12288, 40000, 40001,
-                                   1_000_007])
-    def test_split_parts_are_whole_blocks(self, cpus, n):
-        for count in range(1, 10):
-            cpus(count)
-            parts = sim._eval_parts(n)
-            assert parts[0].start == 0 and parts[-1].stop == n
-            assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
-            if n < 8192 or count == 1:
-                assert parts == [slice(0, n)]
-                continue
-            assert len(parts) == min(count, n // 4096)
-            assert all(p.start % 4096 == 0 for p in parts)
-            blocks = [-(-(p.stop - p.start) // 4096) for p in parts]
-            assert max(blocks) - min(blocks) <= 1
-
-    @pytest.mark.parametrize("env, split", [
-        ({}, False),
-        ({"OPENBLAS_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": " 1 "}, True),
-        ({"OPENBLAS_NUM_THREADS": "2"}, False),
-        ({"OMP_NUM_THREADS": "1"}, True),
-        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
-        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, True),
-    ])
-    def test_split_needs_one_blas_thread(self, monkeypatch, env, split):
-        # Variables are read as OpenBLAS reads them: the first positive
-        # count wins, and with none it runs one thread per CPU.
-        for var in sim._BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert sim._eval_cpus() == (3 if split else 1)
-
-    def test_split_counts_in_threads_that_end_with_the_call(self, cpus, monkeypatch):
-        spec = ModelSpec(3, 2)
-        rng = np.random.default_rng(3)
-        w = rng.standard_normal(spec.dim)
-        xb = sim._with_bias(rng.standard_normal((40_001, 2)))
-        y = rng.integers(0, 3, 40_001)
-        cpus(1)
-        one = spec._accuracy(w, xb, y)
-        counted, buffers = [], []
-        hits = ModelSpec._hits
-
-        def record(self, layers, xb, y, logits):
-            counted.append((threading.current_thread(), len(xb)))
-            buffers.append(logits)
-            return hits(self, layers, xb, y, logits)
-
-        monkeypatch.setattr(ModelSpec, "_hits", record)
-        before = threading.enumerate()
-        cpus(4)
-        assert spec._accuracy(w, xb, y) == one
-        assert threading.enumerate() == before
-        # Parts of 2, 3, 2 and 2 blocks (the last 3137 rows short), the
-        # first counted in the calling thread and each other in its own.
-        rows_by_thread = dict(counted)
-        assert len(rows_by_thread) == len(counted) == 4
-        assert rows_by_thread[threading.current_thread()] == 8192
-        assert sorted(rows_by_thread.values()) == [8192, 8192, 11329, 12288]
-        # Each part counts one block at a time into a buffer of its own.
-        assert [b.shape for b in buffers] == [(1, 4096, 3)] * 4
-        assert len({id(b) for b in buffers}) == 4
-
-    def test_split_stress_with_more_threads_than_cpus(self, cpus):
-        spec = ModelSpec(10, 12)
-        rng = np.random.default_rng(9)
-        w = rng.standard_normal(spec.dim)
-        xb = sim._with_bias(rng.standard_normal((40_001, 12)))
-        y = rng.integers(0, 10, 40_001)
-        cpus(1)
-        one = spec._accuracy(w, xb, y)
-        cpus(16)  # 9 parts, one per whole block
-        before = threading.enumerate()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                assert spec._accuracy(w, xb, y) == one
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.enumerate() == before
-
-    def test_split_small_inputs_start_no_thread(self, cpus, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("split an input of fewer than two blocks")
-
-        monkeypatch.setattr(sim, "_in_threads", refuse)
-        cpus(4)
-        spec = ModelSpec(2, 3)
-        assert spec._accuracy(np.zeros(spec.dim), huge_rows(8191, 0),
-                              np.zeros(8191, dtype=np.int64)) == 1.0
-
-    @pytest.mark.parametrize("hidden_units", [0, 8])
-    def test_split_helper_runs_under_the_callers_error_state(self, cpus, monkeypatch,
-                                                             hidden_units):
-        # Only the rows of the helper's part overflow.  Without the
-        # caller's error state the helper warns, and -W error makes that
-        # an exception the test would see.
-        spec = ModelSpec(2, 3, hidden_units)
-        w = np.full(spec.dim, 10.0)
-        xb, y = huge_rows(8192, 4096), np.zeros(8192, dtype=np.int64)
-        hooked = []
-        monkeypatch.setattr(threading, "excepthook", hooked.append)
-        before = threading.enumerate()
-        cpus(2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(all="ignore"):
-                assert spec._accuracy(w, xb, y) == 1.0
-            with np.errstate(all="raise"), pytest.raises(FloatingPointError,
-                                                         match="overflow"):
-                spec._accuracy(w, xb, y)
-        assert hooked == []
-        assert threading.enumerate() == before
-
-    def test_split_helper_exception_is_raised_in_the_caller(self, cpus, monkeypatch):
-        def fail_past_row_0(self, layers, xb, y, logits):
-            if len(xb) != 4096:
-                raise RuntimeError(f"part of {len(xb)} rows failed")
-            return 0
-
-        monkeypatch.setattr(ModelSpec, "_hits", fail_past_row_0)
-        hooked = []
-        monkeypatch.setattr(threading, "excepthook", hooked.append)
-        before = threading.enumerate()
-        cpus(2)
-        spec = ModelSpec(2, 3)
-        with pytest.raises(RuntimeError, match="^part of 4097 rows failed$"):
-            spec._accuracy(np.zeros(spec.dim), huge_rows(8193, 0),
-                           np.zeros(8193, dtype=np.int64))
-        assert hooked == []
-        assert threading.enumerate() == before
-
-    @pytest.mark.parametrize("refused", ["second", "every"])
-    def test_split_part_whose_thread_cannot_start_is_counted_here(self, cpus, monkeypatch,
-                                                                  refused):
-        # A thread or process limit makes Thread.start raise this
-        # RuntimeError; the part is then counted in the calling thread.
-        spec = ModelSpec(10, 12)
-        rng = np.random.default_rng(31)
-        w = rng.standard_normal(spec.dim)
-        xb = sim._with_bias(rng.standard_normal((40_001, 12)))
-        y = rng.integers(0, 10, 40_001)
-        cpus(1)
-        one = spec._accuracy(w, xb, y)
-        start, starts = threading.Thread.start, []
-
-        def refuse(thread):
-            starts.append(thread)
-            if refused == "every" or len(starts) == 2:
-                raise RuntimeError("can't start new thread")
-            start(thread)
-
-        counted = []
-        hits = ModelSpec._hits
-
-        def record(self, layers, xb, y, logits):
-            counted.append((threading.current_thread(), len(xb)))
-            return hits(self, layers, xb, y, logits)
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        monkeypatch.setattr(ModelSpec, "_hits", record)
-        before = threading.enumerate()
-        cpus(4)  # parts of 8192, 12288, 8192 and 11329 rows
-        assert spec._accuracy(w, xb, y) == one
-        assert threading.enumerate() == before
-        assert len(starts) == 3
-        here = [rows for thread, rows in counted if thread is threading.current_thread()]
-        assert sorted(rows for _, rows in counted) == [8192, 8192, 11329, 12288]
-        assert here == ([8192, 8192] if refused == "second" else [8192, 12288, 8192, 11329])
-
-    def test_split_simulate_runs_when_no_thread_can_start(self, cpus, monkeypatch):
-        ds = make_task(4, 6, 50_000, seed=21, separation=3.5)
-        part = lda_partition(uniform_prior(4), 1000.0, 12, 40, np.random.SeedSequence([21, 11]))
-        cfg = ExperimentConfig(
-            mode="fl", hardware=HW, grids=(FRANCE,), seed=21,
-            fl=FlSetup(pool_size=12, clients_per_round=4, rounds=2, local_epochs=2),
-            sim=SimSetup(classes=4, features=6, n_samples=50_000, separation=3.5,
-                         samples_per_client=40, target_accuracy=1.0))
-        cpus(1)
-        trace, _, w = simulate(cfg, ds, part)
-
-        def refuse(thread):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        cpus(2)
-        assert len(sim._eval_parts(len(ds.test_idx))) == 2
-        split_trace, _, split_w = simulate(cfg, ds, part)
-        assert split_trace == trace
-        assert split_w.tobytes() == w.tobytes()
+class TestBlockEvaluation:
+    """Test rows are counted 4096 at a time, with the bits of one whole
+    evaluation."""
 
     @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193, 40_001])
     @pytest.mark.parametrize("hidden_units", [0, 8])
-    def test_split_block_count_equals_the_whole_argmax_count(self, cpus, n, hidden_units):
+    def test_block_count_equals_the_whole_argmax_count(self, n, hidden_units):
         spec = ModelSpec(10, 12, hidden_units)
         rng = np.random.default_rng(n + hidden_units)
         w = rng.standard_normal(spec.dim)
@@ -594,45 +353,66 @@ class TestSplitEvaluation:
         layers = spec._unpack(spec._stack(w))
         whole = spec._logits(layers, xb[np.newaxis])[0][0]
         expected = int(np.count_nonzero(whole.argmax(axis=1) == y))
-        assert spec._hits(layers, xb, y, np.empty((1, min(n, 4096), 10))) == expected
-        for count in (1, 2):
-            cpus(count)
-            assert spec._accuracy(w, xb, y) == expected / n
+        assert spec._accuracy(w, xb, y) == expected / n
 
-    def test_split_evaluation_holds_one_block_of_logits_per_part(self, cpus):
-        # All 40 001 x 10 logits at once would take 3.2 MB; two parts hold
-        # one 4096-row block each, 0.66 MB.
+    def test_evaluation_holds_one_block_of_logits(self):
+        # All 40 001 x 10 logits at once would take 3.2 MB; one 4096-row
+        # block takes 0.33 MB, and two would take 0.66 MB.
         spec = ModelSpec(10, 12)
         rng = np.random.default_rng(14)
         w = rng.standard_normal(spec.dim)
         xb = sim._with_bias(rng.standard_normal((40_001, 12)))
         y = rng.integers(0, 10, 40_001)
-        cpus(2)
-        assert len(sim._eval_parts(40_001)) == 2
         tracemalloc.start()
         try:
             spec._accuracy(w, xb, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak < 2 * 4096 * 10 * 8
 
     @pytest.mark.parametrize("n", [8191, 8192, 20483, 40000, 40001])
     @pytest.mark.parametrize("hidden_units", [0, 8])
-    @pytest.mark.parametrize("count", [1, 2, 4])
-    def test_split_logits_equal_the_whole_product(self, split_child, n, hidden_units,
-                                                  count):
-        parts, logits_equal, accuracy_equal = split_child[("logits", n, hidden_units,
-                                                           count)]
-        assert int(parts) == (1 if n < 8192 else min(count, n // 4096))
+    def test_block_logits_equal_the_whole_product(self, block_child, n, hidden_units):
+        logits_equal, accuracy_equal = block_child[(n, hidden_units)]
         assert logits_equal == "True"
         assert accuracy_equal == "True"
 
-    @pytest.mark.parametrize("hidden_units", [0, 8])
-    def test_split_simulate_equals_one_cpu(self, split_child, hidden_units):
-        test_rows, rounds, equal = split_child[("simulate", hidden_units)]
-        assert int(test_rows) >= 8192 and int(rounds) == 3
-        assert equal == "True"
+
+class TestEvaluationStartsNoThread:
+    def test_evaluation_starts_no_thread_under_one_blas_thread_and_four_cpus(
+            self, monkeypatch):
+        # One BLAS thread and several CPUs: every row is still counted in
+        # the calling thread, with the bits of an unpatched run.
+        spec = ModelSpec(10, 12)
+        rng = np.random.default_rng(32)
+        w = rng.standard_normal(spec.dim)
+        xb = sim._with_bias(rng.standard_normal((40_001, 12)))
+        y = rng.integers(0, 10, 40_001)
+        layers = spec._unpack(spec._stack(w))
+        whole = spec._logits(layers, xb[np.newaxis])[0][0]
+        expected = int(np.count_nonzero(whole.argmax(axis=1) == y))
+        ds = make_task(4, 6, 50_000, seed=21, separation=3.5)
+        part = lda_partition(uniform_prior(4), 1000.0, 12, 40, np.random.SeedSequence([21, 11]))
+        cfg = ExperimentConfig(
+            mode="fl", hardware=HW, grids=(FRANCE,), seed=21,
+            fl=FlSetup(pool_size=12, clients_per_round=4, rounds=2, local_epochs=2),
+            sim=SimSetup(classes=4, features=6, n_samples=50_000, separation=3.5,
+                         samples_per_client=40, target_accuracy=1.0))
+        assert len(ds.test_idx) >= 8192
+        trace, _, final = simulate(cfg, ds, part)
+
+        def refuse(thread):
+            raise AssertionError("evaluation started a thread")
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert spec._accuracy(w, xb, y) == expected / 40_001
+        again, _, again_final = simulate(cfg, ds, part)
+        assert again == trace
+        assert again_final.tobytes() == final.tobytes()
 
 
 class TestAugmentedRows:
