@@ -285,10 +285,11 @@ class TestModelSpec:
 
 # Run in a child process with one BLAS thread, the setting under which
 # rows cut at multiples of sim._EVAL_BLOCK_ROWS keep the whole product's
-# bits.  It prints one line per case: the blocks' logits, as _accuracy
-# computes them, against the whole product, and the accuracy against the
-# whole product's argmax count.
+# bits.  It prints one line per case and CPU count the process is made to
+# see: the blocks' logits, as _accuracy computes them, against the whole
+# product, and the accuracy against the whole product's argmax count.
 BLOCK_CHILD = """
+import os
 import numpy as np
 import fedcarbon.sim as sim
 
@@ -315,16 +316,20 @@ for n in (8191, 8192, 20483, 40000, 40001):
         layers = spec._unpack(spec._stack(w))
         whole = spec._logits(layers, xb[np.newaxis])[0]
         expected = np.count_nonzero(whole[0].argmax(axis=1) == y) / n
-        logits = np.full((1, n, 10), np.nan)
-        record_blocks(xb, logits)
-        accuracy = spec._accuracy(w, xb, y)
-        sim.ModelSpec._logits = logits_of
-        print(n, hidden, logits.tobytes() == whole.tobytes(), accuracy == expected)
+        for cpus in (1, 2, 4):
+            os.sched_getaffinity = lambda pid: set(range(cpus))
+            os.cpu_count = lambda: cpus
+            logits = np.full((1, n, 10), np.nan)
+            record_blocks(xb, logits)
+            accuracy = spec._accuracy(w, xb, y)
+            sim.ModelSpec._logits = logits_of
+            print(cpus, n, hidden, logits.tobytes() == whole.tobytes(),
+                  accuracy == expected)
 """
 
 
 @pytest.fixture(scope="module")
-def block_child() -> dict[tuple[int, int], list[str]]:
+def block_child() -> dict[tuple[int, int, int], list[str]]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -333,18 +338,19 @@ def block_child() -> dict[tuple[int, int], list[str]]:
     assert proc.returncode == 0, proc.stderr
     cases = {}
     for line in proc.stdout.splitlines():
-        n, hidden, *fields = line.split()
-        cases[(int(n), int(hidden))] = fields
+        cpus, n, hidden, *fields = line.split()
+        cases[(int(cpus), int(n), int(hidden))] = fields
     return cases
 
 
-class TestBlockEvaluation:
-    """Test rows are counted 4096 at a time, with the bits of one whole
-    evaluation."""
+class TestSplitEvaluation:
+    """The test set is split into 4096-row blocks, all counted in the
+    calling thread: however many CPUs the process sees, the count and the
+    blocks' logits keep the bits of one whole evaluation."""
 
     @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193, 40_001])
     @pytest.mark.parametrize("hidden_units", [0, 8])
-    def test_block_count_equals_the_whole_argmax_count(self, n, hidden_units):
+    def test_split_block_count_equals_the_whole_argmax_count(self, n, hidden_units):
         spec = ModelSpec(10, 12, hidden_units)
         rng = np.random.default_rng(n + hidden_units)
         w = rng.standard_normal(spec.dim)
@@ -373,8 +379,10 @@ class TestBlockEvaluation:
 
     @pytest.mark.parametrize("n", [8191, 8192, 20483, 40000, 40001])
     @pytest.mark.parametrize("hidden_units", [0, 8])
-    def test_block_logits_equal_the_whole_product(self, block_child, n, hidden_units):
-        logits_equal, accuracy_equal = block_child[(n, hidden_units)]
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_split_logits_equal_the_whole_product(self, block_child, cpus, n,
+                                                  hidden_units):
+        logits_equal, accuracy_equal = block_child[(cpus, n, hidden_units)]
         assert logits_equal == "True"
         assert accuracy_equal == "True"
 
